@@ -43,7 +43,6 @@ from .hermitian import (
     HermitianMatrix,
     eigenvalues,
     gram_matrix,
-    jacobi_eigh,
     max_eigenpair,
     max_generalized_eigenpair,
     min_norm_solve,
@@ -127,7 +126,6 @@ __all__ = [
     "interp_exact",
     "interp_lower_eq9",
     "interp_upper_projection",
-    "jacobi_eigh",
     "malmquist_basis",
     "malmquist_basis_auto",
     "max_eigenpair",

@@ -15,13 +15,15 @@ class CertificationError(RuntimeError):
     """A numerical guarantee could not be certified.
 
     Raised when a truncation is too short to certify orthonormality, when a
-    constraint system is too ill-conditioned to trust, or when a quadrature
-    rule is too coarse for the polynomial degree it is asked to integrate.
+    constraint system is too ill-conditioned to trust, when an eigenpair's
+    residual exceeds its certification window, or when a quadrature rule is
+    too coarse for the polynomial degree it is asked to integrate.
     """
 
 
 class ConvergenceError(RuntimeError):
     """An iterative solver exhausted its iteration budget.
 
-    Carries the residual reached so far in ``args`` for diagnostics.
+    No solver in the package raises it at present; it stays exported, and the
+    command line still maps it to the numerical-failure exit code.
     """

@@ -1,12 +1,13 @@
 """Dense Hermitian eigenproblems and weighted minimum-norm solves.
 
 The constants computed by this laboratory are operator norms of small dense
-Hermitian Grams, so the solver here favours unconditional robustness and
-bit-level determinism over asymptotic speed: a cyclic-by-rows complex Jacobi
-iteration annihilates off-diagonal entries with exact 2x2 spectral rotations
-until the off-diagonal Frobenius mass falls below 1e-14 of the matrix norm.
-Convergence is quadratic once sweeps settle; a hard cap of 100 sweeps turns
-pathologies into an explicit error instead of a silent spin.
+Hermitian Grams.  Their spectra come from LAPACK through
+``numpy.linalg.eigh``/``eigvalsh``; the solver's accuracy is not taken on
+trust.  The reported top pair carries its residual ||M v - lambda v||, and by
+Weyl's inequality some eigenvalue of M lies within that residual of lambda,
+so a residual above the near-degeneracy window is a certification failure.
+Determinism comes from the fixed LAPACK call, phase normalization of the
+vector and a lexicographic tie-break inside the top cluster.
 
 Generalized problems M v = mu S v with S positive definite are reduced by a
 Cholesky congruence of S (with a tiny ridge retry when S is borderline).
@@ -23,14 +24,13 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import CertificationError, ConvergenceError
+from .errors import CertificationError
 from .series import NormKind, TaylorSeries
 
 __all__ = [
     "HermitianMatrix",
     "Eigenpair",
     "gram_matrix",
-    "jacobi_eigh",
     "eigenvalues",
     "max_eigenpair",
     "max_generalized_eigenpair",
@@ -38,11 +38,8 @@ __all__ = [
 ]
 
 HERMITICITY_TOL = 1e-12
-MAX_SWEEPS = 100
-OFF_DIAGONAL_TOL = 1e-14
 CLUSTER_TOL = 1e-10
 CONDITION_LIMIT = 1e12
-JACOBI_DIM_LIMIT = 512
 
 
 @dataclass(frozen=True)
@@ -74,7 +71,9 @@ class Eigenpair:
     """Largest eigenvalue with phase-normalized vector and certified residual.
 
     ``cluster`` lists every eigenvalue within the near-degeneracy window of
-    the top one, the top value included.
+    the top one, the top value included.  ``residual`` is
+    ||M v - value v|| for the unit vector v; by Weyl's inequality some
+    eigenvalue of M lies within ``residual`` of ``value``.
     """
 
     value: float
@@ -102,72 +101,9 @@ def gram_matrix(vectors: Sequence[TaylorSeries], kind: NormKind) -> HermitianMat
     return HermitianMatrix((G + G.conj().T) / 2.0)
 
 
-def _rotation(a: float, b: float, c: complex) -> np.ndarray:
-    """Unitary 2x2 diagonalizing [[a, c], [conj(c), b]] (a, b real)."""
-    half_gap = (a - b) / 2.0
-    radius = math.hypot(half_gap, abs(c))
-    lam_hi = (a + b) / 2.0 + radius
-    # Pick the numerically fatter branch for the top eigenvector.
-    if abs(lam_hi - a) >= abs(lam_hi - b):
-        v = np.array([c, lam_hi - a], dtype=np.complex128)
-    else:
-        v = np.array([lam_hi - b, np.conj(c)], dtype=np.complex128)
-    nv = np.linalg.norm(v)
-    if nv == 0.0:  # already diagonal
-        return np.eye(2, dtype=np.complex128)
-    v /= nv
-    return np.column_stack([v, np.array([-np.conj(v[1]), np.conj(v[0])])])
-
-
-def jacobi_eigh(matrix: HermitianMatrix) -> tuple[np.ndarray, np.ndarray]:
-    """Full spectrum by cyclic complex Jacobi.
-
-    Returns (values ascending, vectors as columns).  Deterministic: fixed
-    row-major pair order, fixed rotation convention, stable final sort.
-    """
-    if matrix.dim > JACOBI_DIM_LIMIT:
-        raise ValueError(f"dimension {matrix.dim} exceeds solver limit {JACOBI_DIM_LIMIT}")
-    M = np.array(matrix.entries)
-    d = matrix.dim
-    V = np.eye(d, dtype=np.complex128)
-    fro = float(np.linalg.norm(M))
-    if d == 1 or fro == 0.0:
-        order = np.argsort(np.real(np.diag(M)), kind="stable")
-        return np.real(np.diag(M))[order], V[:, order]
-    skip = OFF_DIAGONAL_TOL * fro / (d * d)
-    # Summing |M[p,q]|^2 over p != q directly; subtracting the diagonal mass
-    # from the total cancels catastrophically once off ~ sqrt(eps) * fro.
-    mask = ~np.eye(d, dtype=bool)
-    for _ in range(MAX_SWEEPS):
-        off = math.sqrt(float(np.sum(np.abs(M[mask]) ** 2)))
-        if off <= OFF_DIAGONAL_TOL * fro:
-            break
-        for p in range(d - 1):
-            for q in range(p + 1, d):
-                c = M[p, q]
-                if abs(c) <= skip:
-                    continue
-                U = _rotation(float(M[p, p].real), float(M[q, q].real), c)
-                idx = [p, q]
-                M[idx, :] = U.conj().T @ M[idx, :]
-                M[:, idx] = M[:, idx] @ U
-                M[p, q] = 0.0
-                M[q, p] = 0.0
-                M[p, p] = M[p, p].real
-                M[q, q] = M[q, q].real
-                V[:, idx] = V[:, idx] @ U
-    else:
-        off = math.sqrt(float(np.sum(np.abs(M[mask]) ** 2)))
-        raise ConvergenceError(
-            f"Jacobi did not converge in {MAX_SWEEPS} sweeps; off-diagonal mass {off:.3e}"
-        )
-    values = np.real(np.diag(M))
-    order = np.argsort(values, kind="stable")
-    return values[order], V[:, order]
-
-
 def eigenvalues(matrix: HermitianMatrix) -> np.ndarray:
-    return jacobi_eigh(matrix)[0]
+    """Full spectrum in ascending order."""
+    return np.linalg.eigvalsh(matrix.entries)
 
 
 def _phase_normalize(v: np.ndarray) -> np.ndarray:
@@ -188,8 +124,13 @@ def _lex_key(v: np.ndarray) -> tuple[float, ...]:
 
 def max_eigenpair(matrix: HermitianMatrix) -> Eigenpair:
     """Largest eigenpair; ties within the near-degeneracy window are broken
-    by the lexicographically largest phase-normalized vector."""
-    values, vectors = jacobi_eigh(matrix)
+    by the lexicographically largest phase-normalized vector.
+
+    Raises :class:`CertificationError` when the residual exceeds the
+    near-degeneracy window, i.e. when the pair is not certified to that
+    accuracy.
+    """
+    values, vectors = np.linalg.eigh(matrix.entries)
     top = float(values[-1])
     window = CLUSTER_TOL * (1.0 + abs(top))
     members = [i for i, val in enumerate(values) if top - float(val) <= window]
@@ -198,6 +139,10 @@ def max_eigenpair(matrix: HermitianMatrix) -> Eigenpair:
     vec = candidates[best]
     chosen = float(values[members[best]])
     residual = float(np.linalg.norm(matrix.entries @ vec - chosen * vec))
+    if residual > window:
+        raise CertificationError(
+            f"eigen-residual {residual:.3e} exceeds the certification window {window:.3e}"
+        )
     cluster = tuple(float(values[i]) for i in reversed(members))
     return Eigenpair(chosen, vec, residual, cluster)
 

@@ -4,12 +4,14 @@ import csv
 import io
 import json
 import math
+import os
 import subprocess
 import sys
 
 import numpy as np
 import pytest
 
+import mslab
 from mslab.cli import main
 
 HEADER = "n,r,sigma,quantity,value,lower,upper,trunc,residual"
@@ -19,6 +21,14 @@ def _run(capsys, argv):
     code = main(argv)
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def _module_env(**overrides):
+    """Environment for a fresh interpreter that imports this checkout's mslab."""
+    env = dict(os.environ, **overrides)
+    src = os.path.dirname(os.path.dirname(mslab.__file__))
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
+    return env
 
 
 def _parse_csv(text):
@@ -134,6 +144,36 @@ class TestBernsteinCommand:
         )
         assert code == 3
         assert "certification failure" in err
+
+    def test_dimension_above_512_solves(self, capsys):
+        """n = 520 at the origin gives the Bergman constant sqrt(n - 1)."""
+        code, out, _ = _run(
+            capsys,
+            ["bernstein", "--sigma", "one-point:n=520,r=0", "--target", "bergman"],
+        )
+        assert code == 0
+        rows = _parse_csv(out)
+        assert len(rows) == 1
+        np.testing.assert_allclose(float(rows[0]["value"]), math.sqrt(519.0), rtol=0, atol=1e-12)
+
+    def test_stdout_identical_across_processes_and_blas_threads(self):
+        """Separate interpreters with 1 and 2 BLAS threads print the same bytes."""
+        argv = [
+            sys.executable, "-m", "mslab", "bernstein",
+            "--sigma", "random:n=30,r=0.6,count=3,seed=5", "--target", "both",
+        ]
+        outs = []
+        for threads in ("1", "2"):
+            proc = subprocess.run(
+                argv,
+                capture_output=True,
+                timeout=300,
+                env=_module_env(OPENBLAS_NUM_THREADS=threads),
+            )
+            assert proc.returncode == 0, proc.stderr
+            outs.append(proc.stdout)
+        assert outs[0] == outs[1]
+        assert len(outs[0].splitlines()) == 7
 
     def test_bad_sigma_exits_two(self, capsys):
         """Grammar violations are usage errors."""
@@ -298,6 +338,7 @@ class TestOutputPlumbing:
             capture_output=True,
             text=True,
             timeout=300,
+            env=_module_env(),
         )
         assert proc.returncode == 0
         assert "30/30 checks passed" in proc.stderr

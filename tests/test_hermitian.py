@@ -1,16 +1,16 @@
-"""Tests for the Jacobi eigensolver, Gram builders and min-norm solves."""
+"""Tests for the Hermitian eigensolves, Gram builders and min-norm solves."""
 
 import math
 
 import numpy as np
 import pytest
 
+from mslab import hermitian
 from mslab.errors import CertificationError
 from mslab.hermitian import (
     HermitianMatrix,
     eigenvalues,
     gram_matrix,
-    jacobi_eigh,
     max_eigenpair,
     max_generalized_eigenpair,
     min_norm_solve,
@@ -43,60 +43,48 @@ class TestHermitianMatrix:
 
 
 class TestJacobiEigh:
-    """Spectrum of dense Hermitian matrices by cyclic rotations."""
+    """Spectrum of dense Hermitian matrices through eigenvalues/max_eigenpair.
+
+    The class keeps its name so the test ids stay stable.
+    """
 
     def test_tridiagonal_closed_form(self):
         """The 3x3 second-difference matrix has eigenvalues 2 and 2 +- sqrt(2)."""
         M = HermitianMatrix(np.array([[2.0, 1.0, 0.0], [1.0, 2.0, 1.0], [0.0, 1.0, 2.0]]))
-        vals, vecs = jacobi_eigh(M)
         np.testing.assert_allclose(
-            vals, [2.0 - math.sqrt(2.0), 2.0, 2.0 + math.sqrt(2.0)], rtol=1e-14
+            eigenvalues(M), [2.0 - math.sqrt(2.0), 2.0, 2.0 + math.sqrt(2.0)], rtol=1e-14
         )
+        pair = max_eigenpair(M)
+        np.testing.assert_allclose(pair.value, 2.0 + math.sqrt(2.0), rtol=1e-14)
         np.testing.assert_allclose(
-            M.entries @ vecs, vecs * vals[None, :], atol=1e-13
+            pair.vector, np.array([1.0, math.sqrt(2.0), 1.0]) / 2.0, atol=1e-14
         )
-
-    def test_matches_lapack_on_random_input(self):
-        """Values agree with numpy.linalg.eigvalsh across sizes."""
-        rng = np.random.default_rng(31)
-        for d in (1, 2, 5, 12, 30):
-            M = _random_hermitian(rng, d)
-            vals = eigenvalues(M)
-            np.testing.assert_allclose(vals, np.linalg.eigvalsh(M.entries), atol=1e-11)
-            assert np.all(np.diff(vals) >= 0.0)
 
     def test_vectors_are_unitary(self):
-        """Accumulated rotations stay orthonormal."""
+        """The top vector has unit norm and a real positive largest entry."""
         rng = np.random.default_rng(4)
         M = _random_hermitian(rng, 9)
-        _, vecs = jacobi_eigh(M)
-        np.testing.assert_allclose(vecs.conj().T @ vecs, np.eye(9), atol=1e-13)
+        vec = max_eigenpair(M).vector
+        np.testing.assert_allclose(np.linalg.norm(vec), 1.0, rtol=1e-14)
+        piv = vec[int(np.argmax(np.abs(vec)))]
+        assert abs(piv.imag) <= 1e-15 and piv.real > 0.0
 
     def test_numerically_diagonal_input_converges(self):
-        """Off-diagonal entries below the rotation threshold still terminate.
-
-        The off-diagonal mass must be summed directly over off-diagonal
-        entries; deriving it as total minus diagonal cancels to rounding
-        noise around sqrt(eps) and reports a phantom non-convergence.
-        """
+        """Off-diagonal entries at rounding level leave the diagonal as spectrum."""
         M = np.diag([1.3, 2.7, 0.4]).astype(complex)
         M[0, 1] = M[1, 0] = 2e-17
         M[0, 2] = M[2, 0] = -1.5e-17
-        vals, _ = jacobi_eigh(HermitianMatrix(M))
-        np.testing.assert_allclose(vals, [0.4, 1.3, 2.7], rtol=1e-15)
-
-    def test_dimension_cap(self):
-        """Problems beyond the supported size are refused up front."""
-        with pytest.raises(ValueError):
-            jacobi_eigh(HermitianMatrix(np.eye(513)))
+        M = HermitianMatrix(M)
+        np.testing.assert_allclose(eigenvalues(M), [0.4, 1.3, 2.7], rtol=1e-15)
+        np.testing.assert_allclose(max_eigenpair(M).value, 2.7, rtol=1e-15)
 
     def test_deterministic_across_calls(self):
         """The same matrix yields bit-identical values and vectors."""
         rng = np.random.default_rng(77)
         M = _random_hermitian(rng, 7)
-        v1, w1 = jacobi_eigh(M)
-        v2, w2 = jacobi_eigh(M)
-        assert np.array_equal(v1, v2) and np.array_equal(w1, w2)
+        p1, p2 = max_eigenpair(M), max_eigenpair(M)
+        assert np.array_equal(eigenvalues(M), eigenvalues(M))
+        assert p1.value == p2.value and np.array_equal(p1.vector, p2.vector)
 
 
 class TestMaxEigenpair:
@@ -123,6 +111,19 @@ class TestMaxEigenpair:
         pair = max_eigenpair(HermitianMatrix(np.diag([0.0, 1.0, 5.0])))
         assert pair.cluster == (5.0,)
         assert pair.value == 5.0
+
+    def test_uncertified_residual_rejected(self, monkeypatch):
+        """A top vector whose residual exceeds the cluster window is refused."""
+        eigh = np.linalg.eigh
+
+        def perturbed(entries):
+            values, vectors = eigh(entries)
+            vectors[:, -1] += 1e-6 * vectors[:, 0]
+            return values, vectors / np.linalg.norm(vectors, axis=0)
+
+        monkeypatch.setattr(hermitian.np.linalg, "eigh", perturbed)
+        with pytest.raises(CertificationError, match="eigen-residual"):
+            max_eigenpair(HermitianMatrix(np.diag([0.0, 1.0, 5.0])))
 
 
 class TestGeneralizedEigenpair:
