@@ -37,7 +37,7 @@ from .blaschke import (
     multiplicity_groups,
     parse_sigma_spec,
 )
-from .errors import CertificationError, ConvergenceError
+from .errors import CertificationError
 from .hermitian import (
     Eigenpair,
     HermitianMatrix,
@@ -90,7 +90,6 @@ __all__ = [
     "BoundEnvelope",
     "CertificationError",
     "CheckResult",
-    "ConvergenceError",
     "DiscQuadrature",
     "Eigenpair",
     "EnPrimeAudit",

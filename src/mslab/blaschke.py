@@ -8,11 +8,20 @@ the Hardy space.  The Malmquist family
     e_1 = sqrt(1-|lam_1|^2) / (1 - conj(lam_1) z),
     e_k = b_{lam_1} ... b_{lam_{k-1}} sqrt(1-|lam_k|^2) / (1 - conj(lam_k) z),
 
-is an orthonormal basis of K_B in the Hardy pairing, built here by iterated
-truncated products of exact geometric series; the stored coefficients of each
-element are the true Taylor coefficients, only the tail beyond the truncation
-is missing.  Construction certifies orthonormality of the computed Gram
-against the identity and refuses truncations too short to certify.
+is an orthonormal basis of K_B in the Hardy pairing.  It is built by the
+two-term recurrence
+
+    e_{k+1} = (s_{k+1}/s_k) (lam_k - z) e_k / (1 - conj(lam_{k+1}) z),
+    s_k = sqrt(1-|lam_k|^2),
+
+on a window of N+1 Taylor coefficients: the factor (lam_k - z) is a scale
+plus a one-place shift and the division is the stable first-order recurrence
+y_m = u_m + conj(lam_{k+1}) y_{m-1}.  Both act causally on coefficients, so
+the stored coefficients of each element are its true Taylor coefficients up
+to rounding; only the tail beyond the truncation is missing.  Each element
+carries a Cauchy-estimate bound on the l2 mass of that tail, and
+construction certifies orthonormality of the computed Gram against the
+identity, refusing truncations too short to certify.
 
 The orthogonal projection onto K_B expands against this basis in coefficient
 space.  Everything is invariant under rotations of the disc up to unimodular
@@ -28,14 +37,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CertificationError
-from .series import (
-    TaylorSeries,
-    blaschke_factor_series,
-    cauchy_kernel_series,
-    multiply,
-    policy_truncation,
-    scale,
-)
+from .series import TaylorSeries, policy_truncation
 
 __all__ = [
     "PoleConfiguration",
@@ -50,6 +52,15 @@ __all__ = [
 
 # Largest Gram deviation from the identity accepted as orthonormal.
 ORTHO_TOL = 1e-10
+
+# The doubling scan stops once the power of the division ratio drops below
+# this: the remaining terms are far below rounding and would only feed
+# subnormal floats, whose arithmetic is slow on x86, into the passes.
+_POWER_FLOOR = 1e-300
+
+# Fixed grid of radii for the Cauchy tail estimate: rho = 1/r - g (1/r - 1)
+# for the largest modulus r, so that 1 - r rho = g (1 - r) sweeps many scales.
+_RHO_GAPS = np.geomspace(1e-7, 0.999, 96)
 
 
 @dataclass(frozen=True)
@@ -134,8 +145,58 @@ def _hardy_gram(matrix: np.ndarray) -> np.ndarray:
     return matrix.conj().T @ matrix
 
 
+def _divide_by_kernel_factor(u: np.ndarray, beta: complex) -> np.ndarray:
+    """Coefficients of u(z) / (1 - beta z) on the window of u, |beta| < 1.
+
+    Solves y_m = u_m + beta y_{m-1} as a doubling scan: after the pass with
+    shift d = 2^t every y_m sums its 2d-term window, so ceil(log2 L) passes
+    of length L give the full recurrence, in elementwise numpy operations
+    whose result does not depend on the BLAS or its thread count.
+    """
+    y = u.copy()
+    d, power = 1, complex(beta)
+    while d < y.size and abs(power) >= _POWER_FLOOR:
+        y[d:] += power * y[:-d]
+        d, power = 2 * d, power * power
+    return y
+
+
+def _cauchy_tail_bounds(points: tuple[complex, ...], N: int) -> list[float]:
+    """Bounds on the l2 mass of the Taylor coefficients beyond N of each e_j.
+
+    On |z| = rho in (1, 1/r), r the largest modulus among lam_1..lam_j,
+    |b_lam(z)| <= (rho - |lam|)/(1 - |lam| rho) and
+    |s_j/(1 - conj(lam_j) z)| <= s_j/(1 - |lam_j| rho), so |e_j| <= M_j(rho)
+    there and Cauchy's estimate |c_k| <= M_j(rho) rho^-k gives the tail bound
+    M_j(rho) rho^-(N+1) / sqrt(1 - rho^-2), minimised over a fixed grid of
+    rho.  Since ||e_j|| = 1 the bound is also capped at one.  Elements whose
+    points all sit at the origin are monomials of degree below N: tail zero.
+    """
+    mods = np.abs(np.asarray(points))
+    radii = np.maximum.accumulate(mods)
+    bounds = [0.0] * len(points)
+    for r in set(radii.tolist()) - {0.0}:
+        group = np.flatnonzero(radii == r)
+        head = mods[: group[-1] + 1]
+        rho = 1.0 / r - _RHO_GAPS * (1.0 / r - 1.0)
+        # Row i: log of the sup of |b_{lam_i}| on the circle, summed over i < j.
+        log_b = np.log(rho - head[:, None]) - np.log1p(-head[:, None] * rho)
+        log_prefix = np.cumsum(log_b, axis=0) - log_b
+        common = -(N + 1) * np.log(rho) - 0.5 * np.log1p(-(rho**-2))
+        for j in group:
+            log_m = 0.5 * math.log1p(-mods[j] ** 2) - np.log1p(-mods[j] * rho)
+            log_tail = float(np.min(log_m + log_prefix[j] + common))
+            bounds[j] = math.exp(min(log_tail, 0.0))
+    return bounds
+
+
 def malmquist_basis(sigma: PoleConfiguration, N: int) -> MalmquistBasis:
     """Build the Malmquist basis truncated at degree N and certify it.
+
+    The elements come from the two-term recurrence of the module docstring
+    on a window of N+1 coefficients, each division by 1 - conj(lam) z a
+    doubling scan costing O(N log N); each element's ``tail_bound`` is the
+    Cauchy estimate of :func:`_cauchy_tail_bounds`.
 
     Raises
     ------
@@ -148,24 +209,20 @@ def malmquist_basis(sigma: PoleConfiguration, N: int) -> MalmquistBasis:
         raise CertificationError(
             f"truncation {N} cannot carry an {sigma.n}-dimensional space"
         )
-    elements: list[TaylorSeries] = []
-    prefix = TaylorSeries(np.ones(1, dtype=np.complex128))
-    for j, lam in enumerate(sigma.points):
-        unit_kernel = scale(
-            cauchy_kernel_series(lam, N), math.sqrt(1.0 - abs(lam) ** 2)
-        )
-        e = multiply(prefix, unit_kernel)
-        if e.trunc_len > N + 1:
-            e = TaylorSeries(e.coeffs[: N + 1], e.tail_bound)
-        elements.append(e)
-        if j < sigma.n - 1:
-            prefix = multiply(prefix, blaschke_factor_series(lam, N))
-            if prefix.trunc_len > N + 1:
-                prefix = TaylorSeries(prefix.coeffs[: N + 1], prefix.tail_bound)
-    L = max(e.trunc_len for e in elements)
-    mat = np.zeros((L, sigma.n), dtype=np.complex128)
-    for k, e in enumerate(elements):
-        mat[: e.trunc_len, k] = e.coeffs
+    L = N + 1
+    pts = sigma.points
+    s = [math.sqrt(1.0 - abs(lam) ** 2) for lam in pts]
+    mat = np.empty((L, sigma.n), dtype=np.complex128)
+    e = np.zeros(L, dtype=np.complex128)
+    e[0] = s[0]
+    for j, lam in enumerate(pts):
+        if j > 0:
+            # (lam_{j-1} - z) e_{j-1}, rescaled from s_{j-1} to s_j.
+            u = pts[j - 1] * e
+            u[1:] -= e[:-1]
+            e = u * (s[j] / s[j - 1])
+        e = _divide_by_kernel_factor(e, lam.conjugate())
+        mat[:, j] = e
     gram = _hardy_gram(mat)
     defect = float(np.max(np.abs(gram - np.eye(sigma.n))))
     if defect > ORTHO_TOL:
@@ -173,7 +230,9 @@ def malmquist_basis(sigma: PoleConfiguration, N: int) -> MalmquistBasis:
             f"truncation {N} too small to certify orthonormality "
             f"(Gram defect {defect:.3e} > {ORTHO_TOL:.0e})"
         )
-    return MalmquistBasis(sigma, tuple(elements), L, defect)
+    tails = _cauchy_tail_bounds(pts, N)
+    elements = tuple(TaylorSeries(mat[:, k], tails[k]) for k in range(sigma.n))
+    return MalmquistBasis(sigma, elements, L, defect)
 
 
 def malmquist_basis_auto(

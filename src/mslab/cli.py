@@ -43,7 +43,7 @@ from .bernstein import (
     z2_upper_hardy,
 )
 from .blaschke import PoleConfiguration, malmquist_basis_auto, parse_sigma_spec
-from .errors import CertificationError, ConvergenceError
+from .errors import CertificationError
 from .interpolation import (
     interp_exact,
     interp_lower_eq9,
@@ -224,8 +224,10 @@ def cmd_bernstein(args: argparse.Namespace) -> int:
     rows: list[OutputRow] = []
     strict_failures = []
     for sigma in configs:
+        # One basis per configuration serves every requested target.
+        basis = malmquist_basis_auto(sigma, args.trunc)
         for target in _TARGETS[args.target]:
-            res = bernstein_constant_sigma(sigma, target, trunc=args.trunc)
+            res = constant_from_basis(basis, target)
             if target is NormKind.BERGMAN:
                 quantity = "bernstein-bergman"
                 envelope = eq4_envelope(sigma.n, sigma.radius)
@@ -544,7 +546,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (CertificationError, ConvergenceError) as exc:
+    except CertificationError as exc:
         print(f"numerical certification failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
     except ValueError as exc:

@@ -2,10 +2,9 @@
 
 Domain violations (a pole on or outside the unit circle, an evaluation point
 outside the closed disc, a malformed configuration string) raise plain
-``ValueError``.  The classes below mark numerical failures that calling code
-may want to distinguish: a certification that could not be established at the
-requested truncation or conditioning, and an iteration that ran out of its
-sweep budget.
+``ValueError``.  The class below marks the numerical failures that calling
+code may want to distinguish: a certification that could not be established
+at the requested truncation or conditioning.
 """
 
 from __future__ import annotations
@@ -20,10 +19,3 @@ class CertificationError(RuntimeError):
     too coarse for the polynomial degree it is asked to integrate.
     """
 
-
-class ConvergenceError(RuntimeError):
-    """An iterative solver exhausted its iteration budget.
-
-    No solver in the package raises it at present; it stays exported, and the
-    command line still maps it to the numerical-failure exit code.
-    """

@@ -191,8 +191,9 @@ def min_norm_solve(
     weighted norm.  The dual Gram A W^{-1} A^* is diagonally equilibrated
     before solving (derivative functionals of increasing order differ in
     scale by many orders of magnitude; the scaling changes nothing
-    algebraically); if the equilibrated Gram still has a condition estimate
-    above 1e12 a :class:`CertificationError` is raised.
+    algebraically); if the dual Gram overflows, or the equilibrated Gram
+    still has a condition estimate above 1e12, a :class:`CertificationError`
+    is raised.
     """
     w = np.asarray(weights, dtype=np.float64)
     if w.ndim != 1 or w.size == 0 or np.any(w <= 0.0) or not np.all(np.isfinite(w)):
@@ -209,8 +210,12 @@ def min_norm_solve(
         targets.append(complex(tgt))
     A = np.vstack(rows)
     b = np.asarray(targets, dtype=np.complex128)
-    # Dual Gram: G[i, j] = sum_k A[i, k] conj(A[j, k]) / w_k.
-    G = (A / w[None, :]) @ A.conj().T
+    # Dual Gram: G[i, j] = sum_k A[i, k] conj(A[j, k]) / w_k.  Functionals
+    # of high derivative order can overflow it; that is a numerical failure.
+    with np.errstate(over="ignore", invalid="ignore"):
+        G = (A / w[None, :]) @ A.conj().T
+    if not np.all(np.isfinite(G)):
+        raise CertificationError("dual Gram of the constraint functionals overflows")
     G = (G + G.conj().T) / 2.0
     diag = np.real(np.diag(G))
     if np.any(diag <= 0.0):

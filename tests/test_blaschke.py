@@ -16,12 +16,15 @@ from mslab.blaschke import (
 from mslab.errors import CertificationError
 from mslab.series import (
     NormKind,
+    TaylorSeries,
     blaschke_factor_series,
+    cauchy_kernel_series,
     evaluate,
     multiply,
     norm,
     norm_sq,
     polynomial,
+    scale,
 )
 
 
@@ -29,6 +32,40 @@ def _random_config(rng, n, max_r):
     rad = max_r * np.sqrt(rng.uniform(0.0, 1.0, size=n))
     ang = rng.uniform(0.0, 2.0 * np.pi, size=n)
     return PoleConfiguration(tuple(rad * np.exp(1j * ang)))
+
+
+def _convolution_basis_matrix(sigma, N):
+    """Independent build: each element as a full truncated Cauchy product
+    of the Blaschke-factor prefix with the normalized kernel, shape (N+1, n)."""
+    columns = []
+    prefix = TaylorSeries(np.ones(1, dtype=np.complex128))
+    for lam in sigma.points:
+        kernel = scale(cauchy_kernel_series(lam, N), np.sqrt(1.0 - abs(lam) ** 2))
+        columns.append(multiply(prefix, kernel).coeffs[: N + 1])
+        prefix = multiply(prefix, blaschke_factor_series(lam, N))
+        prefix = TaylorSeries(prefix.coeffs[: N + 1], prefix.tail_bound)
+    return np.column_stack(columns)
+
+
+# Origin, one point at growing radius, repeated points, and moduli 0.5 mixed
+# with 0.99 (the 0.5 kernel runs into subnormal floats at this truncation).
+_ORACLE_PANEL = {
+    "origin": (0.0, 0.0, 0.0),
+    "one-point-0.5": (0.5,) * 4,
+    "one-point-0.95": (0.95,) * 4,
+    "one-point-0.99": (0.99,) * 3,
+    "repeated": (0.3 + 0.2j, 0.3 + 0.2j, -0.4j, -0.4j, 0.7),
+    "mixed-0.5-0.99": (0.5, 0.99j, 0.5, -0.99),
+}
+
+# Radii up to 0.99 with multiplicities, for the tail bound.
+_TAIL_PANEL = {
+    "origin-then-0.7": (0.0, 0.0, 0.7),
+    "double-0.5": (0.5, 0.5, 0.2 - 0.1j),
+    "triple-0.9": (0.9j, 0.9j, 0.9j, -0.3),
+    "one-point-0.99": (0.99,) * 3,
+    "mixed-0.5-0.99": (0.5, 0.99j, 0.5),
+}
 
 
 class TestPoleConfiguration:
@@ -149,6 +186,27 @@ class TestMalmquistBasis:
         """Passing trunc pins the stored length."""
         basis = malmquist_basis_auto(PoleConfiguration((0.5,)), trunc=96)
         assert basis.trunc_len == 97
+
+    @pytest.mark.parametrize("points", _ORACLE_PANEL.values(), ids=_ORACLE_PANEL.keys())
+    def test_recurrence_matches_convolution_build(self, points):
+        """The recurrence build agrees with full Cauchy products to 1e-13."""
+        sig = PoleConfiguration(points)
+        basis = malmquist_basis_auto(sig)
+        N = basis.trunc_len - 1
+        oracle = _convolution_basis_matrix(sig, N)
+        assert oracle.shape[0] == basis.trunc_len
+        np.testing.assert_allclose(basis.coefficient_matrix(), oracle, rtol=0, atol=1e-13)
+
+    @pytest.mark.parametrize("points", _TAIL_PANEL.values(), ids=_TAIL_PANEL.keys())
+    def test_tail_bound_dominates_doubled_truncation(self, points):
+        """tail_bound at N covers coefficients N+1..2N of the same element."""
+        sig = PoleConfiguration(points)
+        basis = malmquist_basis_auto(sig)
+        N = basis.trunc_len - 1
+        doubled = malmquist_basis(sig, 2 * N)
+        for e, long in zip(basis.elements, doubled.elements):
+            gap = float(np.linalg.norm(long.coeffs[N + 1 :]))
+            assert gap <= e.tail_bound <= 1.0
 
 
 class TestModelProjection:

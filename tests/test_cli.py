@@ -175,6 +175,23 @@ class TestBernsteinCommand:
         assert outs[0] == outs[1]
         assert len(outs[0].splitlines()) == 7
 
+    def test_both_targets_share_one_basis(self, capsys, monkeypatch):
+        """--target both builds the basis once per configuration."""
+        builds = []
+        build = mslab.blaschke.malmquist_basis
+
+        def counted(sigma, N):
+            builds.append(sigma.key())
+            return build(sigma, N)
+
+        monkeypatch.setattr(mslab.blaschke, "malmquist_basis", counted)
+        code, out, _ = _run(
+            capsys, ["bernstein", "--sigma", "random:n=3,r=0.5,count=2,seed=4", "--target", "both"]
+        )
+        assert code == 0
+        assert len(_parse_csv(out)) == 4
+        assert len(builds) == 2 and len(set(builds)) == 2
+
     def test_bad_sigma_exits_two(self, capsys):
         """Grammar violations are usage errors."""
         code, _, err = _run(capsys, ["bernstein", "--sigma", "one-point:n=2"])
@@ -217,6 +234,12 @@ class TestInterpCommand:
         quantities = [row["quantity"] for row in rows]
         assert "interp-exact" not in quantities
         assert "interp-upper" in quantities and "interp-lower-eq9" in quantities
+
+    def test_overflowing_dual_gram_exits_three(self, capsys):
+        """Derivative functionals that overflow are a numerical failure, not bad input."""
+        code, _, err = _run(capsys, ["interp", "--sigma", "one-point:n=100,r=0.9"])
+        assert code == 3
+        assert "certification failure" in err
 
     def test_single_point_reports_closed_form(self, capsys):
         """n = 1 exact runs report the closed-form comparison on stderr."""
