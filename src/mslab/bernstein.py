@@ -6,14 +6,19 @@ the Bergman or the Hardy space,
 
     C(sigma, target) = sup { ||f'||_target : f in K_B, ||f||_Hardy <= 1 }.
 
-Since the Malmquist basis is orthonormal in the Hardy pairing, the square of
-this constant is exactly the top eigenvalue of the target-weighted Gram of
-the differentiated basis, so the computed value is the constant of the
-finite-dimensional operator itself, not an estimate.  The closed-form
-envelopes bracketing the one-point family, the growth comparison for the
-Hardy target, the audit of a closed form that fails numerically, and the
-test-function scaffolding used to prove the envelopes are all collected
-here, each evaluated by at least two independent routes in the test suite.
+Since the Malmquist basis is orthonormal in the Hardy pairing, f = E a with
+E the L x n coefficient matrix of the basis has ||f||_Hardy = |a|, while
+
+    ||f'||_Bergman^2 = sum_k k |c_k|^2,    ||f'||_Hardy^2 = sum_k k^2 |c_k|^2
+
+over the coefficients c = E a of f.  The square of the constant is therefore
+exactly the top eigenvalue of E^* diag(w) E with w = k or w = k^2, so the
+computed value is the constant of the finite-dimensional operator itself,
+not an estimate.  The closed-form envelopes bracketing the one-point family,
+the growth comparison for the Hardy target, the audit of a closed form that
+fails numerically, and the test-function scaffolding used to prove the
+envelopes are all collected here, each evaluated by at least two independent
+routes in the test suite.
 
 The supremum over all configurations of fixed size and radius is not
 attained at any known finite candidate set; :func:`sup_constant_search`
@@ -95,11 +100,12 @@ def _check_target(target: NormKind) -> None:
 
 
 def constant_from_basis(basis: MalmquistBasis, target: NormKind) -> BernsteinResult:
-    """Constant of differentiation on an already-built basis."""
+    """Constant of differentiation on an already-built basis: the top
+    eigenpair of E^* diag(w) E, w = k (Bergman) or k^2 (Hardy)."""
     _check_target(target)
-    derivs = [differentiate(e) for e in basis.elements]
-    gram = gram_matrix(derivs, target)
-    pair = max_eigenpair(gram)
+    k = np.arange(basis.trunc_len, dtype=np.float64)
+    w = k if target is NormKind.BERGMAN else k * k
+    pair = max_eigenpair(gram_matrix(basis.coefficient_matrix(), w))
     constant = math.sqrt(max(pair.value, 0.0))
     vec = np.array(pair.vector)
     vec.setflags(write=False)
@@ -318,7 +324,8 @@ def step2_expansion_check(
 
 @dataclass(frozen=True)
 class RatioRow:
-    """One row of a growth sweep: constant against its predicted scale."""
+    """One row of a growth sweep: constant against its predicted scale,
+    with the truncation length and eigen-residual of the constant."""
 
     n: int
     r: float
@@ -326,6 +333,8 @@ class RatioRow:
     constant: float
     ratio: float
     limit: float
+    trunc_len: int
+    residual: float
 
     @property
     def gap(self) -> float:
@@ -341,16 +350,18 @@ def asymptotic_ratio_sweep(
     Hardy target:   C / n       against (1+r)/(1-r).
     """
     _check_target(target)
+    bergman = target is NormKind.BERGMAN
+    q = (1.0 + r) / (1.0 - r)
+    limit = math.sqrt(q) if bergman else q
     rows = []
     for n in n_list:
         res = bernstein_constant_sigma(PoleConfiguration.one_point(n, r), target, trunc)
-        if target is NormKind.BERGMAN:
-            ratio = res.constant / math.sqrt(n)
-            limit = math.sqrt((1.0 + r) / (1.0 - r))
-        else:
-            ratio = res.constant / n
-            limit = (1.0 + r) / (1.0 - r)
-        rows.append(RatioRow(n, r, target, res.constant, ratio, limit))
+        ratio = res.constant / (math.sqrt(n) if bergman else n)
+        rows.append(
+            RatioRow(
+                n, r, target, res.constant, ratio, limit, res.trunc_len, res.residual
+            )
+        )
     return rows
 
 

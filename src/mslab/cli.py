@@ -27,16 +27,16 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
-import math
 import sys
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
 
 from .bernstein import (
-    bernstein_constant_sigma,
+    asymptotic_ratio_sweep,
     constant_from_basis,
     en_prime_bergman_audit,
     eq4_envelope,
@@ -47,6 +47,7 @@ from .errors import CertificationError
 from .interpolation import (
     interp_exact,
     interp_lower_eq9,
+    interp_upper_projection,
     single_point_closed_form,
     theoremB_envelopes,
 )
@@ -305,8 +306,7 @@ def cmd_interp(args: argparse.Namespace) -> int:
                 trunc_len = res.trunc_len
             else:
                 basis = malmquist_basis_auto(sigma, args.trunc)
-                cb = constant_from_basis(basis, NormKind.BERGMAN).constant
-                upper_proj = math.sqrt(cb * cb + 1.0)
+                upper_proj = interp_upper_projection(basis)
                 trunc_len = basis.trunc_len
             upper_env = None
             if one_point:
@@ -372,39 +372,27 @@ def cmd_asymptotics(args: argparse.Namespace) -> int:
         print("n-list must be strictly ascending", file=sys.stderr)
         return EXIT_USAGE
     target = NormKind.BERGMAN if args.target == "bergman" else NormKind.HARDY
+    sweep = asymptotic_ratio_sweep(r, args.n_list, target, args.trunc)
+    gaps = [row.gap for row in sweep]
+    monotone = all(b <= a + BRACKET_SLACK for a, b in zip(gaps, gaps[1:]))
     rows: list[OutputRow] = []
-    gaps: list[float] = []
-    prev_gap = math.inf
-    monotone = True
-    for n in args.n_list:
-        sigma = PoleConfiguration.one_point(n, r)
-        res = bernstein_constant_sigma(sigma, target, trunc=args.trunc)
-        if target is NormKind.BERGMAN:
-            ratio = res.constant / math.sqrt(n)
-            limit = math.sqrt((1.0 + r) / (1.0 - r))
-        else:
-            ratio = res.constant / n
-            limit = (1.0 + r) / (1.0 - r)
-        gap = limit - ratio
-        gaps.append(gap)
-        monotone = monotone and gap <= prev_gap + BRACKET_SLACK
-        prev_gap = gap
+    for row in sweep:
         rows.append(
             OutputRow(
-                n,
+                row.n,
                 r,
-                sigma.key(),
+                PoleConfiguration.one_point(row.n, r).key(),
                 "ratio",
-                ratio,
+                row.ratio,
                 None,
-                limit,
-                res.trunc_len,
-                res.residual,
+                row.limit,
+                row.trunc_len,
+                row.residual,
             )
         )
         print(
-            f"ratio[{args.target}] n={n} r={r:.6g}: {ratio:.12g} "
-            f"-> {limit:.12g} (gap {gap:.3e})",
+            f"ratio[{args.target}] n={row.n} r={r:.6g}: {row.ratio:.12g} "
+            f"-> {row.limit:.12g} (gap {row.gap:.3e})",
             file=sys.stderr,
         )
     if monotone and len(gaps) >= 2:
@@ -477,6 +465,7 @@ def _add_output_options(sub: argparse.ArgumentParser) -> None:
     )
 
 
+@functools.cache  # built once per process; nothing mutates it or its list defaults
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="mslab",

@@ -25,7 +25,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import CertificationError
-from .series import NormKind, TaylorSeries
+from .series import TaylorSeries
 
 __all__ = [
     "HermitianMatrix",
@@ -82,21 +82,20 @@ class Eigenpair:
     cluster: tuple[float, ...]
 
 
-def gram_matrix(vectors: Sequence[TaylorSeries], kind: NormKind) -> HermitianMatrix:
-    """Weighted Gram of a family of series, entries[j][k] = <v_k, v_j>_w.
+def gram_matrix(coeffs: np.ndarray, weights: np.ndarray) -> HermitianMatrix:
+    """Weighted Gram V^* diag(w) V of the columns of an L x m coefficient matrix.
 
-    With V the matrix whose columns are the coefficient vectors (on the
-    shared truncation) and W the weight diagonal, the Gram is V^* W V, so the
-    quadratic form c^* G c equals the squared norm of sum_k c_k v_k; the top
-    eigenvector is directly an extremal coefficient vector.
+    Column j of ``coeffs`` holds the Taylor coefficients of v_j and
+    ``weights[k]`` multiplies |c_k|^2, so entries[j][k] = <v_k, v_j>_w and the
+    quadratic form c^* G c is the squared weighted norm of V c; the top
+    eigenvector is directly an extremal coefficient vector.  Every constant
+    of the laboratory is an extreme eigenvalue of such a Gram of the
+    Malmquist coefficient matrix E or of a matrix built from it.
     """
-    if len(vectors) == 0:
-        raise ValueError("need at least one vector")
-    L = max(v.trunc_len for v in vectors)
-    V = np.zeros((L, len(vectors)), dtype=np.complex128)
-    for k, v in enumerate(vectors):
-        V[: v.trunc_len, k] = v.coeffs
-    w = kind.weights(L)
+    V = np.asarray(coeffs, dtype=np.complex128)
+    w = np.asarray(weights, dtype=np.float64)
+    if V.ndim != 2 or w.shape != V.shape[:1]:
+        raise ValueError("need an L x m coefficient matrix and L weights")
     G = V.conj().T @ (w[:, None] * V)
     return HermitianMatrix((G + G.conj().T) / 2.0)
 

@@ -37,8 +37,9 @@ from .blaschke import (
     multiplicity_groups,
 )
 from .bernstein import BoundEnvelope, constant_from_basis
+from .errors import CertificationError
 from .hermitian import gram_matrix, max_eigenpair, min_norm_solve
-from .series import NormKind, TaylorSeries, add, scale
+from .series import NormKind, TaylorSeries, add
 
 __all__ = [
     "InterpResult",
@@ -117,8 +118,13 @@ def _constraint_rows(
     for lam, mult in multiplicity_groups(sigma):
         for t in range(mult):
             falling = np.ones(length, dtype=np.float64)
-            for j in range(t):
-                falling *= np.maximum(k - j, 0.0)
+            with np.errstate(over="ignore"):
+                for j in range(t):
+                    falling *= np.maximum(k - j, 0.0)
+            if not np.all(np.isfinite(falling)):
+                raise CertificationError(
+                    f"order-{t} derivative functional overflows at truncation {length}"
+                )
             powers = np.zeros(length, dtype=np.complex128)
             idx = np.arange(t, length)
             powers[idx] = np.power(complex(lam), (idx - t).astype(np.float64)) if lam != 0 else np.where(idx - t == 0, 1.0, 0.0)
@@ -136,29 +142,27 @@ def interp_exact(sigma: PoleConfiguration, trunc: int | None = None) -> InterpRe
 
     Builds the Malmquist basis, solves one minimum Dirichlet-norm problem per
     basis element, and takes the top eigenvalue of the Dirichlet Gram of the
-    interpolants.  Raises :class:`CertificationError` for configurations with
-    distinct points closer than 1e-8 or ill-conditioned trace systems.
+    L x n matrix of interpolants.  Raises :class:`CertificationError` for
+    configurations with distinct points closer than 1e-8, derivative
+    functionals that overflow, or ill-conditioned trace systems.
     """
     basis = malmquist_basis_auto(sigma, trunc)
     L = basis.trunc_len
     rows = _constraint_rows(sigma, L)
     weights = NormKind.DIRICHLET.weights(L)
-    interpolants = []
-    for e in basis.elements:
-        targets = _apply_rows(rows, e)
-        g, _ = min_norm_solve(weights, list(zip(rows, targets)))
-        interpolants.append(g)
-    gram = gram_matrix(interpolants, NormKind.DIRICHLET)
-    pair = max_eigenpair(gram)
+    interpolants = np.empty((L, sigma.n), dtype=np.complex128)
+    for j, e in enumerate(basis.elements):
+        g, _ = min_norm_solve(weights, list(zip(rows, _apply_rows(rows, e))))
+        interpolants[:, j] = g.coeffs
+    pair = max_eigenpair(gram_matrix(interpolants, weights))
     exact = math.sqrt(max(pair.value, 0.0))
 
-    witness_f = scale(basis.elements[0], pair.vector[0])
-    witness_g = scale(interpolants[0], pair.vector[0])
-    for k in range(1, sigma.n):
-        witness_f = add(witness_f, scale(basis.elements[k], pair.vector[k]))
-        witness_g = add(witness_g, scale(interpolants[k], pair.vector[k]))
+    v = pair.vector
+    tail_f = sum(abs(c) * e.tail_bound for c, e in zip(v, basis.elements))
+    witness_f = TaylorSeries(basis.coefficient_matrix() @ v, tail_f)
+    witness_g = TaylorSeries(interpolants @ v)
 
-    upper = _upper_from_basis(basis)
+    upper = interp_upper_projection(basis)
     lower = None
     if sigma.n >= 2 and len(set(sigma.points)) == 1:
         lower = interp_lower_eq9(sigma.n, abs(sigma.points[0])).eq9
@@ -167,16 +171,13 @@ def interp_exact(sigma: PoleConfiguration, trunc: int | None = None) -> InterpRe
     )
 
 
-def _upper_from_basis(basis: MalmquistBasis) -> float:
+def interp_upper_projection(basis: MalmquistBasis) -> float:
+    """Upper bound sqrt(C_B^2 + 1) on the model space of a built basis: the
+    projection onto the model space interpolates, and its Dirichlet norm
+    splits into the Bergman norm of its derivative (at most C_B, the Bergman
+    derivative constant of the configuration) and its Hardy norm."""
     bergman = constant_from_basis(basis, NormKind.BERGMAN).constant
     return math.sqrt(bergman * bergman + 1.0)
-
-
-def interp_upper_projection(sigma: PoleConfiguration, trunc: int | None = None) -> float:
-    """Upper bound sqrt(C_B(sigma)^2 + 1): the projection onto the model
-    space interpolates and its Dirichlet norm splits against the Bergman
-    derivative constant."""
-    return _upper_from_basis(malmquist_basis_auto(sigma, trunc))
 
 
 def interp_lower_eq9(n: int, abs_lam: float) -> Eq9Bounds:

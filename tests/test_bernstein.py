@@ -28,6 +28,26 @@ def _random_config(rng, n, max_r):
     return PoleConfiguration(tuple(rad * np.exp(1j * ang)))
 
 
+def _differentiated_gram_constant(basis, target):
+    """Independent route: differentiate every element, then take the top
+    eigenvalue of the target-weighted Gram of the derivatives."""
+    D = np.column_stack([differentiate(e).coeffs for e in basis.elements])
+    w = target.weights(D.shape[0])
+    G = D.conj().T @ (w[:, None] * D)
+    return math.sqrt(max(float(np.linalg.eigvalsh((G + G.conj().T) / 2.0)[-1]), 0.0))
+
+
+# Origin, one point at moderate and extreme radius, a larger space, and
+# repeated points.
+_ORACLE_PANEL = {
+    "origin": (0.0,) * 5,
+    "one-point-0.5": (0.5,) * 6,
+    "one-point-0.99": (0.99,) * 4,
+    "n40-0.6": (0.6,) * 40,
+    "repeated": (0.3 + 0.2j, 0.3 + 0.2j, -0.5j, -0.5j, -0.5j, 0.7),
+}
+
+
 class TestHandValues:
     """Constants worked out by hand for small configurations."""
 
@@ -75,6 +95,20 @@ class TestHandValues:
 
 class TestConstantProperties:
     """Structural invariances of the computed constant."""
+
+    @pytest.mark.parametrize(
+        "target", (NormKind.BERGMAN, NormKind.HARDY), ids=("bergman", "hardy")
+    )
+    @pytest.mark.parametrize("points", _ORACLE_PANEL.values(), ids=_ORACLE_PANEL.keys())
+    def test_weighted_gram_matches_differentiated_route(self, points, target):
+        """The top eigenvalue of E^* diag(w) E equals the constant obtained by
+        differentiating the basis first."""
+        basis = malmquist_basis_auto(PoleConfiguration(points))
+        np.testing.assert_allclose(
+            constant_from_basis(basis, target).constant,
+            _differentiated_gram_constant(basis, target),
+            rtol=1e-12,
+        )
 
     def test_dirichlet_target_rejected(self):
         """Only Bergman and Hardy targets make sense here."""

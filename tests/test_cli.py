@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 import mslab
-from mslab.cli import main
+from mslab.cli import build_parser, main
 
 HEADER = "n,r,sigma,quantity,value,lower,upper,trunc,residual"
 
@@ -235,11 +235,13 @@ class TestInterpCommand:
         assert "interp-exact" not in quantities
         assert "interp-upper" in quantities and "interp-lower-eq9" in quantities
 
-    def test_overflowing_dual_gram_exits_three(self, capsys):
-        """Derivative functionals that overflow are a numerical failure, not bad input."""
+    def test_overflowing_dual_gram_exits_three(self, capsys, recwarn):
+        """Derivative functionals that overflow are a numerical failure, not bad
+        input, and are refused without numpy overflow warnings."""
         code, _, err = _run(capsys, ["interp", "--sigma", "one-point:n=100,r=0.9"])
         assert code == 3
         assert "certification failure" in err
+        assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
 
     def test_single_point_reports_closed_form(self, capsys):
         """n = 1 exact runs report the closed-form comparison on stderr."""
@@ -348,6 +350,14 @@ class TestOutputPlumbing:
         assert out == ""
         assert f"wrote {path}" in err
         assert path.read_text(encoding="utf-8").splitlines()[0] == HEADER
+
+    def test_parser_built_once(self, capsys):
+        """One parser per process serves back-to-back subcommands."""
+        assert build_parser() is build_parser()
+        code, out, _ = _run(capsys, ["bernstein", "--sigma", "one-point:n=3,r=0.4"])
+        assert code == 0 and out.startswith(HEADER)
+        code, out, _ = _run(capsys, ["asymptotics", "--r", "0.3", "--n-list", "4,8"])
+        assert code == 0 and out.startswith(HEADER)
 
     def test_invalid_trunc_rejected(self, capsys):
         """--trunc wants 'auto' or a positive integer."""
