@@ -105,7 +105,7 @@ def constant_from_basis(basis: MalmquistBasis, target: NormKind) -> BernsteinRes
     _check_target(target)
     k = np.arange(basis.trunc_len, dtype=np.float64)
     w = k if target is NormKind.BERGMAN else k * k
-    pair = max_eigenpair(gram_matrix(basis.coefficient_matrix(), w))
+    pair = max_eigenpair(gram_matrix(basis.matrix, w))
     constant = math.sqrt(max(pair.value, 0.0))
     vec = np.array(pair.vector)
     vec.setflags(write=False)
@@ -176,7 +176,7 @@ def en_prime_bergman_audit(n: int, r: float, trunc: int | None = None) -> EnPrim
     if n < 1 or not 0.0 <= r < 1.0:
         raise ValueError("need n >= 1 and r in [0, 1)")
     basis = malmquist_basis_auto(PoleConfiguration.one_point(n, r), trunc)
-    deriv = differentiate(basis.elements[-1])
+    deriv = differentiate(basis.element(n - 1))
     numeric = norm_sq(deriv, NormKind.BERGMAN)
     quad = bergman_norm_quadrature(
         deriv, DiscQuadrature.for_degree(deriv.trunc_len - 1)
@@ -200,10 +200,10 @@ def step2_test_function(
     if s + 2 >= n:
         raise ValueError(f"depth {s} underflows the basis of dimension {n}")
     basis = malmquist_basis_auto(PoleConfiguration.one_point(n, r), trunc)
-    out = basis.elements[n - 1]
-    for k in range(1, s + 3):
-        out = add(out, scale(basis.elements[n - k - 1], (-1.0) ** k))
-    return out
+    k = np.arange(s + 3)
+    a = np.zeros(n)
+    a[n - 1 - k] = (-1.0) ** k
+    return basis.combine(a)
 
 
 @dataclass(frozen=True)
@@ -292,10 +292,7 @@ def step2_expansion_check(
     eq18_bound = r * f_norm
 
     basis = malmquist_basis_auto(PoleConfiguration.one_point(n, r), trunc)
-    f = basis.elements[0]
-    f = scale(f, a[0])
-    for k in range(1, n):
-        f = add(f, scale(basis.elements[k], a[k]))
+    f = basis.combine(a)
     fprime_bergman = norm(differentiate(f), NormKind.BERGMAN)
     diff = add(A, scale(B, -1.0))
     identity_gap = abs(

@@ -18,14 +18,16 @@ on a window of N+1 Taylor coefficients: the factor (lam_k - z) is a scale
 plus a one-place shift and the division is the stable first-order recurrence
 y_m = u_m + conj(lam_{k+1}) y_{m-1}.  Both act causally on coefficients, so
 the stored coefficients of each element are its true Taylor coefficients up
-to rounding; only the tail beyond the truncation is missing.  Each element
-carries a Cauchy-estimate bound on the l2 mass of that tail, and
-construction certifies orthonormality of the computed Gram against the
-identity, refusing truncations too short to certify.
+to rounding; only the tail beyond the truncation is missing.  The elements
+are the columns of one L x n coefficient matrix E, each with a
+Cauchy-estimate bound on the l2 mass of its tail, and construction certifies
+orthonormality of the computed Gram E^* E against the identity, refusing
+truncations too short to certify.
 
-The orthogonal projection onto K_B expands against this basis in coefficient
-space.  Everything is invariant under rotations of the disc up to unimodular
-column phases, which downstream constants never see.
+A function of K_B is E a for a coefficient vector a, and the orthogonal
+projection onto K_B is E E^* in coefficient space.  Everything is invariant
+under rotations of the disc up to unimodular column phases, which downstream
+constants never see.
 """
 
 from __future__ import annotations
@@ -125,20 +127,41 @@ def blaschke_product_eval(sigma: PoleConfiguration, z: complex) -> complex:
 
 @dataclass(frozen=True)
 class MalmquistBasis:
-    """Orthonormal basis of the model space of a configuration.
+    """Orthonormal basis of the model space of a configuration, held as E.
 
-    ``elements[k]`` holds the (k+1)-th Malmquist function; ``ortho_defect``
-    is the certified max deviation of the Hardy Gram from the identity.
+    ``matrix`` is the L x n coefficient matrix E whose column k holds the
+    first L Taylor coefficients of the (k+1)-th Malmquist function, and
+    ``tail_bounds[k]`` bounds the l2 mass of that column's discarded tail;
+    both are read-only.  ``ortho_defect`` is the certified max deviation of
+    the Hardy Gram E^* E from the identity.  A function of the model space
+    is f = E a, served by :meth:`combine`; every constant is a weighted Gram
+    of E.
     """
 
     sigma: PoleConfiguration
-    elements: tuple[TaylorSeries, ...]
-    trunc_len: int
+    matrix: np.ndarray
+    tail_bounds: np.ndarray
     ortho_defect: float
 
-    def coefficient_matrix(self) -> np.ndarray:
-        """Columns are the stored coefficient vectors, shape (trunc_len, n)."""
-        return np.column_stack([e.coeffs for e in self.elements])
+    def __post_init__(self) -> None:
+        self.matrix.setflags(write=False)
+        self.tail_bounds.setflags(write=False)
+
+    @property
+    def trunc_len(self) -> int:
+        return int(self.matrix.shape[0])
+
+    def element(self, k: int) -> TaylorSeries:
+        """The (k+1)-th Malmquist function with its tail bound."""
+        return TaylorSeries(self.matrix[:, k], self.tail_bounds[k])
+
+    def combine(self, a: np.ndarray) -> TaylorSeries:
+        """f = sum_k a_k e_k as E a, with tail bound sum_k |a_k| tail_k."""
+        a = np.asarray(a, dtype=np.complex128)
+        if a.shape != (self.sigma.n,):
+            raise ValueError(f"need {self.sigma.n} expansion coefficients")
+        tail = sum(abs(c) * t for c, t in zip(a.tolist(), self.tail_bounds.tolist()))
+        return TaylorSeries(self.matrix @ a, tail)
 
 
 def _hardy_gram(matrix: np.ndarray) -> np.ndarray:
@@ -161,7 +184,7 @@ def _divide_by_kernel_factor(u: np.ndarray, beta: complex) -> np.ndarray:
     return y
 
 
-def _cauchy_tail_bounds(points: tuple[complex, ...], N: int) -> list[float]:
+def _cauchy_tail_bounds(points: tuple[complex, ...], N: int) -> np.ndarray:
     """Bounds on the l2 mass of the Taylor coefficients beyond N of each e_j.
 
     On |z| = rho in (1, 1/r), r the largest modulus among lam_1..lam_j,
@@ -174,7 +197,7 @@ def _cauchy_tail_bounds(points: tuple[complex, ...], N: int) -> list[float]:
     """
     mods = np.abs(np.asarray(points))
     radii = np.maximum.accumulate(mods)
-    bounds = [0.0] * len(points)
+    bounds = np.zeros(len(points))
     for r in set(radii.tolist()) - {0.0}:
         group = np.flatnonzero(radii == r)
         head = mods[: group[-1] + 1]
@@ -203,7 +226,8 @@ def malmquist_basis(sigma: PoleConfiguration, N: int) -> MalmquistBasis:
     CertificationError
         If the Hardy Gram of the truncated elements deviates from the
         identity by more than ``ORTHO_TOL`` in any entry, i.e. the truncation
-        is too short to certify orthonormality.
+        is too short to certify orthonormality, or if the coefficient matrix
+        of the truncation cannot be allocated.
     """
     if N + 1 <= sigma.n:
         raise CertificationError(
@@ -212,7 +236,13 @@ def malmquist_basis(sigma: PoleConfiguration, N: int) -> MalmquistBasis:
     L = N + 1
     pts = sigma.points
     s = [math.sqrt(1.0 - abs(lam) ** 2) for lam in pts]
-    mat = np.empty((L, sigma.n), dtype=np.complex128)
+    try:
+        mat = np.empty((L, sigma.n), dtype=np.complex128)
+    except (MemoryError, ValueError) as exc:
+        raise CertificationError(
+            f"truncation {N} needs a {L} x {sigma.n} coefficient matrix "
+            f"that cannot be allocated: {exc}"
+        ) from exc
     e = np.zeros(L, dtype=np.complex128)
     e[0] = s[0]
     for j, lam in enumerate(pts):
@@ -230,15 +260,15 @@ def malmquist_basis(sigma: PoleConfiguration, N: int) -> MalmquistBasis:
             f"truncation {N} too small to certify orthonormality "
             f"(Gram defect {defect:.3e} > {ORTHO_TOL:.0e})"
         )
-    tails = _cauchy_tail_bounds(pts, N)
-    elements = tuple(TaylorSeries(mat[:, k], tails[k]) for k in range(sigma.n))
-    return MalmquistBasis(sigma, elements, L, defect)
+    return MalmquistBasis(sigma, mat, _cauchy_tail_bounds(pts, N), defect)
 
 
 def malmquist_basis_auto(
     sigma: PoleConfiguration, trunc: int | None = None
 ) -> MalmquistBasis:
-    """Basis at the policy truncation, doubling up to twice if certification fails."""
+    """Basis at the policy truncation, doubling up to twice if certification
+    fails; a truncation that cannot be allocated is refused at once, since a
+    doubled one only asks for more memory."""
     if trunc is not None:
         return malmquist_basis(sigma, trunc)
     N = policy_truncation(sigma.n, sigma.radius)
@@ -247,6 +277,8 @@ def malmquist_basis_auto(
         try:
             return malmquist_basis(sigma, N)
         except CertificationError as exc:
+            if isinstance(exc.__cause__, (MemoryError, ValueError)):
+                raise
             last = exc
             N *= 2
     raise CertificationError(f"certification failed up to truncation {N // 2}: {last}")
@@ -259,15 +291,9 @@ def model_projection(f: TaylorSeries, basis: MalmquistBasis) -> TaylorSeries:
     result's tail bound collects the elementwise tails weighted by the
     expansion coefficients plus the pairing error from f's own tail.
     """
-    mat = basis.coefficient_matrix()
-    L = min(f.trunc_len, mat.shape[0])
-    coeffs = mat[:L].conj().T @ f.coeffs[:L]
-    out = mat @ coeffs
-    tail = float(
-        sum(abs(c) * e.tail_bound for c, e in zip(coeffs, basis.elements))
-        + f.tail_bound
-    )
-    return TaylorSeries(out, tail)
+    L = min(f.trunc_len, basis.trunc_len)
+    pf = basis.combine(basis.matrix[:L].conj().T @ f.coeffs[:L])
+    return TaylorSeries(pf.coeffs, pf.tail_bound + f.tail_bound)
 
 
 _ONE_POINT_RE = re.compile(r"^one-point:n=(\d+),r=([0-9.eE+-]+)$")

@@ -12,20 +12,19 @@ vector and a lexicographic tie-break inside the top cluster.
 Generalized problems M v = mu S v with S positive definite are reduced by a
 Cholesky congruence of S (with a tiny ridge retry when S is borderline).
 Weighted minimum-norm interpolation, minimize sum w_k |c_k|^2 subject to
-linear coefficient constraints, is solved through the dual Gram
-A W^{-1} A^*, whose conditioning is certified before the solve is trusted.
+A c = b for an m x L functional matrix A, is solved through the dual Gram
+A W^{-1} A^*.  That Gram depends on A and the weights only, so it is built,
+equilibrated and certified once and then serves any number of right-hand
+sides in one solve.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
 from .errors import CertificationError
-from .series import TaylorSeries
 
 __all__ = [
     "HermitianMatrix",
@@ -179,36 +178,34 @@ def max_generalized_eigenpair(
 
 
 def min_norm_solve(
-    weights: np.ndarray,
-    constraints: Sequence[tuple[np.ndarray, complex]],
-) -> tuple[TaylorSeries, float]:
-    """Minimize sum_k w_k |c_k|^2 subject to linear coefficient constraints.
+    weights: np.ndarray, A: np.ndarray, B: np.ndarray
+) -> np.ndarray:
+    """Minimize sum_k w_k |c_k|^2 subject to A c = b, for every column b of B.
 
-    Each constraint is a pair (functional, target) with the functional acting
-    as a plain dot product against the coefficient vector (so a row of powers
-    lam^k realizes point evaluation).  Returns the minimizing series and its
-    weighted norm.  The dual Gram A W^{-1} A^* is diagonally equilibrated
-    before solving (derivative functionals of increasing order differ in
-    scale by many orders of magnitude; the scaling changes nothing
-    algebraically); if the dual Gram overflows, or the equilibrated Gram
-    still has a condition estimate above 1e12, a :class:`CertificationError`
-    is raised.
+    Row i of the m x L matrix ``A`` is a functional acting as a plain dot
+    product on the coefficient vector (a row of powers lam^k realizes point
+    evaluation).  ``B`` has shape (m,) or (m, q); the result holds the
+    minimizing coefficients with shape (L,) or (L, q), and the weighted norm
+    of a solution c is sqrt(sum_k w_k |c_k|^2).
+
+    One dual Gram A W^{-1} A^* serves every right-hand side.  It is
+    diagonally equilibrated before solving (derivative functionals of
+    increasing order differ in scale by many orders of magnitude; the scaling
+    changes nothing algebraically); if it overflows, has a vanishing
+    diagonal, or still has a condition estimate above 1e12 after
+    equilibration, a :class:`CertificationError` is raised.
     """
     w = np.asarray(weights, dtype=np.float64)
     if w.ndim != 1 or w.size == 0 or np.any(w <= 0.0) or not np.all(np.isfinite(w)):
         raise ValueError("weights must be a positive finite vector")
-    if len(constraints) == 0:
-        raise ValueError("need at least one constraint")
-    rows = []
-    targets = []
-    for func, tgt in constraints:
-        row = np.asarray(func, dtype=np.complex128)
-        if row.shape != (w.size,):
-            raise ValueError("constraint functional length must match weights")
-        rows.append(row)
-        targets.append(complex(tgt))
-    A = np.vstack(rows)
-    b = np.asarray(targets, dtype=np.complex128)
+    A = np.asarray(A, dtype=np.complex128)
+    B = np.asarray(B, dtype=np.complex128)
+    if A.ndim != 2 or A.shape[0] == 0:
+        raise ValueError("need an m x L functional matrix with at least one row")
+    if A.shape[1] != w.size:
+        raise ValueError("constraint functional length must match weights")
+    if B.ndim not in (1, 2) or B.shape[0] != A.shape[0]:
+        raise ValueError("need one target per constraint functional")
     # Dual Gram: G[i, j] = sum_k A[i, k] conj(A[j, k]) / w_k.  Functionals
     # of high derivative order can overflow it; that is a numerical failure.
     with np.errstate(over="ignore", invalid="ignore"):
@@ -228,8 +225,6 @@ def min_norm_solve(
         raise CertificationError(
             f"dual Gram condition estimate {hi / max(lo, 1e-300):.3e} exceeds {CONDITION_LIMIT:.0e}"
         )
-    y = d * np.linalg.solve(Gs, d * b)
-    coeffs = (A.conj().T @ y) / w
-    series = TaylorSeries(coeffs)
-    nrm = math.sqrt(float(np.real(np.vdot(coeffs * w, coeffs))))
-    return series, nrm
+    Bc = B.reshape(B.shape[0], -1)
+    Y = d[:, None] * np.linalg.solve(Gs, d[:, None] * Bc)
+    return ((A.conj().T @ Y) / w[:, None]).reshape((w.size,) + B.shape[1:])

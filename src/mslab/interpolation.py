@@ -11,12 +11,15 @@ the orthogonal projection onto the model space is a contraction, so the
 supremum over the Hardy ball equals the supremum over the unit ball of the
 model space; that reduction is implemented through the Malmquist basis and
 property-tested, not assumed.  The minimum-norm interpolant of a fixed trace
-is linear in the trace, so I(sigma)^2 is the top eigenvalue of the Dirichlet
-Gram of the minimum-norm interpolants of the basis elements.
+is linear in the trace: with E the L x n Malmquist coefficient matrix and A
+the m x L matrix of trace functionals, one dual-Gram solve with right-hand
+sides A E gives the L x n matrix X of interpolants of all basis elements,
+and I(sigma)^2 is the top eigenvalue of its Dirichlet Gram X^* diag(k+1) X.
 
-The closed-form companions: an upper bound sqrt(C_B(sigma)^2 + 1) from
-interpolating by the projection itself (C_B the Bergman derivative constant
-of the configuration, equality iff the projection is the minimizer, observed
+The closed-form companions: an upper bound from interpolating by the
+projection itself, sqrt(lambda_max(E^* diag(k+1) E)), which equals
+sqrt(C_B(sigma)^2 + 1) with C_B the Bergman derivative constant of the
+configuration (equality with I iff the projection is the minimizer, observed
 only at the origin configurations), a one-point lower bound from a composed
 test function, two-sided sqrt(n/(1-r)) envelopes for the one-point family,
 and the single-point closed form sqrt(k_Hardy / k_Dirichlet) from the
@@ -36,10 +39,10 @@ from .blaschke import (
     malmquist_basis_auto,
     multiplicity_groups,
 )
-from .bernstein import BoundEnvelope, constant_from_basis
+from .bernstein import BoundEnvelope
 from .errors import CertificationError
 from .hermitian import gram_matrix, max_eigenpair, min_norm_solve
-from .series import NormKind, TaylorSeries, add
+from .series import NormKind, TaylorSeries
 
 __all__ = [
     "InterpResult",
@@ -105,10 +108,9 @@ def single_point_closed_form(abs_lam: float) -> float:
     return math.sqrt(hardy_diag / dirichlet_kernel_diag(abs_lam))
 
 
-def _constraint_rows(
-    sigma: PoleConfiguration, length: int
-) -> list[np.ndarray]:
-    """Coefficient functionals realizing the traces on sigma.
+def _constraint_rows(sigma: PoleConfiguration, length: int) -> np.ndarray:
+    """The m x length matrix of coefficient functionals realizing the traces
+    on sigma.
 
     For a point of multiplicity m the rows evaluate g, g', ..., g^(m-1):
     row t has entries k (k-1) ... (k-t+1) lam^{k-t}.
@@ -129,38 +131,34 @@ def _constraint_rows(
             idx = np.arange(t, length)
             powers[idx] = np.power(complex(lam), (idx - t).astype(np.float64)) if lam != 0 else np.where(idx - t == 0, 1.0, 0.0)
             rows.append(falling * powers)
-    return rows
+    return np.array(rows)
 
 
-def _apply_rows(rows: list[np.ndarray], f: TaylorSeries) -> np.ndarray:
-    L = min(len(rows[0]), f.trunc_len)
-    return np.array([np.dot(row[:L], f.coeffs[:L]) for row in rows])
+def _apply_rows(A: np.ndarray, f: TaylorSeries) -> np.ndarray:
+    """Traces of f: the functionals applied over the length they share with f."""
+    L = min(A.shape[1], f.trunc_len)
+    return A[:, :L] @ f.coeffs[:L]
 
 
 def interp_exact(sigma: PoleConfiguration, trunc: int | None = None) -> InterpResult:
     """Exact interpolation constant of a configuration.
 
-    Builds the Malmquist basis, solves one minimum Dirichlet-norm problem per
-    basis element, and takes the top eigenvalue of the Dirichlet Gram of the
-    L x n matrix of interpolants.  Raises :class:`CertificationError` for
+    Builds the Malmquist basis E, solves the minimum Dirichlet-norm problem
+    for the traces A E of all basis elements in one dual-Gram solve, and
+    takes the top eigenvalue of the Dirichlet Gram of the resulting L x n
+    matrix of interpolants.  Raises :class:`CertificationError` for
     configurations with distinct points closer than 1e-8, derivative
     functionals that overflow, or ill-conditioned trace systems.
     """
     basis = malmquist_basis_auto(sigma, trunc)
     L = basis.trunc_len
-    rows = _constraint_rows(sigma, L)
+    A = _constraint_rows(sigma, L)
     weights = NormKind.DIRICHLET.weights(L)
-    interpolants = np.empty((L, sigma.n), dtype=np.complex128)
-    for j, e in enumerate(basis.elements):
-        g, _ = min_norm_solve(weights, list(zip(rows, _apply_rows(rows, e))))
-        interpolants[:, j] = g.coeffs
+    interpolants = min_norm_solve(weights, A, A @ basis.matrix)
     pair = max_eigenpair(gram_matrix(interpolants, weights))
     exact = math.sqrt(max(pair.value, 0.0))
-
-    v = pair.vector
-    tail_f = sum(abs(c) * e.tail_bound for c, e in zip(v, basis.elements))
-    witness_f = TaylorSeries(basis.coefficient_matrix() @ v, tail_f)
-    witness_g = TaylorSeries(interpolants @ v)
+    witness_f = basis.combine(pair.vector)
+    witness_g = TaylorSeries(interpolants @ pair.vector)
 
     upper = interp_upper_projection(basis)
     lower = None
@@ -172,12 +170,13 @@ def interp_exact(sigma: PoleConfiguration, trunc: int | None = None) -> InterpRe
 
 
 def interp_upper_projection(basis: MalmquistBasis) -> float:
-    """Upper bound sqrt(C_B^2 + 1) on the model space of a built basis: the
-    projection onto the model space interpolates, and its Dirichlet norm
-    splits into the Bergman norm of its derivative (at most C_B, the Bergman
-    derivative constant of the configuration) and its Hardy norm."""
-    bergman = constant_from_basis(basis, NormKind.BERGMAN).constant
-    return math.sqrt(bergman * bergman + 1.0)
+    """Upper bound on the model space of a built basis from interpolating by
+    the projection itself: the Dirichlet norm over the model-space ball,
+    sqrt(lambda_max(E^* diag(k+1) E)).  Since E^* E is the identity this is
+    sqrt(C_B^2 + 1), C_B the Bergman derivative constant of the
+    configuration."""
+    w = NormKind.DIRICHLET.weights(basis.trunc_len)
+    return math.sqrt(max(max_eigenpair(gram_matrix(basis.matrix, w)).value, 0.0))
 
 
 def interp_lower_eq9(n: int, abs_lam: float) -> Eq9Bounds:
@@ -212,10 +211,7 @@ def theoremB_test_function(
     if n < 1:
         raise ValueError("need n >= 1")
     basis = malmquist_basis_auto(PoleConfiguration.one_point(n, lam), trunc)
-    out = basis.elements[0]
-    for k in range(1, n):
-        out = add(out, basis.elements[k])
-    return out
+    return basis.combine(np.ones(n))
 
 
 def theoremB_envelopes(n: int, r: float) -> dict[str, BoundEnvelope]:

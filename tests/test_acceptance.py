@@ -67,7 +67,7 @@ class TestAcceptance:
         for _ in range(50):
             sig = _random_config(rng, 12, 0.8)
             basis = malmquist_basis_auto(sig)
-            mat = basis.coefficient_matrix()
+            mat = basis.matrix
             defect = float(np.max(np.abs(mat.conj().T @ mat - np.eye(sig.n))))
             assert defect <= 1e-10
             assert basis.ortho_defect <= 1e-10

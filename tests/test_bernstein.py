@@ -19,7 +19,7 @@ from mslab.bernstein import (
     z2_upper_hardy,
 )
 from mslab.blaschke import PoleConfiguration, malmquist_basis_auto
-from mslab.series import NormKind, add, differentiate, norm, norm_sq, scale
+from mslab.series import NormKind, differentiate, norm, norm_sq
 
 
 def _random_config(rng, n, max_r):
@@ -31,7 +31,9 @@ def _random_config(rng, n, max_r):
 def _differentiated_gram_constant(basis, target):
     """Independent route: differentiate every element, then take the top
     eigenvalue of the target-weighted Gram of the derivatives."""
-    D = np.column_stack([differentiate(e).coeffs for e in basis.elements])
+    D = np.column_stack(
+        [differentiate(basis.element(k)).coeffs for k in range(basis.sigma.n)]
+    )
     w = target.weights(D.shape[0])
     G = D.conj().T @ (w[:, None] * D)
     return math.sqrt(max(float(np.linalg.eigvalsh((G + G.conj().T) / 2.0)[-1]), 0.0))
@@ -87,7 +89,7 @@ class TestHandValues:
         """n = 1: the lone normalized kernel gives a directly summable norm."""
         lam = 0.5
         res = bernstein_constant_sigma(PoleConfiguration((lam,)), NormKind.BERGMAN)
-        e = malmquist_basis_auto(PoleConfiguration((lam,))).elements[0]
+        e = malmquist_basis_auto(PoleConfiguration((lam,))).element(0)
         np.testing.assert_allclose(
             res.constant, norm(differentiate(e), NormKind.BERGMAN), rtol=1e-12
         )
@@ -130,9 +132,7 @@ class TestConstantProperties:
         sig = _random_config(rng, 5, 0.5)
         basis = malmquist_basis_auto(sig)
         res = constant_from_basis(basis, NormKind.BERGMAN)
-        f = scale(basis.elements[0], res.extremal[0])
-        for k in range(1, sig.n):
-            f = add(f, scale(basis.elements[k], res.extremal[k]))
+        f = basis.combine(res.extremal)
         np.testing.assert_allclose(norm(f, NormKind.HARDY), 1.0, atol=1e-9)
         np.testing.assert_allclose(
             norm(differentiate(f), NormKind.BERGMAN), res.constant, rtol=1e-9

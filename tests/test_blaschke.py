@@ -13,10 +13,14 @@ from mslab.blaschke import (
     multiplicity_groups,
     parse_sigma_spec,
 )
+from mslab import blaschke
+from mslab.bernstein import step2_test_function
 from mslab.errors import CertificationError
+from mslab.interpolation import theoremB_test_function
 from mslab.series import (
     NormKind,
     TaylorSeries,
+    add,
     blaschke_factor_series,
     cauchy_kernel_series,
     evaluate,
@@ -45,6 +49,16 @@ def _convolution_basis_matrix(sigma, N):
         prefix = multiply(prefix, blaschke_factor_series(lam, N))
         prefix = TaylorSeries(prefix.coeffs[: N + 1], prefix.tail_bound)
     return np.column_stack(columns)
+
+
+def _loop_sum(basis, terms):
+    """Independent sum: the element-by-element add/scale loop over (k, c)
+    pairs, in their order, that the product E a replaced."""
+    (k0, c0), *rest = terms
+    out = scale(basis.element(k0), c0)
+    for k, c in rest:
+        out = add(out, scale(basis.element(k), c))
+    return out
 
 
 # Origin, one point at growing radius, repeated points, and moduli 0.5 mixed
@@ -137,7 +151,8 @@ class TestMalmquistBasis:
         """At sigma = {0,...,0} the elements are (-z)^k up to stored padding."""
         sig = PoleConfiguration.one_point(3, 0.0)
         basis = malmquist_basis_auto(sig)
-        for k, e in enumerate(basis.elements):
+        for k in range(sig.n):
+            e = basis.element(k)
             expect = np.zeros(e.trunc_len, dtype=complex)
             expect[k] = (-1.0) ** k
             np.testing.assert_allclose(e.coeffs, expect, atol=1e-15)
@@ -147,7 +162,7 @@ class TestMalmquistBasis:
         lam = 0.4 + 0.3j
         sig = PoleConfiguration((lam, 0.2))
         basis = malmquist_basis_auto(sig)
-        e1 = basis.elements[0]
+        e1 = basis.element(0)
         expect = np.sqrt(1.0 - abs(lam) ** 2) * np.conj(lam) ** np.arange(e1.trunc_len)
         np.testing.assert_allclose(e1.coeffs, expect, rtol=1e-13)
 
@@ -159,7 +174,7 @@ class TestMalmquistBasis:
             direct = blaschke_factor_eval(a, z) * np.sqrt(1.0 - abs(b) ** 2) / (
                 1.0 - np.conj(b) * z
             )
-            np.testing.assert_allclose(evaluate(basis.elements[1], z), direct, atol=1e-12)
+            np.testing.assert_allclose(evaluate(basis.element(1), z), direct, atol=1e-12)
 
     def test_gram_is_identity(self):
         """Random configurations certify orthonormality at the tolerance."""
@@ -167,7 +182,7 @@ class TestMalmquistBasis:
         for _ in range(25):
             sig = _random_config(rng, int(rng.integers(1, 9)), 0.8)
             basis = malmquist_basis_auto(sig)
-            mat = basis.coefficient_matrix()
+            mat = basis.matrix
             gram = mat.conj().T @ mat
             np.testing.assert_allclose(gram, np.eye(sig.n), atol=1e-10)
             assert basis.ortho_defect <= 1e-10
@@ -195,7 +210,7 @@ class TestMalmquistBasis:
         N = basis.trunc_len - 1
         oracle = _convolution_basis_matrix(sig, N)
         assert oracle.shape[0] == basis.trunc_len
-        np.testing.assert_allclose(basis.coefficient_matrix(), oracle, rtol=0, atol=1e-13)
+        np.testing.assert_allclose(basis.matrix, oracle, rtol=0, atol=1e-13)
 
     @pytest.mark.parametrize("points", _TAIL_PANEL.values(), ids=_TAIL_PANEL.keys())
     def test_tail_bound_dominates_doubled_truncation(self, points):
@@ -204,9 +219,92 @@ class TestMalmquistBasis:
         basis = malmquist_basis_auto(sig)
         N = basis.trunc_len - 1
         doubled = malmquist_basis(sig, 2 * N)
-        for e, long in zip(basis.elements, doubled.elements):
-            gap = float(np.linalg.norm(long.coeffs[N + 1 :]))
-            assert gap <= e.tail_bound <= 1.0
+        for tail, long in zip(basis.tail_bounds, doubled.matrix.T):
+            gap = float(np.linalg.norm(long[N + 1 :]))
+            assert gap <= tail <= 1.0
+
+
+class TestBasisMatrix:
+    """The stored matrix E and the sums served from it."""
+
+    def test_matrix_and_tails_are_read_only(self):
+        """E and its tail bounds cannot be written through the basis."""
+        basis = malmquist_basis_auto(PoleConfiguration((0.5, 0.2j)))
+        with pytest.raises(ValueError):
+            basis.matrix[0, 0] = 1.0
+        with pytest.raises(ValueError):
+            basis.tail_bounds[0] = 0.0
+
+    def test_element_is_column_with_tail(self):
+        """element(k) is column k of E carrying tail_bounds[k]."""
+        basis = malmquist_basis_auto(PoleConfiguration((0.9j, 0.9j, -0.3)))
+        for k in range(3):
+            e = basis.element(k)
+            np.testing.assert_array_equal(e.coeffs, basis.matrix[:, k])
+            assert e.tail_bound == basis.tail_bounds[k]
+
+    @pytest.mark.parametrize("points", _TAIL_PANEL.values(), ids=_TAIL_PANEL.keys())
+    def test_combine_matches_loop_sum(self, points):
+        """combine(a) = E a agrees with the add/scale loop, tail bounds equal."""
+        rng = np.random.default_rng(61)
+        basis = malmquist_basis_auto(PoleConfiguration(points))
+        a = rng.normal(size=basis.sigma.n) + 1j * rng.normal(size=basis.sigma.n)
+        got, want = basis.combine(a), _loop_sum(basis, enumerate(a))
+        np.testing.assert_allclose(got.coeffs, want.coeffs, rtol=0, atol=1e-13)
+        assert got.tail_bound == want.tail_bound
+
+    def test_combine_needs_one_coefficient_per_element(self):
+        """A coefficient vector of the wrong length is refused."""
+        basis = malmquist_basis_auto(PoleConfiguration((0.5, 0.2j)))
+        with pytest.raises(ValueError):
+            basis.combine(np.ones(3))
+
+    @pytest.mark.parametrize("n, lam", ((3, 0.4), (10, -0.5), (7, 0.3 + 0.2j), (4, 0.99)))
+    def test_theoremB_function_matches_loop_sum(self, n, lam):
+        """The sum of all one-point elements equals the loop that built it."""
+        basis = malmquist_basis_auto(PoleConfiguration.one_point(n, lam))
+        got = theoremB_test_function(n, lam)
+        want = _loop_sum(basis, [(k, 1.0) for k in range(n)])
+        np.testing.assert_allclose(got.coeffs, want.coeffs, rtol=0, atol=1e-13)
+        assert got.tail_bound == want.tail_bound
+
+    @pytest.mark.parametrize("n, r, s", ((3, 0.5, 0), (9, 0.3, 2), (30, 0.9, 4), (12, 0.99, 2)))
+    def test_step2_function_matches_loop_sum(self, n, r, s):
+        """The alternating tail sum equals the loop from e_n downwards."""
+        basis = malmquist_basis_auto(PoleConfiguration.one_point(n, r))
+        got = step2_test_function(n, r, s)
+        want = _loop_sum(basis, [(n - 1 - k, (-1.0) ** k) for k in range(s + 3)])
+        np.testing.assert_allclose(got.coeffs, want.coeffs, rtol=0, atol=1e-13)
+        # The same tails, summed upwards by combine and downwards by the loop.
+        assert got.tail_bound == pytest.approx(want.tail_bound, rel=1e-15, abs=0)
+
+
+class TestAllocationRefusal:
+    """A truncation whose coefficient matrix cannot exist is a certification
+    failure, refused without a retry."""
+
+    # policy_truncation(2, r) is about 6.9e17 here: 2.2e19 bytes of matrix.
+    SIGMA = PoleConfiguration.one_point(2, 0.9999999999999999)
+
+    def test_too_big_matrix_raises_certification_error(self):
+        """numpy's "array is too big" becomes a CertificationError naming N."""
+        N = 691327357826976320
+        with pytest.raises(CertificationError, match=f"truncation {N}"):
+            malmquist_basis(self.SIGMA, N)
+
+    def test_auto_build_does_not_double_a_refused_allocation(self, monkeypatch):
+        """The doubling loop gives up after the first allocation refusal."""
+        attempts = []
+        build = blaschke.malmquist_basis
+
+        def counted(sigma, N):
+            attempts.append(N)
+            return build(sigma, N)
+
+        monkeypatch.setattr(blaschke, "malmquist_basis", counted)
+        with pytest.raises(CertificationError, match="cannot be allocated"):
+            malmquist_basis_auto(self.SIGMA)
+        assert len(attempts) == 1
 
 
 class TestModelProjection:
@@ -217,7 +315,8 @@ class TestModelProjection:
         rng = np.random.default_rng(7)
         sig = _random_config(rng, 4, 0.6)
         basis = malmquist_basis_auto(sig)
-        for e in basis.elements:
+        for k in range(sig.n):
+            e = basis.element(k)
             proj = model_projection(e, basis)
             np.testing.assert_allclose(proj.coeffs, e.coeffs, atol=1e-10)
 

@@ -192,6 +192,38 @@ class TestBernsteinCommand:
         assert len(_parse_csv(out)) == 4
         assert len(builds) == 2 and len(set(builds)) == 2
 
+    def test_unallocatable_truncation_exits_three(self, capsys):
+        """A truncation whose matrix numpy cannot even describe is refused
+        as a numerical failure naming the truncation, not as bad input."""
+        code, _, err = _run(
+            capsys, ["bernstein", "--sigma", "one-point:n=2,r=0.9999999999999999"]
+        )
+        assert code == 3
+        assert "numerical certification failure: truncation 691327357826976320" in err
+
+    def test_out_of_memory_truncation_exits_three(self):
+        """Under an address-space limit, a truncation of about 5.8e9 whose
+        matrix the allocator refuses exits 3 without a traceback; the limit
+        is set in the child only, so nothing is allocated for real."""
+        import resource
+
+        limit = 3 * 2**30
+
+        def cap_address_space():
+            resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+
+        proc = subprocess.run(
+            [sys.executable, "-m", "mslab", "bernstein", "--sigma", "one-point:n=2,r=0.99999999"],
+            capture_output=True,
+            text=True,
+            timeout=120,
+            env=_module_env(OPENBLAS_NUM_THREADS="1"),
+            preexec_fn=cap_address_space,
+        )
+        assert proc.returncode == 3, proc.stderr
+        assert "numerical certification failure: truncation 5843663464" in proc.stderr
+        assert "Traceback" not in proc.stderr
+
     def test_bad_sigma_exits_two(self, capsys):
         """Grammar violations are usage errors."""
         code, _, err = _run(capsys, ["bernstein", "--sigma", "one-point:n=2"])

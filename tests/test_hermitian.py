@@ -191,9 +191,9 @@ class TestMinNormSolve:
         for lam in (0.0, 0.3, 0.5 + 0.25j):
             L = 80
             row = np.asarray(np.conj(lam) ** np.arange(L), dtype=complex)
-            f, nrm = min_norm_solve(np.ones(L), [(row, 1.0)])
-            np.testing.assert_allclose(nrm**2, 1.0 - abs(lam) ** 2, atol=1e-12)
-            np.testing.assert_allclose(complex(row @ f.coeffs), 1.0, rtol=1e-12)
+            c = min_norm_solve(np.ones(L), row[None, :], np.ones(1))
+            np.testing.assert_allclose(np.vdot(c, c).real, 1.0 - abs(lam) ** 2, atol=1e-12)
+            np.testing.assert_allclose(complex(row @ c), 1.0, rtol=1e-12)
 
     def test_matches_lstsq_on_whitened_system(self):
         """The solution agrees with a least-squares solve of the whitened system."""
@@ -202,24 +202,44 @@ class TestMinNormSolve:
         w = rng.uniform(0.5, 3.0, size=L)
         A = rng.normal(size=(m, L)) + 1j * rng.normal(size=(m, L))
         b = rng.normal(size=m) + 1j * rng.normal(size=m)
-        f, nrm = min_norm_solve(w, list(zip(A, b)))
+        c = min_norm_solve(w, A, b)
         half = np.sqrt(w)
         y, *_ = np.linalg.lstsq(A / half[None, :], b, rcond=None)
-        np.testing.assert_allclose(f.coeffs, y / half, atol=1e-10)
-        np.testing.assert_allclose(nrm, np.linalg.norm(y), rtol=1e-12)
+        np.testing.assert_allclose(c, y / half, atol=1e-10)
+        np.testing.assert_allclose(np.linalg.norm(half * c), np.linalg.norm(y), rtol=1e-12)
+
+    def test_batched_solve_matches_per_column_solves(self):
+        """One solve for q right-hand sides equals q single solves."""
+        rng = np.random.default_rng(26)
+        L, m, q = 40, 5, 7
+        w = NormKind.DIRICHLET.weights(L)
+        lam = 0.6 * np.exp(2j * np.pi * rng.uniform(size=m))
+        A = lam[:, None] ** np.arange(L)
+        B = rng.normal(size=(m, q)) + 1j * rng.normal(size=(m, q))
+        X = min_norm_solve(w, A, B)
+        assert X.shape == (L, q)
+        for j in range(q):
+            np.testing.assert_allclose(
+                X[:, j], min_norm_solve(w, A, B[:, j]), rtol=0, atol=1e-13
+            )
+
+    def test_targets_must_match_rows(self):
+        """One target (row of B) per functional."""
+        with pytest.raises(ValueError):
+            min_norm_solve(np.ones(3), np.ones((2, 3)), np.ones(3))
 
     def test_duplicate_constraints_rejected(self):
         """A repeated constraint row makes the dual Gram singular."""
         row = np.array([1.0, 0.5, 0.25], dtype=complex)
         with pytest.raises(CertificationError):
-            min_norm_solve(np.ones(3), [(row, 1.0), (row, 1.0)])
+            min_norm_solve(np.ones(3), np.vstack([row, row]), np.ones(2))
 
     def test_row_length_must_match_weights(self):
         """Functional length and weight length are tied together."""
         with pytest.raises(ValueError):
-            min_norm_solve(np.ones(4), [(np.ones(3), 1.0)])
+            min_norm_solve(np.ones(4), np.ones((1, 3)), np.ones(1))
 
     def test_nonpositive_weights_rejected(self):
         """Weights must be strictly positive."""
         with pytest.raises(ValueError):
-            min_norm_solve(np.array([1.0, 0.0]), [(np.ones(2), 1.0)])
+            min_norm_solve(np.array([1.0, 0.0]), np.ones((1, 2)), np.ones(1))

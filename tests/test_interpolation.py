@@ -5,6 +5,8 @@ import math
 import numpy as np
 import pytest
 
+from mslab import interpolation
+from mslab.bernstein import constant_from_basis
 from mslab.errors import CertificationError
 from mslab.hermitian import min_norm_solve
 from mslab.interpolation import (
@@ -22,6 +24,7 @@ from mslab.interpolation import (
 from mslab.blaschke import PoleConfiguration, malmquist_basis_auto
 from mslab.series import (
     NormKind,
+    TaylorSeries,
     compose_with_blaschke_factor,
     evaluate,
     norm,
@@ -116,24 +119,24 @@ class TestExactConstant:
         rng = np.random.default_rng(28)
         sig = _random_config(rng, 3, 0.5)
         res = interp_exact(sig)
-        rows = _constraint_rows(sig, res.trunc_len)
-        targets = _apply_rows(rows, res.witness_f)
-        _, nrm = min_norm_solve(
-            NormKind.DIRICHLET.weights(res.trunc_len), list(zip(rows, targets))
+        A = _constraint_rows(sig, res.trunc_len)
+        w = NormKind.DIRICHLET.weights(res.trunc_len)
+        g = min_norm_solve(w, A, _apply_rows(A, res.witness_f))
+        np.testing.assert_allclose(
+            norm(TaylorSeries(g), NormKind.DIRICHLET), res.exact, rtol=1e-9
         )
-        np.testing.assert_allclose(nrm, res.exact, rtol=1e-9)
 
     def test_dominates_every_hardy_ball_function(self):
         """No unit-ball competitor needs more Dirichlet norm than the constant."""
         rng = np.random.default_rng(36)
         sig = _random_config(rng, 3, 0.5)
         res = interp_exact(sig)
-        rows = _constraint_rows(sig, res.trunc_len)
+        A = _constraint_rows(sig, res.trunc_len)
         weights = NormKind.DIRICHLET.weights(res.trunc_len)
         for _ in range(10):
             f = polynomial(rng.normal(size=20) + 1j * rng.normal(size=20))
-            targets = _apply_rows(rows, f)
-            _, nrm = min_norm_solve(weights, list(zip(rows, targets)))
+            g = min_norm_solve(weights, A, _apply_rows(A, f))
+            nrm = norm(TaylorSeries(g), NormKind.DIRICHLET)
             assert nrm <= res.exact * norm(f, NormKind.HARDY) + 1e-9
 
     def test_rotation_invariance(self):
@@ -148,6 +151,19 @@ class TestExactConstant:
         with pytest.raises(CertificationError):
             interp_exact(PoleConfiguration((0.5, 0.5 + 1e-9)))
 
+    def test_one_dual_gram_solve_per_configuration(self, monkeypatch):
+        """All n basis traces share one min-norm solve."""
+        calls = []
+        solve = interpolation.min_norm_solve
+
+        def counted(weights, A, B):
+            calls.append(np.shape(B))
+            return solve(weights, A, B)
+
+        monkeypatch.setattr(interpolation, "min_norm_solve", counted)
+        interp_exact(PoleConfiguration((0.3, 0.3, -0.5j, 0.6)))
+        assert calls == [(4, 4)]  # 4 trace functionals, 4 basis elements
+
 
 class TestBounds:
     """Projection upper bound, one-point lower bounds and envelope rails."""
@@ -158,11 +174,14 @@ class TestBounds:
         for _ in range(8):
             sig = _random_config(rng, int(rng.integers(1, 6)), 0.6)
             res = interp_exact(sig)
+            basis = malmquist_basis_auto(sig)
             assert res.exact <= res.upper_projection + 1e-9
             np.testing.assert_allclose(
-                res.upper_projection,
-                interp_upper_projection(malmquist_basis_auto(sig)),
-                rtol=1e-12,
+                res.upper_projection, interp_upper_projection(basis), rtol=1e-12
+            )
+            bergman = constant_from_basis(basis, NormKind.BERGMAN).constant
+            np.testing.assert_allclose(
+                res.upper_projection, math.sqrt(bergman**2 + 1.0), rtol=1e-12
             )
 
     def test_one_point_bracket(self):
