@@ -14,11 +14,20 @@ E the L x n coefficient matrix of the basis has ||f||_Hardy = |a|, while
 over the coefficients c = E a of f.  The square of the constant is therefore
 exactly the top eigenvalue of E^* diag(w) E with w = k or w = k^2, so the
 computed value is the constant of the finite-dimensional operator itself,
-not an estimate.  The closed-form envelopes bracketing the one-point family,
-the growth comparison for the Hardy target, the audit of a closed form that
-fails numerically, and the test-function scaffolding used to prove the
-envelopes are all collected here, each evaluated by at least two independent
-routes in the test suite.
+not an estimate.
+
+On the one-point family sigma = {lam, ..., lam}, where the inequality is
+sharp as n -> infinity and r -> 1, the disc automorphism z = b_r(v) turns
+the basis into the monomials v^k and the same Gram into an n x n banded
+matrix (:func:`one_point_constant`).  That route needs no basis and no
+truncation; it answers every one-point constant unless a truncation is asked
+for explicitly, and E stays its test oracle.
+
+The closed-form envelopes bracketing the one-point family, the growth
+comparison for the Hardy target, the audit of a closed form that fails
+numerically, and the test-function scaffolding used to prove the envelopes
+are all collected here, each evaluated by at least two independent routes in
+the test suite.
 
 The supremum over all configurations of fixed size and radius is not
 attained at any known finite candidate set; :func:`sup_constant_search`
@@ -52,6 +61,7 @@ __all__ = [
     "BoundEnvelope",
     "bernstein_constant_sigma",
     "constant_from_basis",
+    "one_point_constant",
     "eq4_envelope",
     "z2_upper_hardy",
     "EnPrimeAudit",
@@ -114,11 +124,64 @@ def constant_from_basis(basis: MalmquistBasis, target: NormKind) -> BernsteinRes
     )
 
 
+def one_point_constant(sigma: PoleConfiguration, target: NormKind) -> BernsteinResult:
+    """Constant of differentiation on a one-point space from its n x n banded
+    operator, with no basis and no truncation.
+
+    For sigma = {lam, ..., lam}, lam = r e^{i theta}, the unitary
+    substitution f(z) -> sqrt(1-r^2)/(1 - r v) f(b_r(v)) sends the Malmquist
+    element e_{k+1} of the centre r to v^k, so f = sum x_k e_{k+1} has
+    coordinates x in both bases, and with g(v) = sum x_k v^k and
+    q = (1 - r)(1 + r):
+
+        ||f'||_Bergman^2 = sum_k (k+1) |x_{k+1} - r x_k|^2 / q    (x_n = 0),
+        ||f'||_Hardy     = ||(1 - r v)^2 g' - r (1 - r v) g||_Hardy / q.
+
+    Each is the squared norm of a banded map D x with weights w, so the
+    square of the constant is the top eigenvalue of the n x n Gram
+    D^T diag(w) D (tridiagonal for Bergman, pentadiagonal for Hardy).  The
+    rotation by theta multiplies coordinate k by e^{-i k theta}.  The
+    reported ``trunc_len`` is n, since no series is truncated.
+    """
+    _check_target(target)
+    if not sigma.is_one_point:
+        raise ValueError("the banded route needs a one-point configuration")
+    n, lam = sigma.n, sigma.points[0]
+    r = abs(lam)
+    q = (1.0 - r) * (1.0 + r)  # stays accurate as r -> 1
+    k = np.arange(n)
+    if target is NormKind.BERGMAN:
+        D = np.zeros((n, n))
+        D[k, k] = -r
+        D[k[:-1], k[1:]] = 1.0
+        w = (k + 1.0) / q
+    else:
+        # Column k: (1 - rv)^2 k v^(k-1) - r (1 - rv) v^k.
+        D = np.zeros((n + 1, n))
+        D[k[1:] - 1, k[1:]] = k[1:]
+        D[k, k] = -r * (2.0 * k + 1.0)
+        D[k + 1, k] = r * r * (k + 1.0)
+        w = np.full(n + 1, 1.0 / (q * q))
+    pair = max_eigenpair(gram_matrix(D, w))
+    vec = pair.vector * np.exp(-1j * math.atan2(lam.imag, lam.real) * k)
+    vec.setflags(write=False)
+    return BernsteinResult(
+        sigma, target, math.sqrt(max(pair.value, 0.0)), vec, n, pair.residual
+    )
+
+
 def bernstein_constant_sigma(
     sigma: PoleConfiguration, target: NormKind, trunc: int | None = None
 ) -> BernsteinResult:
-    """Exact norm of differentiation on the model space of ``sigma``."""
+    """Exact norm of differentiation on the model space of ``sigma``.
+
+    A one-point ``sigma`` with no explicit truncation takes the banded route
+    of :func:`one_point_constant`; every other call builds the Malmquist
+    matrix E and reads the constant off it.
+    """
     _check_target(target)
+    if trunc is None and sigma.is_one_point:
+        return one_point_constant(sigma, target)
     basis = malmquist_basis_auto(sigma, trunc)
     return constant_from_basis(basis, target)
 

@@ -92,6 +92,11 @@ class PoleConfiguration:
     def radius(self) -> float:
         return max(abs(p) for p in self.points)
 
+    @property
+    def is_one_point(self) -> bool:
+        """All points coincide: sigma = {lam, ..., lam}."""
+        return len(set(self.points)) == 1
+
     @classmethod
     def one_point(cls, n: int, lam: complex) -> "PoleConfiguration":
         if n < 1:

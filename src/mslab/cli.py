@@ -16,7 +16,10 @@ bracket the value before the process exits (audit rows excepted: there the
 mismatch is the finding, and only ``--strict-paper`` turns it into a
 failure).  ``residual`` is the eigensolver certificate for computed
 quantities, the cross-oracle gap for audit rows, and 0 for closed-form bound
-rows.  Human-oriented summaries go to stderr so redirected stdout stays
+rows.  ``trunc`` is the series length behind a row; one-point ``bernstein``
+and ``asymptotics`` rows come from the n x n banded operator, have no series
+behind them and carry ``trunc`` = n unless ``--trunc`` asks for the basis
+route.  Human-oriented summaries go to stderr so redirected stdout stays
 machine-readable.
 
 Exit codes: 0 success, 1 invariant or bracket failure, 2 usage error,
@@ -40,6 +43,7 @@ from .bernstein import (
     constant_from_basis,
     en_prime_bergman_audit,
     eq4_envelope,
+    one_point_constant,
     z2_upper_hardy,
 )
 from .blaschke import PoleConfiguration, malmquist_basis_auto, parse_sigma_spec
@@ -158,10 +162,6 @@ def _emit_rows(rows: list[OutputRow], fmt: str, out: str | None) -> int:
     return EXIT_INVARIANT if violations else EXIT_OK
 
 
-def _is_one_point(sigma: PoleConfiguration) -> bool:
-    return len(set(sigma.points)) == 1
-
-
 def _trunc_arg(text: str) -> int | None:
     if text == "auto":
         return None
@@ -225,16 +225,22 @@ def cmd_bernstein(args: argparse.Namespace) -> int:
     rows: list[OutputRow] = []
     strict_failures = []
     for sigma in configs:
-        # One basis per configuration serves every requested target.
-        basis = malmquist_basis_auto(sigma, args.trunc)
+        # A one-point configuration takes the banded route and needs no basis
+        # unless --trunc asks for one; otherwise one basis serves every target.
+        basis = None
+        if not (sigma.is_one_point and args.trunc is None):
+            basis = malmquist_basis_auto(sigma, args.trunc)
         for target in _TARGETS[args.target]:
-            res = constant_from_basis(basis, target)
+            if basis is None:
+                res = one_point_constant(sigma, target)
+            else:
+                res = constant_from_basis(basis, target)
             if target is NormKind.BERGMAN:
                 quantity = "bernstein-bergman"
                 envelope = eq4_envelope(sigma.n, sigma.radius)
                 upper = envelope.upper
                 note = ""
-                if _is_one_point(sigma):
+                if sigma.is_one_point:
                     # The left envelope member only holds asymptotically; it
                     # is reported, never enforced, unless --strict-paper.
                     note = f" (asymptotic lower {envelope.lower:.12g}, informational)"
@@ -281,7 +287,7 @@ def cmd_interp(args: argparse.Namespace) -> int:
     want_bounds = args.bounds or not args.exact
     rows: list[OutputRow] = []
     for sigma in configs:
-        one_point = _is_one_point(sigma)
+        one_point = sigma.is_one_point
         r = abs(sigma.points[0]) if one_point else sigma.radius
         if args.bounds and one_point and sigma.n == 1:
             interp_lower_eq9(sigma.n, r)  # raises the explanatory error

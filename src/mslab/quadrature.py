@@ -19,6 +19,7 @@ evaluation arranged efficiently) and squared pointwise.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -40,6 +41,17 @@ __all__ = [
     "moebius_invariance_check",
     "MoebiusReport",
 ]
+
+
+@functools.lru_cache(maxsize=256)
+def _gauss_legendre(K: int) -> tuple[np.ndarray, np.ndarray]:
+    """K-point Gauss-Legendre rule moved to [0, 1], as read-only arrays;
+    cached because the same few orders recur across every check."""
+    x, w = leggauss(K)
+    nodes, weights = (x + 1.0) / 2.0, w / 2.0
+    nodes.setflags(write=False)
+    weights.setflags(write=False)
+    return nodes, weights
 
 
 @dataclass(frozen=True)
@@ -73,9 +85,8 @@ class DiscQuadrature:
         """Smallest rule of this family exact for polynomials of the degree."""
         if degree < 0:
             raise ValueError("degree must be nonnegative")
-        K = math.ceil((degree + 1) / 2) + 1
-        x, w = leggauss(K)
-        return cls((x + 1.0) / 2.0, w / 2.0, 2 * degree + 2)
+        nodes, weights = _gauss_legendre(math.ceil((degree + 1) / 2) + 1)
+        return cls(nodes, weights, 2 * degree + 2)
 
     def exact_degree(self) -> int:
         """Largest polynomial degree this rule integrates exactly."""

@@ -13,6 +13,7 @@ from mslab.bernstein import (
     default_alternation_depth,
     en_prime_bergman_audit,
     eq4_envelope,
+    one_point_constant,
     step2_expansion_check,
     step2_test_function,
     sup_constant_search,
@@ -157,6 +158,63 @@ class TestConstantProperties:
                 PoleConfiguration.one_point(n, r), NormKind.BERGMAN
             ).constant
             assert c**2 >= audit.numeric_sq - 1e-9
+
+
+_BANDED_N = (1, 2, 3, 5, 8, 12, 20, 40)
+_BANDED_R = (0.0, 0.1, 0.3, 0.5, 0.7, 0.9, 0.95, 0.99)
+_TARGETS = pytest.mark.parametrize(
+    "target", (NormKind.BERGMAN, NormKind.HARDY), ids=("bergman", "hardy")
+)
+
+
+class TestOnePointBandedRoute:
+    """The n x n banded operator of a one-point space against the basis
+    matrix E, which stays the oracle for this family."""
+
+    @_TARGETS
+    @pytest.mark.parametrize("n", _BANDED_N)
+    def test_matches_basis_matrix(self, n, target):
+        """Banded and E routes agree to 1e-12 relative over the radius panel."""
+        for r in _BANDED_R:
+            sig = PoleConfiguration.one_point(n, r)
+            banded = bernstein_constant_sigma(sig, target)
+            assert banded.trunc_len == n
+            oracle = constant_from_basis(malmquist_basis_auto(sig), target)
+            np.testing.assert_allclose(
+                banded.constant, oracle.constant, rtol=1e-12, atol=1e-14
+            )
+
+    @_TARGETS
+    def test_complex_centre_extremal_attains_constant(self, target):
+        """For lam = |lam| e^{i theta} the rotated banded eigenvector, combined
+        over the Malmquist basis of lam, is a unit function attaining C."""
+        sig = PoleConfiguration.one_point(6, 0.6 * np.exp(1.1j))
+        basis = malmquist_basis_auto(sig)
+        res = one_point_constant(sig, target)
+        f = basis.combine(res.extremal)
+        np.testing.assert_allclose(norm(f, NormKind.HARDY), 1.0, atol=1e-9)
+        np.testing.assert_allclose(
+            norm(differentiate(f), target), res.constant, rtol=1e-9
+        )
+        np.testing.assert_allclose(
+            res.constant, constant_from_basis(basis, target).constant, rtol=1e-12
+        )
+
+    def test_explicit_truncation_takes_basis_route(self):
+        """An explicit truncation still builds E and reports its length."""
+        sig = PoleConfiguration.one_point(4, 0.5)
+        res = bernstein_constant_sigma(sig, NormKind.BERGMAN, trunc=200)
+        assert res.trunc_len == 201
+        np.testing.assert_allclose(
+            res.constant,
+            bernstein_constant_sigma(sig, NormKind.BERGMAN).constant,
+            rtol=1e-12,
+        )
+
+    def test_rejects_distinct_points(self):
+        """The banded route is only defined for one repeated point."""
+        with pytest.raises(ValueError):
+            one_point_constant(PoleConfiguration((0.1, 0.2)), NormKind.BERGMAN)
 
 
 class TestEnvelopes:

@@ -194,17 +194,37 @@ class TestBernsteinCommand:
 
     def test_unallocatable_truncation_exits_three(self, capsys):
         """A truncation whose matrix numpy cannot even describe is refused
-        as a numerical failure naming the truncation, not as bad input."""
+        as a numerical failure naming the truncation, not as bad input.  Two
+        distinct points keep the basis route (one point would take the
+        banded route, which needs no truncation)."""
         code, _, err = _run(
-            capsys, ["bernstein", "--sigma", "one-point:n=2,r=0.9999999999999999"]
+            capsys, ["bernstein", "--sigma", "0.9999999999999999,0;0,0.5"]
         )
         assert code == 3
         assert "numerical certification failure: truncation 691327357826976320" in err
 
+    def test_one_point_at_extreme_radius_solves(self, capsys):
+        """The banded route needs no truncation: n = 2 at r = 1 - 2^-53 exits 0
+        and its Bergman value is the closed-form top eigenvalue of the 2 x 2
+        tridiagonal operator."""
+        r = 0.9999999999999999
+        code, out, _ = _run(
+            capsys, ["bernstein", "--sigma", f"one-point:n=2,r={r}"]
+        )
+        assert code == 0
+        rows = _parse_csv(out)
+        assert [row["quantity"] for row in rows] == ["bernstein-bergman", "bernstein-hardy"]
+        assert all(row["trunc"] == "2" for row in rows)
+        q = (1.0 - r) * (1.0 + r)
+        a = 3.0 * r * r + 1.0
+        closed = (a + math.sqrt(a * a - 8.0 * r**4)) / (2.0 * q)
+        np.testing.assert_allclose(float(rows[0]["value"]) ** 2, closed, rtol=1e-12)
+
     def test_out_of_memory_truncation_exits_three(self):
         """Under an address-space limit, a truncation of about 5.8e9 whose
         matrix the allocator refuses exits 3 without a traceback; the limit
-        is set in the child only, so nothing is allocated for real."""
+        is set in the child only, so nothing is allocated for real.  The
+        configuration has two distinct points so that it needs a basis."""
         import resource
 
         limit = 3 * 2**30
@@ -213,7 +233,7 @@ class TestBernsteinCommand:
             resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
 
         proc = subprocess.run(
-            [sys.executable, "-m", "mslab", "bernstein", "--sigma", "one-point:n=2,r=0.99999999"],
+            [sys.executable, "-m", "mslab", "bernstein", "--sigma", "0.99999999,0;0,0.5"],
             capture_output=True,
             text=True,
             timeout=120,
@@ -223,6 +243,28 @@ class TestBernsteinCommand:
         assert proc.returncode == 3, proc.stderr
         assert "numerical certification failure: truncation 5843663464" in proc.stderr
         assert "Traceback" not in proc.stderr
+
+    def test_one_point_builds_no_basis_unless_truncated(self, capsys, monkeypatch):
+        """One-point configurations take the banded route; --trunc restores
+        the basis build."""
+        builds = []
+        build = mslab.blaschke.malmquist_basis
+
+        def counted(sigma, N):
+            builds.append(N)
+            return build(sigma, N)
+
+        monkeypatch.setattr(mslab.blaschke, "malmquist_basis", counted)
+        code, out, _ = _run(capsys, ["bernstein", "--sigma", "one-point:n=4,r=0.9"])
+        assert code == 0
+        assert builds == []
+        assert all(row["trunc"] == "4" for row in _parse_csv(out))
+        code, out, _ = _run(
+            capsys, ["bernstein", "--sigma", "one-point:n=4,r=0.9", "--trunc", "600"]
+        )
+        assert code == 0
+        assert builds == [600]
+        assert all(row["trunc"] == "601" for row in _parse_csv(out))
 
     def test_bad_sigma_exits_two(self, capsys):
         """Grammar violations are usage errors."""
@@ -319,6 +361,19 @@ class TestAsymptoticsCommand:
         rows = _parse_csv(out)
         np.testing.assert_allclose(float(rows[0]["value"]), 4.0 / 5.0, rtol=1e-10)
         np.testing.assert_allclose(float(rows[0]["upper"]), 1.0, rtol=0)
+
+    def test_large_n_near_the_boundary(self, capsys):
+        """n up to 1000 at r = 0.99 needs no basis: the banded route answers
+        where the Malmquist matrix would hold about 2e5 x 1000 complex
+        entries (3.3 GB)."""
+        code, out, _ = _run(
+            capsys, ["asymptotics", "--r", "0.99", "--n-list", "100,400,1000"]
+        )
+        assert code == 0
+        rows = _parse_csv(out)
+        assert [row["trunc"] for row in rows] == ["100", "400", "1000"]
+        limit = math.sqrt(1.99 / 0.01)
+        assert all(float(row["value"]) < limit for row in rows)
 
     def test_descending_list_rejected(self, capsys):
         """A non-ascending n list is a usage error."""

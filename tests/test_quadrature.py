@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from mslab import quadrature
 from mslab.errors import CertificationError
 from mslab.quadrature import (
     DiscQuadrature,
@@ -34,6 +35,23 @@ class TestDiscQuadrature:
             DiscQuadrature(np.array([1.5]), np.array([1.0]), 4)
         q = DiscQuadrature.for_degree(9)
         assert np.all(q.radial_nodes >= 0.0) and np.all(q.radial_nodes <= 1.0)
+
+    def test_cached_rule_is_bit_identical_and_read_only(self):
+        """Repeated calls reuse one Gauss-Legendre rule, equal bit for bit to
+        a fresh leggauss, and nothing can write into the shared copy."""
+        from numpy.polynomial.legendre import leggauss
+
+        for deg in (0, 7, 64):
+            q1, q2 = DiscQuadrature.for_degree(deg), DiscQuadrature.for_degree(deg)
+            x, w = leggauss(q1.radial_nodes.size)
+            assert np.array_equal(q1.radial_nodes, (x + 1.0) / 2.0)
+            assert np.array_equal(q1.radial_weights, w / 2.0)
+            assert np.array_equal(q1.radial_nodes, q2.radial_nodes)
+            with pytest.raises(ValueError):
+                q1.radial_nodes[0] = 0.0
+        nodes, weights = quadrature._gauss_legendre(5)
+        assert quadrature._gauss_legendre(5)[0] is nodes
+        assert not nodes.flags.writeable and not weights.flags.writeable
 
 
 class TestBergmanQuadrature:
