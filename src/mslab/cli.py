@@ -16,11 +16,11 @@ bracket the value before the process exits (audit rows excepted: there the
 mismatch is the finding, and only ``--strict-paper`` turns it into a
 failure).  ``residual`` is the eigensolver certificate for computed
 quantities, the cross-oracle gap for audit rows, and 0 for closed-form bound
-rows.  ``trunc`` is the series length behind a row; one-point ``bernstein``
-and ``asymptotics`` rows come from the n x n banded operator, have no series
-behind them and carry ``trunc`` = n unless ``--trunc`` asks for the basis
-route.  Human-oriented summaries go to stderr so redirected stdout stays
-machine-readable.
+rows.  ``trunc`` is the series length behind a row; one-point ``bernstein``,
+``interp`` and ``asymptotics`` rows come from the n x n banded operator,
+have no series behind them and carry ``trunc`` = n unless ``--trunc`` asks
+for the basis route.  Human-oriented summaries go to stderr so redirected
+stdout stays machine-readable.
 
 Exit codes: 0 success, 1 invariant or bracket failure, 2 usage error,
 3 numerical certification failure (truncation or eigensolver).
@@ -52,6 +52,7 @@ from .interpolation import (
     interp_exact,
     interp_lower_eq9,
     interp_upper_projection,
+    one_point_upper_projection,
     single_point_closed_form,
     theoremB_envelopes,
 )
@@ -310,6 +311,9 @@ def cmd_interp(args: argparse.Namespace) -> int:
             if res is not None:
                 upper_proj = res.upper_projection
                 trunc_len = res.trunc_len
+            elif one_point and args.trunc is None:
+                upper_proj = one_point_upper_projection(sigma)
+                trunc_len = sigma.n
             else:
                 basis = malmquist_basis_auto(sigma, args.trunc)
                 upper_proj = interp_upper_projection(basis)

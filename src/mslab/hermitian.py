@@ -41,14 +41,21 @@ CLUSTER_TOL = 1e-10
 CONDITION_LIMIT = 1e12
 
 
+def _real_or_complex(a: np.ndarray) -> np.ndarray:
+    """float64 for real input, complex128 otherwise: a real symmetric matrix
+    stays real, so LAPACK runs its real (several times cheaper) eigensolver."""
+    a = np.asarray(a)
+    return a.astype(np.complex128 if np.iscomplexobj(a) else np.float64, copy=False)
+
+
 @dataclass(frozen=True)
 class HermitianMatrix:
-    """Validated Hermitian matrix wrapper."""
+    """Validated Hermitian matrix wrapper; real input stays real."""
 
     entries: np.ndarray
 
     def __post_init__(self) -> None:
-        arr = np.asarray(self.entries, dtype=np.complex128)
+        arr = _real_or_complex(self.entries)
         if arr.ndim != 2 or arr.shape[0] != arr.shape[1] or arr.shape[0] == 0:
             raise ValueError("entries must form a nonempty square matrix")
         if not np.all(np.isfinite(arr)):
@@ -89,9 +96,10 @@ def gram_matrix(coeffs: np.ndarray, weights: np.ndarray) -> HermitianMatrix:
     quadratic form c^* G c is the squared weighted norm of V c; the top
     eigenvector is directly an extremal coefficient vector.  Every constant
     of the laboratory is an extreme eigenvalue of such a Gram of the
-    Malmquist coefficient matrix E or of a matrix built from it.
+    Malmquist coefficient matrix E or of a matrix built from it.  A real
+    coefficient matrix gives a real symmetric Gram.
     """
-    V = np.asarray(coeffs, dtype=np.complex128)
+    V = _real_or_complex(coeffs)
     w = np.asarray(weights, dtype=np.float64)
     if V.ndim != 2 or w.shape != V.shape[:1]:
         raise ValueError("need an L x m coefficient matrix and L weights")

@@ -16,6 +16,36 @@ the m x L matrix of trace functionals, one dual-Gram solve with right-hand
 sides A E gives the L x n matrix X of interpolants of all basis elements,
 and I(sigma)^2 is the top eigenvalue of its Dirichlet Gram X^* diag(k+1) X.
 
+On the one-point family sigma = {lam, ..., lam}, lam = r e^{i theta}, the
+same constant comes from an n x n tridiagonal matrix with no basis, no
+constraint rows and no min-norm solve (:func:`one_point_interp`):
+
+* The Dirichlet quotient norm of a trace is dual to the Bergman norm in the
+  Hardy pairing, so I^2 = 1 / lambda_min(G_A) with
+  G_A = E^* diag(1/(k+1)) E, the Bergman Gram of the model space.
+* Put z = b_r(v).  Coordinates c of f = sum c_j e_{j+1} become
+  g(v) = sum c_j v^j, and ||f||_Bergman^2 = (1 - r^2) ||g/(1 - r v)||^2
+  in the Bergman norm.
+* The coefficients of g/(1 - r v) are h = R^{-1} c with R = I - r S, S the
+  subdiagonal shift; for k >= n-1 they continue geometrically,
+  h_k = r^{k-n+1} h_{n-1}.  Hence G_A = (1 - r^2) R^{-T} Delta R^{-1}
+  with Delta = diag(1/1, ..., 1/(n-1), sigma_n) and
+  sigma_n = sum_{m>=0} r^{2m}/(n+m), the whole geometric tail folded into
+  the last entry.
+* Therefore I^2 = lambda_max(R Delta^{-1} R^T) / (1 - r^2): the top
+  eigenvalue of the tridiagonal Gram of R^T with weights d/q,
+  q = (1 - r)(1 + r) and d = (1, 2, ..., n-1, 1/sigma_n).
+* With d_{n-1} = n instead the same matrix is E^* diag(k+1) E in these
+  coordinates, so the projection bound sqrt(C_B^2 + 1) needs no basis
+  either; it is taken from the banded Bergman constant C_B of
+  :func:`mslab.bernstein.one_point_constant`.
+* Rotating lam by theta multiplies coordinate k by e^{-i k theta}, a
+  unitary change that leaves both eigenvalues alone.
+
+This route answers one-point configurations unless a truncation is asked
+for; its rows carry ``trunc_len`` = n and no witness functions, and the E
+route stays its test oracle.
+
 The closed-form companions: an upper bound from interpolating by the
 projection itself, sqrt(lambda_max(E^* diag(k+1) E)), which equals
 sqrt(C_B(sigma)^2 + 1) with C_B the Bergman derivative constant of the
@@ -39,7 +69,7 @@ from .blaschke import (
     malmquist_basis_auto,
     multiplicity_groups,
 )
-from .bernstein import BoundEnvelope
+from .bernstein import BoundEnvelope, one_point_constant
 from .errors import CertificationError
 from .hermitian import gram_matrix, max_eigenpair, min_norm_solve
 from .series import NormKind, TaylorSeries
@@ -48,6 +78,8 @@ __all__ = [
     "InterpResult",
     "Eq9Bounds",
     "interp_exact",
+    "one_point_interp",
+    "one_point_upper_projection",
     "interp_upper_projection",
     "interp_lower_eq9",
     "theoremB_test_function",
@@ -64,15 +96,17 @@ class InterpResult:
     ``witness_f`` realizes the supremum on the model-space ball (unit Hardy
     norm); ``witness_g`` is its minimum Dirichlet-norm interpolant, so
     ``witness_g`` agrees with ``witness_f`` on the configuration and
-    ||witness_g||_D equals the constant.
+    ||witness_g||_D equals the constant.  Both are ``None`` on the one-point
+    banded route, which builds no series; pass a truncation to
+    :func:`interp_exact` to get them.
     """
 
     sigma: PoleConfiguration
     exact: float
     upper_projection: float
     lower_eq9: float | None
-    witness_f: TaylorSeries
-    witness_g: TaylorSeries
+    witness_f: TaylorSeries | None
+    witness_g: TaylorSeries | None
     trunc_len: int
     residual: float
 
@@ -91,11 +125,11 @@ class Eq9Bounds:
 
 def dirichlet_kernel_diag(abs_lam: float) -> float:
     """Diagonal of the Dirichlet reproducing kernel, -log(1-x)/x at x=|lam|^2,
-    by its analytic limit 1 when |lam| < 1e-6."""
+    by its analytic limit 1 when x < 1e-30 (where 1 is within x/2 of it)."""
     if not 0.0 <= abs_lam < 1.0:
         raise ValueError("need |lam| in [0, 1)")
     x = abs_lam * abs_lam
-    if abs_lam < 1e-6:
+    if x < 1e-30:
         return 1.0
     return -math.log1p(-x) / x
 
@@ -113,23 +147,28 @@ def _constraint_rows(sigma: PoleConfiguration, length: int) -> np.ndarray:
     on sigma.
 
     For a point of multiplicity m the rows evaluate g, g', ..., g^(m-1):
-    row t has entries k (k-1) ... (k-t+1) lam^{k-t}.
+    row t has entries k (k-1) ... (k-t+1) lam^{k-t}.  The falling factorial
+    of row t is the one of row t-1 times (k-t+1), and its powers are the
+    point's power vector shifted right by t.
     """
     rows: list[np.ndarray] = []
     k = np.arange(length, dtype=np.float64)
     for lam, mult in multiplicity_groups(sigma):
+        if lam != 0:
+            power = np.power(complex(lam), k)
+        else:
+            power = np.where(k == 0, 1.0, 0.0).astype(np.complex128)
+        falling = np.ones(length, dtype=np.float64)
         for t in range(mult):
-            falling = np.ones(length, dtype=np.float64)
-            with np.errstate(over="ignore"):
-                for j in range(t):
-                    falling *= np.maximum(k - j, 0.0)
+            if t > 0:
+                with np.errstate(over="ignore"):
+                    falling *= np.maximum(k - (t - 1), 0.0)
             if not np.all(np.isfinite(falling)):
                 raise CertificationError(
                     f"order-{t} derivative functional overflows at truncation {length}"
                 )
             powers = np.zeros(length, dtype=np.complex128)
-            idx = np.arange(t, length)
-            powers[idx] = np.power(complex(lam), (idx - t).astype(np.float64)) if lam != 0 else np.where(idx - t == 0, 1.0, 0.0)
+            powers[t:] = power[: length - t]
             rows.append(falling * powers)
     return np.array(rows)
 
@@ -143,13 +182,17 @@ def _apply_rows(A: np.ndarray, f: TaylorSeries) -> np.ndarray:
 def interp_exact(sigma: PoleConfiguration, trunc: int | None = None) -> InterpResult:
     """Exact interpolation constant of a configuration.
 
-    Builds the Malmquist basis E, solves the minimum Dirichlet-norm problem
-    for the traces A E of all basis elements in one dual-Gram solve, and
-    takes the top eigenvalue of the Dirichlet Gram of the resulting L x n
-    matrix of interpolants.  Raises :class:`CertificationError` for
+    A one-point ``sigma`` with no explicit truncation takes the banded route
+    of :func:`one_point_interp`, which reports no witnesses.  Every other
+    call builds the Malmquist basis E, solves the minimum Dirichlet-norm
+    problem for the traces A E of all basis elements in one dual-Gram solve,
+    and takes the top eigenvalue of the Dirichlet Gram of the resulting
+    L x n matrix of interpolants.  Raises :class:`CertificationError` for
     configurations with distinct points closer than 1e-8, derivative
     functionals that overflow, or ill-conditioned trace systems.
     """
+    if trunc is None and sigma.is_one_point:
+        return one_point_interp(sigma)
     basis = malmquist_basis_auto(sigma, trunc)
     L = basis.trunc_len
     A = _constraint_rows(sigma, L)
@@ -159,14 +202,90 @@ def interp_exact(sigma: PoleConfiguration, trunc: int | None = None) -> InterpRe
     exact = math.sqrt(max(pair.value, 0.0))
     witness_f = basis.combine(pair.vector)
     witness_g = TaylorSeries(interpolants @ pair.vector)
-
-    upper = interp_upper_projection(basis)
-    lower = None
-    if sigma.n >= 2 and len(set(sigma.points)) == 1:
-        lower = interp_lower_eq9(sigma.n, abs(sigma.points[0])).eq9
     return InterpResult(
-        sigma, exact, upper, lower, witness_f, witness_g, L, pair.residual
+        sigma,
+        exact,
+        interp_upper_projection(basis),
+        _one_point_lower(sigma),
+        witness_f,
+        witness_g,
+        L,
+        pair.residual,
     )
+
+
+def _one_point_lower(sigma: PoleConfiguration) -> float | None:
+    if sigma.n >= 2 and sigma.is_one_point:
+        return interp_lower_eq9(sigma.n, abs(sigma.points[0])).eq9
+    return None
+
+
+_CORNER_CHUNK = 256
+_EPS = float(np.finfo(np.float64).eps)
+
+
+def _corner_sum(n: int, r: float) -> float:
+    """sigma_n = sum_{m>=0} r^{2m}/(n+m), the Lerch transcendent
+    Phi(r^2, 1, n), to a few units of rounding for every r in [0, 1).
+
+    Where n (1 - r^2) >= 1 or r^2 <= 1/2 the series is summed in chunks
+    until its remainder bound r^{2M}/((n+M)(1-r^2)) drops below rounding.
+    Elsewhere r^{-2n} (-log(1-r^2) - sum_{k<n} r^{2k}/k) is used: there
+    r^2 > 1/2, so the logarithm of 1 - r^2 <= 1/2 is well conditioned, and
+    r^{2n} >= e^{-3/2} for n >= 2, so the subtraction cancels no more than
+    a factor of order log n (n = 1 subtracts nothing).  1 - r^2 is formed
+    as (1-r)(1+r) and the powers as r^{2k}, never from a rounded r^2, since
+    -log(1-r^2) is ill-conditioned in r^2 as r -> 1.
+    """
+    q = (1.0 - r) * (1.0 + r)
+    if n * q >= 1.0 or r * r <= 0.5:
+        parts: list[float] = []
+        m, total = 0, 0.0
+        while m == 0 or r ** (2 * m) / ((n + m) * q) > 0.25 * _EPS * total:
+            idx = np.arange(m, m + _CORNER_CHUNK, dtype=np.float64)
+            parts.append(float(np.sum(np.power(r, 2.0 * idx) / (n + idx))))
+            total += parts[-1]
+            m += _CORNER_CHUNK
+        return math.fsum(parts)
+    k = np.arange(1, n, dtype=np.float64)
+    head = math.fsum(np.power(r, 2.0 * k) / k)
+    return (-math.log(q) - head) / r ** (2 * n)
+
+
+def one_point_interp(sigma: PoleConfiguration) -> InterpResult:
+    """Exact interpolation constant of a one-point configuration from its
+    n x n tridiagonal operator (module docstring): I^2 is the top eigenvalue
+    of R diag(1, ..., n-1, 1/sigma_n) R^T / (1 - r^2).
+
+    No basis is built, so ``witness_f`` and ``witness_g`` are ``None``,
+    ``trunc_len`` is n and ``residual`` is the eigen-residual in units of
+    I^2.
+    """
+    if not sigma.is_one_point:
+        raise ValueError("the banded route needs a one-point configuration")
+    n, r = sigma.n, abs(sigma.points[0])
+    q = (1.0 - r) * (1.0 + r)
+    d = np.arange(1.0, n + 1.0)
+    d[-1] = 1.0 / _corner_sum(n, r)
+    Rt = np.eye(n) - r * np.eye(n, k=1)
+    pair = max_eigenpair(gram_matrix(Rt, d / q))
+    return InterpResult(
+        sigma,
+        math.sqrt(max(pair.value, 0.0)),
+        one_point_upper_projection(sigma),
+        _one_point_lower(sigma),
+        None,
+        None,
+        n,
+        pair.residual,
+    )
+
+
+def one_point_upper_projection(sigma: PoleConfiguration) -> float:
+    """The projection bound sqrt(C_B^2 + 1) of a one-point configuration,
+    with C_B from the banded Bergman operator of
+    :func:`~mslab.bernstein.one_point_constant`."""
+    return math.hypot(one_point_constant(sigma, NormKind.BERGMAN).constant, 1.0)
 
 
 def interp_upper_projection(basis: MalmquistBasis) -> float:

@@ -454,13 +454,19 @@ def _check_enprime_crosscheck(rng: np.random.Generator, _: float) -> CheckResult
 
 
 def _check_interp_hand_values(rng: np.random.Generator, _: float) -> CheckResult:
+    # Both routes: the banded one-point operator and, through an explicit
+    # truncation, the Malmquist basis with its min-norm solve.
     worst = 0.0
     for lam in (0.0, 0.5):
-        res = ip.interp_exact(PoleConfiguration((lam,)))
-        worst = max(worst, abs(res.exact - ip.single_point_closed_form(abs(lam))))
-    res = ip.interp_exact(PoleConfiguration((0.0, 0.0)))
-    worst = max(worst, abs(res.exact - math.sqrt(2.0)))
-    worst = max(worst, abs(res.exact - res.upper_projection))
+        sig = PoleConfiguration((lam,))
+        for trunc in (None, policy_truncation(1, abs(lam))):
+            res = ip.interp_exact(sig, trunc)
+            worst = max(worst, abs(res.exact - ip.single_point_closed_form(abs(lam))))
+    sig = PoleConfiguration((0.0, 0.0))
+    for trunc in (None, policy_truncation(2, 0.0)):
+        res = ip.interp_exact(sig, trunc)
+        worst = max(worst, abs(res.exact - math.sqrt(2.0)))
+        worst = max(worst, abs(res.exact - res.upper_projection))
     return CheckResult(
         "interp.hand-values", worst <= 1e-9, f"max deviation {worst:.3e}"
     )
@@ -498,7 +504,9 @@ def _check_interp_rotation(rng: np.random.Generator, _: float) -> CheckResult:
 def _check_interp_witness(rng: np.random.Generator, _: float) -> CheckResult:
     worst = 0.0
     sig = _random_sigma(rng, max_n=5, max_r=0.7)
-    res = ip.interp_exact(sig)
+    # An explicit truncation keeps the basis route, which carries witnesses,
+    # also for one-point draws.
+    res = ip.interp_exact(sig, policy_truncation(sig.n, sig.radius))
     for lam in set(sig.points):
         worst = max(
             worst, abs(evaluate(res.witness_f, lam) - evaluate(res.witness_g, lam))

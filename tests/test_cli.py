@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 import mslab
+from mslab.blaschke import PoleConfiguration, malmquist_basis_auto
 from mslab.cli import build_parser, main
 
 HEADER = "n,r,sigma,quantity,value,lower,upper,trunc,residual"
@@ -311,11 +312,33 @@ class TestInterpCommand:
 
     def test_overflowing_dual_gram_exits_three(self, capsys, recwarn):
         """Derivative functionals that overflow are a numerical failure, not bad
-        input, and are refused without numpy overflow warnings."""
-        code, _, err = _run(capsys, ["interp", "--sigma", "one-point:n=100,r=0.9"])
+        input, and are refused without numpy overflow warnings.  --trunc
+        forces the basis route, whose constraint rows carry them."""
+        code, _, err = _run(
+            capsys, ["interp", "--sigma", "one-point:n=100,r=0.9", "--trunc", "2368"]
+        )
         assert code == 3
         assert "certification failure" in err
+        assert "overflows at truncation 2369" in err
         assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
+
+    def test_formerly_refused_one_point_cells_answer(self, capsys):
+        """The banded route answers the one-point inputs the basis route
+        refuses, with the values of 1/sqrt(lambda_min(E^* diag(1/(k+1)) E))."""
+        for spec, n, r, expect in (
+            ("one-point:n=100,r=0.9", 100, 0.9, 42.1075478838),
+            ("one-point:n=30,r=0.5", 30, 0.5, 8.8444587417),
+        ):
+            code, out, _ = _run(capsys, ["interp", "--sigma", spec, "--exact"])
+            assert code == 0
+            (row,) = _parse_csv(out)
+            assert int(row["trunc"]) == n
+            basis = malmquist_basis_auto(PoleConfiguration.one_point(n, r))
+            E = basis.matrix
+            G = E.conj().T @ (E / (np.arange(basis.trunc_len) + 1.0)[:, None])
+            oracle = 1.0 / math.sqrt(np.linalg.eigvalsh(G)[0])
+            np.testing.assert_allclose(float(row["value"]), oracle, rtol=1e-12)
+            np.testing.assert_allclose(float(row["value"]), expect, rtol=1e-10)
 
     def test_single_point_reports_closed_form(self, capsys):
         """n = 1 exact runs report the closed-form comparison on stderr."""

@@ -183,6 +183,23 @@ class TestGramMatrix:
         )
 
 
+    def test_real_input_stays_real(self):
+        """A real coefficient matrix gives a float64 Gram and a real top pair
+        equal to the complex computation; complex input stays complex."""
+        rng = np.random.default_rng(13)
+        V = rng.normal(size=(9, 5))
+        w = NormKind.DIRICHLET.weights(9)
+        G = gram_matrix(V, w)
+        assert G.entries.dtype == np.float64
+        assert HermitianMatrix(G.entries).entries.dtype == np.float64
+        Gc = gram_matrix(V.astype(np.complex128), w)
+        assert Gc.entries.dtype == np.complex128
+        real_pair, complex_pair = max_eigenpair(G), max_eigenpair(Gc)
+        assert real_pair.vector.dtype == np.float64
+        np.testing.assert_allclose(real_pair.value, complex_pair.value, rtol=1e-14)
+        np.testing.assert_allclose(real_pair.vector, complex_pair.vector, atol=1e-12)
+
+
 class TestMinNormSolve:
     """Weighted minimum-norm interpolation through the dual Gram."""
 

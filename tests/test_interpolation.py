@@ -15,13 +15,16 @@ from mslab.interpolation import (
     interp_exact,
     interp_lower_eq9,
     interp_upper_projection,
+    one_point_interp,
+    one_point_upper_projection,
     single_point_closed_form,
     theoremB_envelopes,
     theoremB_test_function,
     _apply_rows,
     _constraint_rows,
+    _corner_sum,
 )
-from mslab.blaschke import PoleConfiguration, malmquist_basis_auto
+from mslab.blaschke import PoleConfiguration, malmquist_basis_auto, multiplicity_groups
 from mslab.series import (
     NormKind,
     TaylorSeries,
@@ -83,6 +86,43 @@ class TestSinglePoint:
             dirichlet_kernel_diag(-0.1)
 
 
+def _constraint_rows_per_row(sigma, length):
+    """Reference: every row's falling factorial and powers formed afresh."""
+    rows = []
+    k = np.arange(length, dtype=np.float64)
+    for lam, mult in multiplicity_groups(sigma):
+        for t in range(mult):
+            falling = np.ones(length, dtype=np.float64)
+            for j in range(t):
+                falling *= np.maximum(k - j, 0.0)
+            powers = np.zeros(length, dtype=np.complex128)
+            idx = np.arange(t, length)
+            if lam != 0:
+                powers[idx] = np.power(complex(lam), (idx - t).astype(np.float64))
+            else:
+                powers[idx] = np.where(idx - t == 0, 1.0, 0.0)
+            rows.append(falling * powers)
+    return np.array(rows)
+
+
+class TestConstraintRows:
+    """Trace functionals from a running falling factorial and one power
+    vector per point."""
+
+    def test_bit_identical_to_per_row_build(self):
+        """Same multiplications in the same order, so equal bits."""
+        sigmas = [
+            PoleConfiguration((0.3 - 0.1j,) * 2 + (-0.5j,) * 3 + (0.62,)),
+            PoleConfiguration((0.0,) * 3 + (0.5,) * 2),
+            PoleConfiguration.one_point(30, 0.4 + 0.2j),
+        ]
+        for sig in sigmas:
+            for length in (64, 158, 400):
+                np.testing.assert_array_equal(
+                    _constraint_rows(sig, length), _constraint_rows_per_row(sig, length)
+                )
+
+
 class TestExactConstant:
     """The eigenvalue pipeline and its witnesses."""
 
@@ -105,8 +145,9 @@ class TestExactConstant:
             )
 
     def test_multiplicity_matches_derivative(self):
-        """At a double point the interpolant matches value and first derivative."""
-        res = interp_exact(PoleConfiguration((0.3, 0.3)))
+        """At a double point the interpolant matches value and first derivative.
+        A one-point configuration needs an explicit truncation for witnesses."""
+        res = interp_exact(PoleConfiguration((0.3, 0.3)), trunc=policy_truncation(2, 0.3))
         f, g = res.witness_f, res.witness_g
         np.testing.assert_allclose(evaluate(g, 0.3), evaluate(f, 0.3), atol=1e-9)
         h = 1e-5
@@ -163,6 +204,87 @@ class TestExactConstant:
         monkeypatch.setattr(interpolation, "min_norm_solve", counted)
         interp_exact(PoleConfiguration((0.3, 0.3, -0.5j, 0.6)))
         assert calls == [(4, 4)]  # 4 trace functionals, 4 basis elements
+
+
+class TestOnePointInterpRoute:
+    """The n x n tridiagonal route against the Malmquist matrix E."""
+
+    @staticmethod
+    def _lambda_min_oracle(basis):
+        E = basis.matrix
+        G = E.conj().T @ (E / (np.arange(basis.trunc_len) + 1.0)[:, None])
+        return 1.0 / math.sqrt(np.linalg.eigvalsh(G)[0])
+
+    def test_matches_bergman_gram_oracle(self):
+        """I = 1/sqrt(lambda_min(E^* diag(1/(k+1)) E)) over a grid with a complex
+        centre, and the projection bound matches the basis one."""
+        for n in (1, 2, 3, 5, 8, 12, 20, 40):
+            for r in (0.0, 0.1, 0.3, 0.5, 0.7, 0.9, 0.95, 0.99):
+                sig = PoleConfiguration.one_point(n, r * np.exp(0.7j))
+                basis = malmquist_basis_auto(sig)
+                res = one_point_interp(sig)
+                np.testing.assert_allclose(
+                    res.exact, self._lambda_min_oracle(basis), rtol=1e-12
+                )
+                np.testing.assert_allclose(
+                    res.upper_projection, interp_upper_projection(basis), rtol=1e-12
+                )
+                np.testing.assert_allclose(
+                    one_point_upper_projection(sig), res.upper_projection, rtol=0
+                )
+
+    def test_matches_min_norm_route(self):
+        """The dispatch takes the banded route and agrees with the E route."""
+        for n, r in ((2, 0.5), (6, 0.3 - 0.4j), (12, 0.66)):
+            sig = PoleConfiguration.one_point(n, r)
+            banded = interp_exact(sig)
+            via_basis = interp_exact(sig, trunc=policy_truncation(n, abs(r)))
+            np.testing.assert_allclose(banded.exact, via_basis.exact, rtol=1e-10)
+            assert banded.lower_eq9 == via_basis.lower_eq9
+
+    def test_single_point_closed_form(self):
+        """n = 1 reproduces the kernel quotient and stays under the
+        projection bound, small radii included."""
+        radii = (0.0, 1e-9, 2e-8, 1e-7, 1e-6, 1e-4, 1e-3, 0.25, 0.5, 0.9, 0.999)
+        for r in radii:
+            res = one_point_interp(PoleConfiguration((r * 1j,)))
+            np.testing.assert_allclose(
+                res.exact, single_point_closed_form(r), rtol=1e-13
+            )
+            assert res.exact <= res.upper_projection, r
+
+    def test_reports_operator_size_and_no_witnesses(self):
+        """trunc_len is n, witnesses are None, the residual is certified."""
+        res = interp_exact(PoleConfiguration.one_point(7, 0.6))
+        assert res.trunc_len == 7
+        assert res.witness_f is None and res.witness_g is None
+        assert 0.0 <= res.residual <= 1e-10 * (1.0 + res.exact**2)
+
+    def test_explicit_trunc_keeps_basis_route(self):
+        """An explicit truncation N still builds E and reports N + 1."""
+        res = interp_exact(PoleConfiguration.one_point(3, 0.4), trunc=200)
+        assert res.trunc_len == 201
+        assert res.witness_f is not None and res.witness_g is not None
+
+    def test_refuses_distinct_points(self):
+        """The banded route is for one-point configurations only."""
+        with pytest.raises(ValueError, match="one-point"):
+            one_point_interp(PoleConfiguration((0.1, 0.2)))
+
+    def test_corner_sum_matches_lerch_phi(self):
+        """sigma_n = Phi(r^2, 1, n) to 1e-13 relative in both regimes, up to
+        the last double below one and n = 10^5."""
+        mpmath = pytest.importorskip("mpmath")
+        mpmath.mp.dps = 40
+        cases = [(n, r) for n in (1, 3, 100) for r in (0.0, 0.1, 0.5, 0.9, 0.99)]
+        # n (1 - r^2) on both sides of 1 at n = 10^5, and r one ulp below 1.
+        cases += [(10**5, r) for r in (0.999, 0.99999, 0.999995, 0.9999999999999999)]
+        cases += [(1, r) for r in (1e-9, 2e-8, 1e-7, 1e-6, 1e-4, 1e-3)]
+        cases += [(2, 0.9999999999999999)]
+        for n, r in cases:
+            want = mpmath.lerchphi(mpmath.mpf(r) ** 2, 1, n)
+            got = _corner_sum(n, r)
+            assert abs(got - want) <= 1e-13 * want, (n, r, got, float(want))
 
 
 class TestBounds:
