@@ -28,11 +28,6 @@ comparison for the Hardy target, the audit of a closed form that fails
 numerically, and the test-function scaffolding used to prove the envelopes
 are all collected here, each evaluated by at least two independent routes in
 the test suite.
-
-The supremum over all configurations of fixed size and radius is not
-attained at any known finite candidate set; :func:`sup_constant_search`
-produces certified lower bounds for it from one-point plus seeded random
-candidates and coordinate-wise refinement of the best.
 """
 
 from __future__ import annotations
@@ -48,12 +43,10 @@ from .hermitian import gram_matrix, max_eigenpair
 from .series import (
     NormKind,
     TaylorSeries,
-    add,
     differentiate,
     norm,
     norm_sq,
     polynomial,
-    scale,
 )
 
 __all__ = [
@@ -72,7 +65,6 @@ __all__ = [
     "step2_expansion_check",
     "RatioRow",
     "asymptotic_ratio_sweep",
-    "sup_constant_search",
 ]
 
 
@@ -357,7 +349,7 @@ def step2_expansion_check(
     basis = malmquist_basis_auto(PoleConfiguration.one_point(n, r), trunc)
     f = basis.combine(a)
     fprime_bergman = norm(differentiate(f), NormKind.BERGMAN)
-    diff = add(A, scale(B, -1.0))
+    diff = polynomial(A.coeffs - B.coeffs)
     identity_gap = abs(
         fprime_bergman - norm(diff, NormKind.BERGMAN) / math.sqrt(1.0 - r**2)
     )
@@ -423,68 +415,3 @@ def asymptotic_ratio_sweep(
             )
         )
     return rows
-
-
-def _refine(
-    sigma: PoleConfiguration, target: NormKind, radius_cap: float, best: float
-) -> tuple[PoleConfiguration, float]:
-    """Coordinate-wise greedy refinement within the closed disc of the cap."""
-    pts = list(sigma.points)
-    value = best
-    for step in (radius_cap / 8.0, radius_cap / 32.0, radius_cap / 128.0):
-        if step == 0.0:
-            break
-        improved = True
-        while improved:
-            improved = False
-            for i in range(len(pts)):
-                for delta in (step, -step, 1j * step, -1j * step):
-                    cand = pts[i] + delta
-                    if abs(cand) > radius_cap:
-                        continue
-                    trial_pts = list(pts)
-                    trial_pts[i] = cand
-                    trial = PoleConfiguration(tuple(trial_pts))
-                    trial_value = bernstein_constant_sigma(trial, target).constant
-                    if trial_value > value + 1e-12:
-                        pts, value, improved = trial_pts, trial_value, True
-    return PoleConfiguration(tuple(pts)), value
-
-
-def sup_constant_search(
-    n: int,
-    r: float,
-    target: NormKind,
-    count: int = 10,
-    seed: int = 0,
-    refine: bool = True,
-) -> tuple[list[BernsteinResult], BernsteinResult]:
-    """Lower-bound search for the supremum over configurations of size n and
-    radius at most r.
-
-    Candidates are the one-point configuration at radius r plus ``count``
-    seeded uniform-in-disc samples; the best is then refined coordinate-wise.
-    Returns (per-candidate results, refined best).  Only ever a lower bound:
-    attainment of the supremum is an open question this laboratory does not
-    decide.
-    """
-    _check_target(target)
-    if r == 0.0:
-        one = bernstein_constant_sigma(PoleConfiguration.one_point(n, 0.0), target)
-        return [one], one
-    rng = np.random.default_rng(seed)
-    candidates = [PoleConfiguration.one_point(n, r)]
-    for _ in range(count):
-        rad = r * np.sqrt(rng.uniform(0.0, 1.0, size=n))
-        ang = rng.uniform(0.0, 2.0 * np.pi, size=n)
-        candidates.append(
-            PoleConfiguration(tuple(complex(p) for p in rad * np.exp(1j * ang)))
-        )
-    results = [bernstein_constant_sigma(sig, target) for sig in candidates]
-    best = max(range(len(results)), key=lambda i: results[i].constant)
-    if not refine:
-        return results, results[best]
-    refined_sigma, _ = _refine(
-        candidates[best], target, r, results[best].constant
-    )
-    return results, bernstein_constant_sigma(refined_sigma, target)

@@ -16,13 +16,14 @@ two-term recurrence
 
 on a window of N+1 Taylor coefficients: the factor (lam_k - z) is a scale
 plus a one-place shift and the division is the stable first-order recurrence
-y_m = u_m + conj(lam_{k+1}) y_{m-1}.  Both act causally on coefficients, so
-the stored coefficients of each element are its true Taylor coefficients up
-to rounding; only the tail beyond the truncation is missing.  The elements
-are the columns of one L x n coefficient matrix E, each with a
-Cauchy-estimate bound on the l2 mass of its tail, and construction certifies
-orthonormality of the computed Gram E^* E against the identity, refusing
-truncations too short to certify.
+y_m = u_m + conj(lam_{k+1}) y_{m-1}, run by the one division routine of
+:mod:`mslab.series`, which its composition with a Blaschke factor shares.
+Both act causally on coefficients, so the stored coefficients of each element
+are its true Taylor coefficients up to rounding; only the tail beyond the
+truncation is missing.  The elements are the columns of one L x n coefficient
+matrix E, each with a Cauchy-estimate bound on the l2 mass of its tail, and
+construction certifies orthonormality of the computed Gram E^* E against the
+identity, refusing truncations too short to certify.
 
 A function of K_B is E a for a coefficient vector a, and the orthogonal
 projection onto K_B is E E^* in coefficient space.  Everything is invariant
@@ -39,7 +40,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CertificationError
-from .series import TaylorSeries, policy_truncation
+from .series import TaylorSeries, _divide_by_kernel_factor, policy_truncation
 
 __all__ = [
     "PoleConfiguration",
@@ -54,11 +55,6 @@ __all__ = [
 
 # Largest Gram deviation from the identity accepted as orthonormal.
 ORTHO_TOL = 1e-10
-
-# The doubling scan stops once the power of the division ratio drops below
-# this: the remaining terms are far below rounding and would only feed
-# subnormal floats, whose arithmetic is slow on x86, into the passes.
-_POWER_FLOOR = 1e-300
 
 # Fixed grid of radii for the Cauchy tail estimate: rho = 1/r - g (1/r - 1)
 # for the largest modulus r, so that 1 - r rho = g (1 - r) sweeps many scales.
@@ -171,22 +167,6 @@ class MalmquistBasis:
 
 def _hardy_gram(matrix: np.ndarray) -> np.ndarray:
     return matrix.conj().T @ matrix
-
-
-def _divide_by_kernel_factor(u: np.ndarray, beta: complex) -> np.ndarray:
-    """Coefficients of u(z) / (1 - beta z) on the window of u, |beta| < 1.
-
-    Solves y_m = u_m + beta y_{m-1} as a doubling scan: after the pass with
-    shift d = 2^t every y_m sums its 2d-term window, so ceil(log2 L) passes
-    of length L give the full recurrence, in elementwise numpy operations
-    whose result does not depend on the BLAS or its thread count.
-    """
-    y = u.copy()
-    d, power = 1, complex(beta)
-    while d < y.size and abs(power) >= _POWER_FLOOR:
-        y[d:] += power * y[:-d]
-        d, power = 2 * d, power * power
-    return y
 
 
 def _cauchy_tail_bounds(points: tuple[complex, ...], N: int) -> np.ndarray:

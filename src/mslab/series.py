@@ -17,11 +17,11 @@ an exact identity of finite sums, not an approximation; the test suite checks
 it at rounding level.
 
 Series are immutable values: every operation returns a fresh instance and the
-backing arrays are write-protected.  Tail bounds are propagated through each
-operation conservatively, and for the geometric kernels they are exact, which
-is what lets truncation choices downstream be certified rather than guessed.
-The truncation policy for a configuration of n poles of max modulus r lives
-in :func:`policy_truncation`.
+backing arrays are write-protected.  Tail bounds are exact for the geometric
+kernels and propagate conservatively through :func:`differentiate`,
+``MalmquistBasis.combine`` and :func:`compose_with_blaschke_factor`.  The
+truncation policy for a configuration of n poles of max modulus r lives in
+:func:`policy_truncation`.
 """
 
 from __future__ import annotations
@@ -39,14 +39,9 @@ __all__ = [
     "polynomial",
     "norm",
     "norm_sq",
-    "inner",
     "differentiate",
     "evaluate",
-    "multiply",
-    "add",
-    "scale",
     "cauchy_kernel_series",
-    "blaschke_factor_series",
     "compose_with_blaschke_factor",
     "policy_truncation",
 ]
@@ -54,6 +49,11 @@ __all__ = [
 # Slack admitted when checking |z| <= 1: points on the unit circle produced
 # by cos/sin land within a few ulp of modulus one.
 _CIRCLE_SLACK = 1e-12
+
+# The doubling scan of a division stops once the power of the ratio drops
+# below this: the remaining terms are far below rounding and would only feed
+# subnormal floats, whose arithmetic is slow on x86, into the passes.
+_POWER_FLOOR = 1e-300
 
 
 class NormKind(enum.Enum):
@@ -130,13 +130,6 @@ def norm(f: TaylorSeries, kind: NormKind) -> float:
     return math.sqrt(norm_sq(f, kind))
 
 
-def inner(f: TaylorSeries, g: TaylorSeries, kind: NormKind = NormKind.HARDY) -> complex:
-    """Weighted coefficient pairing sum_k w_k f_k conj(g_k) over shared length."""
-    L = min(f.trunc_len, g.trunc_len)
-    w = kind.weights(L)
-    return complex(np.sum(w * f.coeffs[:L] * np.conj(g.coeffs[:L])))
-
-
 def differentiate(f: TaylorSeries) -> TaylorSeries:
     """Termwise derivative, c_k -> (k+1) c_{k+1}.
 
@@ -159,52 +152,22 @@ def evaluate(f: TaylorSeries, z: complex) -> complex:
     return complex(np.polyval(f.coeffs[::-1], z))
 
 
-def _l1(a: np.ndarray) -> float:
-    return float(np.sum(np.abs(a)))
+def _divide_by_kernel_factor(u: np.ndarray, beta: complex) -> np.ndarray:
+    """Coefficients of u(z) / (1 - beta z) on the window of u, |beta| < 1.
 
-
-def multiply(f: TaylorSeries, g: TaylorSeries) -> TaylorSeries:
-    """Cauchy product, truncated to the certified shared length.
-
-    An exact polynomial factor (tail bound zero) behaves as zero-padded, so
-    multiplying by a polynomial keeps the other factor's full length; two
-    exact polynomials produce their exact product.  Otherwise coefficients
-    beyond min(len f, len g) would involve unknown tail entries and are
-    dropped, their mass folded into the tail bound via l1-l2 convolution
-    estimates.
+    Solves y_m = u_m + beta y_{m-1} as a doubling scan: after the pass with
+    shift d = 2^t every y_m sums its 2d-term window, so ceil(log2 L) passes
+    of length L give the full recurrence, in elementwise numpy operations
+    whose result does not depend on the BLAS or its thread count.  This is
+    the package's one first-order division: the Malmquist basis and the
+    composition with a Blaschke factor both run on it.
     """
-    conv = np.convolve(f.coeffs, g.coeffs)
-    f_poly = f.tail_bound == 0.0
-    g_poly = g.tail_bound == 0.0
-    if f_poly and g_poly:
-        L = conv.size
-    elif f_poly:
-        L = g.trunc_len
-    elif g_poly:
-        L = f.trunc_len
-    else:
-        L = min(f.trunc_len, g.trunc_len)
-    dropped = float(np.linalg.norm(conv[L:])) if L < conv.size else 0.0
-    tail = (
-        dropped
-        + _l1(f.coeffs) * g.tail_bound
-        + _l1(g.coeffs) * f.tail_bound
-        + f.tail_bound * g.tail_bound
-    )
-    return TaylorSeries(conv[:L], tail)
-
-
-def add(f: TaylorSeries, g: TaylorSeries) -> TaylorSeries:
-    """Coefficientwise sum over the longer length; tail bounds add."""
-    L = max(f.trunc_len, g.trunc_len)
-    out = np.zeros(L, dtype=np.complex128)
-    out[: f.trunc_len] += f.coeffs
-    out[: g.trunc_len] += g.coeffs
-    return TaylorSeries(out, f.tail_bound + g.tail_bound)
-
-
-def scale(f: TaylorSeries, c: complex) -> TaylorSeries:
-    return TaylorSeries(f.coeffs * complex(c), abs(c) * f.tail_bound)
+    y = u.copy()
+    d, power = 1, complex(beta)
+    while d < y.size and abs(power) >= _POWER_FLOOR:
+        y[d:] += power * y[:-d]
+        d, power = 2 * d, power * power
+    return y
 
 
 def cauchy_kernel_series(lam: complex, N: int) -> TaylorSeries:
@@ -226,63 +189,36 @@ def cauchy_kernel_series(lam: complex, N: int) -> TaylorSeries:
     return TaylorSeries(c, tail)
 
 
-def blaschke_factor_series(lam: complex, N: int) -> TaylorSeries:
-    """Taylor expansion of the disc automorphism b(z) = (lam - z)/(1 - conj(lam) z).
-
-    b = lam - (1 - |lam|^2) sum_{k>=1} conj(lam)^{k-1} z^k; the tail bound
-    |lam|^N sqrt(1 - |lam|^2) is exact, as for the kernel.
-    """
-    lam = complex(lam)
-    if abs(lam) >= 1.0:
-        raise ValueError(f"factor zero must lie inside the open disc: |lam|={abs(lam)}")
-    if N < 0:
-        raise ValueError("truncation degree must be nonnegative")
-    one_minus = 1.0 - abs(lam) ** 2
-    c = np.zeros(N + 1, dtype=np.complex128)
-    c[0] = lam
-    if N >= 1:
-        c[1] = -one_minus
-        if N >= 2:
-            c[2:] = -one_minus * np.cumprod(
-                np.full(N - 1, np.conj(lam), dtype=np.complex128)
-            )
-    tail = abs(lam) ** N * math.sqrt(one_minus)
-    return TaylorSeries(c, tail)
-
-
 def compose_with_blaschke_factor(f: TaylorSeries, lam: complex, N: int) -> TaylorSeries:
-    """Taylor coefficients of f(b_lam(z)) to length N+1.
+    """Taylor coefficients of f(b_lam(z)) to length N+1, b_lam the disc
+    automorphism (lam - z)/(1 - conj(lam) z).
 
-    Computed by Horner recursion in the truncated b_lam series, so each step
-    is an ordinary truncated product and coefficients 0..N of the result are
-    exact for polynomial input.  The propagated tail bound is capped by the
-    norm-level estimate sqrt((1+|lam|)/(1-|lam|)) ||f||_Hardy, the composition
-    operator bound on the Hardy space, which stays meaningful when the
-    stepwise l1 estimates become pessimistic at high degree.
+    Horner's rule f(b) = c_0 + b (c_1 + b (c_2 + ...)) on a window of N+1
+    coefficients: each step multiplies by lam - z (a scale and a one-place
+    shift) and divides by 1 - conj(lam) z.  Both act causally, so
+    coefficients 0..N of the result are exact for polynomial input up to
+    rounding.  The tail bound is the composition-operator bound
+    sqrt((1+|lam|)/(1-|lam|)) (||f||_Hardy + tail) on the Hardy space, which
+    bounds the whole of f(b_lam) and so its discarded tail.
     """
     lam = complex(lam)
+    rho = abs(lam)
+    if rho >= 1.0:
+        raise ValueError(f"factor zero must lie inside the open disc: |lam|={rho}")
     if N < 0:
         raise ValueError("truncation degree must be nonnegative")
-    b = blaschke_factor_series(lam, N)
-    out = TaylorSeries(np.array([f.coeffs[-1]]), 0.0)
-    for k in range(f.trunc_len - 2, -1, -1):
-        out = multiply(out, b)
-        if out.trunc_len > N + 1:
-            out = TaylorSeries(out.coeffs[: N + 1], out.tail_bound)
-        shifted = np.array(out.coeffs)
-        shifted[0] += f.coeffs[k]
-        out = TaylorSeries(shifted, out.tail_bound)
-    rho = abs(lam)
-    comp_bound = math.sqrt((1.0 + rho) / (1.0 - rho)) * (
+    beta = lam.conjugate()
+    out = np.zeros(N + 1, dtype=np.complex128)
+    out[0] = f.coeffs[-1]
+    for c in f.coeffs[-2::-1]:
+        u = lam * out
+        u[1:] -= out[:-1]
+        out = _divide_by_kernel_factor(u, beta)
+        out[0] += c
+    tail = math.sqrt((1.0 + rho) / (1.0 - rho)) * (
         norm(f, NormKind.HARDY) + f.tail_bound
     )
-    tail = min(out.tail_bound + f.tail_bound * math.sqrt((1.0 + rho) / (1.0 - rho)),
-               comp_bound)
-    if out.trunc_len < N + 1:
-        padded = np.zeros(N + 1, dtype=np.complex128)
-        padded[: out.trunc_len] = out.coeffs
-        return TaylorSeries(padded, tail)
-    return TaylorSeries(out.coeffs, tail)
+    return TaylorSeries(out, tail)
 
 
 def policy_truncation(n: int, radius: float) -> int:

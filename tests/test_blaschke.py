@@ -20,15 +20,10 @@ from mslab.interpolation import theoremB_test_function
 from mslab.series import (
     NormKind,
     TaylorSeries,
-    add,
-    blaschke_factor_series,
-    cauchy_kernel_series,
     evaluate,
-    multiply,
     norm,
     norm_sq,
     polynomial,
-    scale,
 )
 
 
@@ -38,27 +33,37 @@ def _random_config(rng, n, max_r):
     return PoleConfiguration(tuple(rad * np.exp(1j * ang)))
 
 
+def _factor_coeffs(lam, N):
+    """Closed-form Taylor coefficients 0..N of (lam - z)/(1 - conj(lam) z):
+    c_0 = lam, c_k = -(1 - |lam|^2) conj(lam)^(k-1)."""
+    c = np.empty(N + 1, dtype=np.complex128)
+    c[0] = lam
+    c[1:] = -(1.0 - abs(lam) ** 2) * np.conj(complex(lam)) ** np.arange(N)
+    return c
+
+
 def _convolution_basis_matrix(sigma, N):
     """Independent build: each element as a full truncated Cauchy product
     of the Blaschke-factor prefix with the normalized kernel, shape (N+1, n)."""
     columns = []
-    prefix = TaylorSeries(np.ones(1, dtype=np.complex128))
+    prefix = np.ones(1, dtype=np.complex128)
     for lam in sigma.points:
-        kernel = scale(cauchy_kernel_series(lam, N), np.sqrt(1.0 - abs(lam) ** 2))
-        columns.append(multiply(prefix, kernel).coeffs[: N + 1])
-        prefix = multiply(prefix, blaschke_factor_series(lam, N))
-        prefix = TaylorSeries(prefix.coeffs[: N + 1], prefix.tail_bound)
+        kernel = np.sqrt(1.0 - abs(lam) ** 2) * np.conj(complex(lam)) ** np.arange(N + 1)
+        columns.append(np.convolve(prefix, kernel)[: N + 1])
+        prefix = np.convolve(prefix, _factor_coeffs(lam, N))[: N + 1]
     return np.column_stack(columns)
 
 
 def _loop_sum(basis, terms):
-    """Independent sum: the element-by-element add/scale loop over (k, c)
-    pairs, in their order, that the product E a replaced."""
-    (k0, c0), *rest = terms
-    out = scale(basis.element(k0), c0)
-    for k, c in rest:
-        out = add(out, scale(basis.element(k), c))
-    return out
+    """Independent sum: the element-by-element loop over (k, c) pairs, in
+    their order, that the product E a replaced; tails add as |c| tail_k."""
+    out = np.zeros(basis.trunc_len, dtype=np.complex128)
+    tail = 0.0
+    for k, c in terms:
+        e = basis.element(k)
+        out = out + e.coeffs * complex(c)
+        tail = tail + abs(c) * e.tail_bound
+    return TaylorSeries(out, tail)
 
 
 # Origin, one point at growing radius, repeated points, and moduli 0.5 mixed
@@ -337,11 +342,11 @@ class TestModelProjection:
         sig = _random_config(rng, 3, 0.5)
         basis = malmquist_basis_auto(sig)
         N = basis.trunc_len - 1
-        B = polynomial([1.0])
+        B = np.ones(1, dtype=np.complex128)
         for p in sig.points:
-            B = multiply(B, blaschke_factor_series(p, N))
-        g = polynomial(rng.normal(size=5) + 1j * rng.normal(size=5))
-        f = multiply(B, g)
+            B = np.convolve(B, _factor_coeffs(p, N))[: N + 1]
+        g = rng.normal(size=5) + 1j * rng.normal(size=5)
+        f = polynomial(np.convolve(B, g)[: N + 1])
         proj = model_projection(f, basis)
         assert norm(proj, NormKind.HARDY) <= 1e-8 * max(1.0, norm(f, NormKind.HARDY))
 

@@ -8,20 +8,31 @@ import pytest
 from mslab.series import (
     NormKind,
     TaylorSeries,
-    add,
-    blaschke_factor_series,
     cauchy_kernel_series,
     compose_with_blaschke_factor,
     differentiate,
     evaluate,
-    inner,
-    multiply,
     norm,
     norm_sq,
     policy_truncation,
     polynomial,
-    scale,
 )
+
+
+def _horner_convolution_compose(coeffs, lam, N):
+    """Independent composition: Horner's rule with each product a full
+    Cauchy product against the closed-form coefficients of
+    b_lam = (lam - z)/(1 - conj(lam) z), cut back to N+1 entries."""
+    b = np.empty(N + 1, dtype=np.complex128)
+    b[0] = lam
+    b[1:] = -(1.0 - abs(lam) ** 2) * np.conj(complex(lam)) ** np.arange(N)
+    out = np.array(coeffs[-1:], dtype=np.complex128)
+    for c in coeffs[-2::-1]:
+        out = np.convolve(out, b)[: N + 1]
+        out[0] += c
+    padded = np.zeros(N + 1, dtype=np.complex128)
+    padded[: out.size] = out
+    return padded
 
 
 class TestTaylorSeries:
@@ -77,24 +88,6 @@ class TestNorms:
             rhs = norm_sq(differentiate(f), NormKind.BERGMAN) + norm_sq(f, NormKind.HARDY)
             np.testing.assert_allclose(lhs, rhs, rtol=1e-13)
 
-    def test_inner_product_is_conjugate_symmetric(self):
-        """inner(f, g) equals the conjugate of inner(g, f)."""
-        rng = np.random.default_rng(5)
-        f = polynomial(rng.normal(size=9) + 1j * rng.normal(size=9))
-        g = polynomial(rng.normal(size=12) + 1j * rng.normal(size=12))
-        for kind in NormKind:
-            a = inner(f, g, kind)
-            b = inner(g, f, kind)
-            np.testing.assert_allclose(a, np.conj(b), rtol=1e-14)
-
-    def test_inner_product_recovers_norm(self):
-        """inner(f, f) is real and equals the squared norm."""
-        f = polynomial([1.0, 1j, -2.0])
-        for kind in NormKind:
-            val = inner(f, f, kind)
-            assert abs(val.imag) < 1e-15
-            np.testing.assert_allclose(val.real, norm_sq(f, kind), rtol=1e-15)
-
 
 class TestDifferentiate:
     """Coefficient shift-and-scale rule for the derivative."""
@@ -137,32 +130,7 @@ class TestEvaluate:
 
 
 class TestArithmetic:
-    """Truncated multiply, add, scale with tail bookkeeping."""
-
-    def test_multiply_matches_convolution(self):
-        """Polynomial product equals the full coefficient convolution."""
-        rng = np.random.default_rng(2)
-        a = rng.normal(size=5) + 1j * rng.normal(size=5)
-        b = rng.normal(size=8) + 1j * rng.normal(size=8)
-        prod = multiply(polynomial(a), polynomial(b))
-        np.testing.assert_allclose(prod.coeffs, np.convolve(a, b), rtol=1e-14)
-        assert prod.tail_bound == 0.0
-
-    def test_multiply_keeps_truncation_of_tailed_factor(self):
-        """A certified-tail factor caps the stored length of the product."""
-        tailed = TaylorSeries(np.array([1.0, 0.5, 0.25], dtype=complex), 1e-12)
-        poly = polynomial([1.0, 1.0, 1.0, 1.0])
-        prod = multiply(poly, tailed)
-        assert prod.trunc_len == 3
-        assert prod.tail_bound > 0.0
-
-    def test_add_zero_pads(self):
-        """Sum length is the longer operand; tails add."""
-        f = TaylorSeries(np.array([1.0 + 0j]), 1e-13)
-        g = polynomial([0.0, 2.0, 3.0])
-        out = add(f, g)
-        np.testing.assert_allclose(out.coeffs, [1.0, 2.0, 3.0])
-        np.testing.assert_allclose(out.tail_bound, 1e-13)
+    """Coefficientwise scaling of a stored series."""
 
     def test_scale_is_homogeneous(self):
         """Scaling multiplies every norm by the modulus."""
@@ -170,7 +138,7 @@ class TestArithmetic:
         c = 3.0 - 4.0j
         for kind in NormKind:
             np.testing.assert_allclose(
-                norm(scale(f, c), kind), abs(c) * norm(f, kind), rtol=1e-15
+                norm(TaylorSeries(c * f.coeffs), kind), abs(c) * norm(f, kind), rtol=1e-15
             )
 
 
@@ -189,21 +157,6 @@ class TestKernelSeries:
         f = cauchy_kernel_series(lam, 20)
         dropped = math.sqrt(sum(abs(lam) ** (2 * k) for k in range(21, 2000)))
         assert dropped <= f.tail_bound + 1e-15
-
-    def test_blaschke_series_evaluates_to_factor(self):
-        """Stored expansion of (lam - z)/(1 - conj(lam) z) matches pointwise values."""
-        lam = 0.5 - 0.2j
-        f = blaschke_factor_series(lam, 200)
-        for z in (0.0, 0.3, -0.5j, 0.6 + 0.2j):
-            direct = (lam - z) / (1.0 - np.conj(lam) * z)
-            np.testing.assert_allclose(evaluate(f, z), direct, atol=1e-13)
-
-    def test_blaschke_at_origin_is_minus_z(self):
-        """b_0 degenerates to the rotation-reflection -z."""
-        f = blaschke_factor_series(0.0, 5)
-        expect = np.zeros(6, dtype=complex)
-        expect[1] = -1.0
-        np.testing.assert_allclose(f.coeffs, expect)
 
 
 class TestComposition:
@@ -235,6 +188,48 @@ class TestComposition:
             compose_with_blaschke_factor(f, lam, N), lam, N
         )
         np.testing.assert_allclose(back.coeffs[:7], f.coeffs, atol=1e-11)
+
+    @pytest.mark.parametrize(
+        "lam",
+        (0.0, 0.35, 0.45 + 0.25j, 0.9 * np.exp(0.7j)),
+        ids=("0", "0.35", "0.45+0.25i", "0.9e^0.7i"),
+    )
+    def test_matches_horner_convolution_oracle(self, lam):
+        """The division recurrence agrees with full Cauchy products to 1e-13
+        relative for every degree 0..30."""
+        rng = np.random.default_rng(41)
+        N = 80
+        for deg in range(31):
+            c = rng.normal(size=deg + 1) + 1j * rng.normal(size=deg + 1)
+            got = compose_with_blaschke_factor(polynomial(c), lam, N).coeffs
+            want = _horner_convolution_compose(c, lam, N)
+            assert got.shape == (N + 1,)
+            gap = np.max(np.abs(got - want)) / np.max(np.abs(want))
+            assert gap <= 1e-13, (deg, gap)
+
+    def test_rejects_factor_zero_outside_disc(self):
+        """|lam| >= 1 is no disc automorphism and is refused."""
+        f = polynomial([1.0, 2.0])
+        for lam in (1.0, -1j, 1.5):
+            with pytest.raises(ValueError):
+                compose_with_blaschke_factor(f, lam, 4)
+
+    def test_rejects_negative_degree(self):
+        """A truncation degree below zero is refused."""
+        with pytest.raises(ValueError):
+            compose_with_blaschke_factor(polynomial([1.0, 2.0]), 0.3, -1)
+
+    def test_short_window_is_head_of_longer(self):
+        """N below the degree of f keeps N+1 coefficients, the head of a
+        longer composition."""
+        rng = np.random.default_rng(43)
+        f = polynomial(rng.normal(size=13) + 1j * rng.normal(size=13))
+        lam = 0.6 - 0.3j
+        long = compose_with_blaschke_factor(f, lam, 60).coeffs
+        for N in (0, 1, 5, 11):
+            short = compose_with_blaschke_factor(f, lam, N).coeffs
+            assert short.shape == (N + 1,)
+            np.testing.assert_allclose(short, long[: N + 1], rtol=1e-14, atol=0)
 
 
 class TestPolicyTruncation:
