@@ -20,8 +20,10 @@ On the one-point family sigma = {lam, ..., lam}, where the inequality is
 sharp as n -> infinity and r -> 1, the disc automorphism z = b_r(v) turns
 the basis into the monomials v^k and the same Gram into an n x n banded
 matrix (:func:`one_point_constant`).  That route needs no basis and no
-truncation; it answers every one-point constant unless a truncation is asked
-for explicitly, and E stays its test oracle.
+truncation.  Whether sigma is one point is the only thing that picks the
+route (:func:`bernstein_constant_sigma`); :func:`constant_from_basis` reads
+the constant off any built basis, which keeps E the banded route's test
+oracle.
 
 The closed-form envelopes bracketing the one-point family, the growth
 comparison for the Hardy target, the audit of a closed form that fails
@@ -163,19 +165,18 @@ def one_point_constant(sigma: PoleConfiguration, target: NormKind) -> BernsteinR
 
 
 def bernstein_constant_sigma(
-    sigma: PoleConfiguration, target: NormKind, trunc: int | None = None
+    sigma: PoleConfiguration, target: NormKind
 ) -> BernsteinResult:
     """Exact norm of differentiation on the model space of ``sigma``.
 
-    A one-point ``sigma`` with no explicit truncation takes the banded route
-    of :func:`one_point_constant`; every other call builds the Malmquist
-    matrix E and reads the constant off it.
+    A one-point ``sigma`` takes the banded route of
+    :func:`one_point_constant`; any other builds the Malmquist matrix E at
+    the policy truncation and reads the constant off it.
     """
     _check_target(target)
-    if trunc is None and sigma.is_one_point:
+    if sigma.is_one_point:
         return one_point_constant(sigma, target)
-    basis = malmquist_basis_auto(sigma, trunc)
-    return constant_from_basis(basis, target)
+    return constant_from_basis(malmquist_basis_auto(sigma), target)
 
 
 def eq4_envelope(n: int, r: float) -> BoundEnvelope:
@@ -225,12 +226,12 @@ class EnPrimeAudit:
         return self.numeric_sq - self.closed_form_sq
 
 
-def en_prime_bergman_audit(n: int, r: float, trunc: int | None = None) -> EnPrimeAudit:
+def en_prime_bergman_audit(n: int, r: float) -> EnPrimeAudit:
     from .quadrature import DiscQuadrature, bergman_norm_quadrature
 
     if n < 1 or not 0.0 <= r < 1.0:
         raise ValueError("need n >= 1 and r in [0, 1)")
-    basis = malmquist_basis_auto(PoleConfiguration.one_point(n, r), trunc)
+    basis = malmquist_basis_auto(PoleConfiguration.one_point(n, r))
     deriv = differentiate(basis.element(n - 1))
     numeric = norm_sq(deriv, NormKind.BERGMAN)
     quad = bergman_norm_quadrature(
@@ -245,16 +246,14 @@ def default_alternation_depth(n: int) -> int:
     return 2 * (int(math.isqrt(n)) // 2)
 
 
-def step2_test_function(
-    n: int, r: float, s: int, trunc: int | None = None
-) -> TaylorSeries:
+def step2_test_function(n: int, r: float, s: int) -> TaylorSeries:
     """Alternating tail sum f = sum_{k=0}^{s+2} (-1)^k e_{n-k} on the
     one-point space; its squared Hardy norm is s + 3 by orthonormality."""
     if s < 0 or s % 2 != 0:
         raise ValueError("alternation depth must be even and nonnegative")
     if s + 2 >= n:
         raise ValueError(f"depth {s} underflows the basis of dimension {n}")
-    basis = malmquist_basis_auto(PoleConfiguration.one_point(n, r), trunc)
+    basis = malmquist_basis_auto(PoleConfiguration.one_point(n, r))
     k = np.arange(s + 3)
     a = np.zeros(n)
     a[n - 1 - k] = (-1.0) ** k
@@ -316,9 +315,7 @@ class Step2Report:
         )
 
 
-def step2_expansion_check(
-    n: int, r: float, coords: Sequence[complex], trunc: int | None = None
-) -> Step2Report:
+def step2_expansion_check(n: int, r: float, coords: Sequence[complex]) -> Step2Report:
     """Evaluate both sides of the derivative-norm expansion for
     f = sum coords[k] e_{k+1} on the one-point space at radius r."""
     a = np.asarray(coords, dtype=np.complex128)
@@ -346,7 +343,7 @@ def step2_expansion_check(
     eq18_norm = norm(B, NormKind.BERGMAN)
     eq18_bound = r * f_norm
 
-    basis = malmquist_basis_auto(PoleConfiguration.one_point(n, r), trunc)
+    basis = malmquist_basis_auto(PoleConfiguration.one_point(n, r))
     f = basis.combine(a)
     fprime_bergman = norm(differentiate(f), NormKind.BERGMAN)
     diff = polynomial(A.coeffs - B.coeffs)
@@ -394,7 +391,7 @@ class RatioRow:
 
 
 def asymptotic_ratio_sweep(
-    r: float, n_list: Sequence[int], target: NormKind, trunc: int | None = None
+    r: float, n_list: Sequence[int], target: NormKind
 ) -> list[RatioRow]:
     """One-point constants against their growth laws.
 
@@ -407,7 +404,7 @@ def asymptotic_ratio_sweep(
     limit = math.sqrt(q) if bergman else q
     rows = []
     for n in n_list:
-        res = bernstein_constant_sigma(PoleConfiguration.one_point(n, r), target, trunc)
+        res = bernstein_constant_sigma(PoleConfiguration.one_point(n, r), target)
         ratio = res.constant / (math.sqrt(n) if bergman else n)
         rows.append(
             RatioRow(

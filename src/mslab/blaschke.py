@@ -248,14 +248,11 @@ def malmquist_basis(sigma: PoleConfiguration, N: int) -> MalmquistBasis:
     return MalmquistBasis(sigma, mat, _cauchy_tail_bounds(pts, N), defect)
 
 
-def malmquist_basis_auto(
-    sigma: PoleConfiguration, trunc: int | None = None
-) -> MalmquistBasis:
+def malmquist_basis_auto(sigma: PoleConfiguration) -> MalmquistBasis:
     """Basis at the policy truncation, doubling up to twice if certification
     fails; a truncation that cannot be allocated is refused at once, since a
-    doubled one only asks for more memory."""
-    if trunc is not None:
-        return malmquist_basis(sigma, trunc)
+    doubled one only asks for more memory.  A fixed truncation is
+    :func:`malmquist_basis`."""
     N = policy_truncation(sigma.n, sigma.radius)
     last: CertificationError | None = None
     for _ in range(3):

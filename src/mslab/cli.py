@@ -18,21 +18,24 @@ failure).  ``residual`` is the eigensolver certificate for computed
 quantities, the cross-oracle gap for audit rows, and 0 for closed-form bound
 rows.  ``trunc`` is the series length behind a row; one-point ``bernstein``,
 ``interp`` and ``asymptotics`` rows come from the n x n banded operator,
-have no series behind them and carry ``trunc`` = n unless ``--trunc`` asks
-for the basis route.  Human-oriented summaries go to stderr so redirected
+have no series behind them and carry ``trunc`` = n.  Whether a
+configuration is one point is the only thing that picks the route; no
+option overrides it.  Human-oriented summaries go to stderr so redirected
 stdout stays machine-readable.
 
 Exit codes: 0 success, 1 invariant or bracket failure, 2 usage error,
-3 numerical certification failure (truncation or eigensolver).
+3 numerical certification failure (truncation, eigensolver or memory).
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import functools
 import io
 import json
+import operator
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -66,13 +69,14 @@ EXIT_INVARIANT = 1
 EXIT_USAGE = 2
 EXIT_NUMERICAL = 3
 
-CSV_FIELDS = ("n", "r", "sigma", "quantity", "value", "lower", "upper", "trunc", "residual")
-
 BRACKET_SLACK = 1e-9
 
 
 @dataclass(frozen=True)
 class OutputRow:
+    """One output row; its fields, in order, are the CSV columns and the
+    JSON keys."""
+
     n: int
     r: float
     sigma: str
@@ -84,8 +88,8 @@ class OutputRow:
     residual: float
 
 
-def _fmt(x: float | None) -> str:
-    return "" if x is None else f"{x:.17g}"
+CSV_FIELDS = tuple(field.name for field in dataclasses.fields(OutputRow))
+_row_values = operator.attrgetter(*CSV_FIELDS)
 
 
 def _sorted_rows(rows: list[OutputRow]) -> list[OutputRow]:
@@ -97,38 +101,15 @@ def _rows_to_csv(rows: list[OutputRow]) -> str:
     writer = csv.writer(buf, quoting=csv.QUOTE_MINIMAL, lineterminator="\n")
     writer.writerow(CSV_FIELDS)
     for row in _sorted_rows(rows):
-        writer.writerow(
-            [
-                str(row.n),
-                _fmt(row.r),
-                row.sigma,
-                row.quantity,
-                _fmt(row.value),
-                _fmt(row.lower),
-                _fmt(row.upper),
-                str(row.trunc),
-                _fmt(row.residual),
-            ]
-        )
+        # Floats to 17 digits; csv writes integers and text as they are and
+        # None as an empty cell.
+        writer.writerow([f"{x:.17g}" if isinstance(x, float) else x for x in _row_values(row)])
     return buf.getvalue()
 
 
 def _rows_to_json(rows: list[OutputRow]) -> str:
-    # One object per line, field names identical to the CSV columns.
     lines = [
-        json.dumps(
-            {
-                "n": row.n,
-                "r": row.r,
-                "sigma": row.sigma,
-                "quantity": row.quantity,
-                "value": row.value,
-                "lower": row.lower,
-                "upper": row.upper,
-                "trunc": row.trunc,
-                "residual": row.residual,
-            }
-        )
+        json.dumps(dict(zip(CSV_FIELDS, _row_values(row))))
         for row in _sorted_rows(rows)
     ]
     return "\n".join(lines) + "\n"
@@ -163,18 +144,6 @@ def _emit_rows(rows: list[OutputRow], fmt: str, out: str | None) -> int:
     return EXIT_INVARIANT if violations else EXIT_OK
 
 
-def _trunc_arg(text: str) -> int | None:
-    if text == "auto":
-        return None
-    try:
-        value = int(text)
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError("expected 'auto' or a positive integer") from exc
-    if value <= 0:
-        raise argparse.ArgumentTypeError("truncation length must be positive")
-    return value
-
-
 def _int_list(text: str) -> list[int]:
     try:
         values = [int(part) for part in text.split(",") if part.strip() != ""]
@@ -196,7 +165,7 @@ def _float_list(text: str) -> list[float]:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    results = run_all(seed=args.seed, gram_perturbation=args.perturb_gram)
+    results = run_all(seed=args.seed)
     if args.format == "json":
         lines = [
             json.dumps({"name": res.name, "passed": res.passed, "detail": res.detail})
@@ -226,11 +195,9 @@ def cmd_bernstein(args: argparse.Namespace) -> int:
     rows: list[OutputRow] = []
     strict_failures = []
     for sigma in configs:
-        # A one-point configuration takes the banded route and needs no basis
-        # unless --trunc asks for one; otherwise one basis serves every target.
-        basis = None
-        if not (sigma.is_one_point and args.trunc is None):
-            basis = malmquist_basis_auto(sigma, args.trunc)
+        # A one-point configuration takes the banded route and needs no
+        # basis; otherwise one basis serves every target.
+        basis = None if sigma.is_one_point else malmquist_basis_auto(sigma)
         for target in _TARGETS[args.target]:
             if basis is None:
                 res = one_point_constant(sigma, target)
@@ -292,7 +259,7 @@ def cmd_interp(args: argparse.Namespace) -> int:
         r = abs(sigma.points[0]) if one_point else sigma.radius
         if args.bounds and one_point and sigma.n == 1:
             interp_lower_eq9(sigma.n, r)  # raises the explanatory error
-        res = interp_exact(sigma, trunc=args.trunc) if want_exact else None
+        res = interp_exact(sigma) if want_exact else None
         if res is not None:
             rows.append(
                 OutputRow(
@@ -311,11 +278,11 @@ def cmd_interp(args: argparse.Namespace) -> int:
             if res is not None:
                 upper_proj = res.upper_projection
                 trunc_len = res.trunc_len
-            elif one_point and args.trunc is None:
+            elif one_point:
                 upper_proj = one_point_upper_projection(sigma)
                 trunc_len = sigma.n
             else:
-                basis = malmquist_basis_auto(sigma, args.trunc)
+                basis = malmquist_basis_auto(sigma)
                 upper_proj = interp_upper_projection(basis)
                 trunc_len = basis.trunc_len
             upper_env = None
@@ -382,7 +349,7 @@ def cmd_asymptotics(args: argparse.Namespace) -> int:
         print("n-list must be strictly ascending", file=sys.stderr)
         return EXIT_USAGE
     target = NormKind.BERGMAN if args.target == "bergman" else NormKind.HARDY
-    sweep = asymptotic_ratio_sweep(r, args.n_list, target, args.trunc)
+    sweep = asymptotic_ratio_sweep(r, args.n_list, target)
     gaps = [row.gap for row in sweep]
     monotone = all(b <= a + BRACKET_SLACK for a, b in zip(gaps, gaps[1:]))
     rows: list[OutputRow] = []
@@ -424,7 +391,7 @@ def cmd_audit(args: argparse.Namespace) -> int:
     strict_failures = 0
     for n in args.n_list:
         for r in args.r_list:
-            audit = en_prime_bergman_audit(n, r, trunc=args.trunc)
+            audit = en_prime_bergman_audit(n, r)
             cross = abs(audit.numeric_sq - audit.quadrature_sq)
             rows.append(
                 OutputRow(
@@ -466,13 +433,6 @@ def cmd_audit(args: argparse.Namespace) -> int:
 def _add_output_options(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--format", choices=("csv", "json"), default="csv")
     sub.add_argument("--out", metavar="PATH", default=None, help="write to a file instead of stdout")
-    sub.add_argument(
-        "--trunc",
-        type=_trunc_arg,
-        default=None,
-        metavar="N|auto",
-        help="series truncation length (default: auto policy)",
-    )
 
 
 @functools.cache  # built once per process; nothing mutates it or its list defaults
@@ -487,7 +447,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--seed", type=int, default=0)
     p_verify.add_argument("--format", choices=("text", "json"), default="text")
     p_verify.add_argument("--out", metavar="PATH", default=None)
-    p_verify.add_argument("--perturb-gram", type=float, default=0.0, help=argparse.SUPPRESS)
     p_verify.set_defaults(func=cmd_verify)
 
     p_bern = sub.add_parser("bernstein", help="derivative constants of configurations")
@@ -547,6 +506,9 @@ def main(argv: Sequence[str] | None = None) -> int:
         return args.func(args)
     except CertificationError as exc:
         print(f"numerical certification failure: {exc}", file=sys.stderr)
+        return EXIT_NUMERICAL
+    except MemoryError as exc:
+        print(f"out of memory: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
     except ValueError as exc:
         print(f"invalid input: {exc}", file=sys.stderr)

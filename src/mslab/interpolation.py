@@ -42,9 +42,11 @@ constraint rows and no min-norm solve (:func:`one_point_interp`):
 * Rotating lam by theta multiplies coordinate k by e^{-i k theta}, a
   unitary change that leaves both eigenvalues alone.
 
-This route answers one-point configurations unless a truncation is asked
-for; its rows carry ``trunc_len`` = n and no witness functions, and the E
-route stays its test oracle.
+Whether sigma is one point is the only thing that picks the route
+(:func:`interp_exact`).  Banded results carry ``trunc_len`` = n and no
+witness functions; :func:`interp_from_basis` takes any built basis, which
+keeps E the banded route's test oracle and gives one-point configurations
+witnesses.
 
 The closed-form companions: an upper bound from interpolating by the
 projection itself, sqrt(lambda_max(E^* diag(k+1) E)), which equals
@@ -78,6 +80,7 @@ __all__ = [
     "InterpResult",
     "Eq9Bounds",
     "interp_exact",
+    "interp_from_basis",
     "one_point_interp",
     "one_point_upper_projection",
     "interp_upper_projection",
@@ -97,8 +100,8 @@ class InterpResult:
     norm); ``witness_g`` is its minimum Dirichlet-norm interpolant, so
     ``witness_g`` agrees with ``witness_f`` on the configuration and
     ||witness_g||_D equals the constant.  Both are ``None`` on the one-point
-    banded route, which builds no series; pass a truncation to
-    :func:`interp_exact` to get them.
+    banded route, which builds no series; :func:`interp_from_basis` on a
+    built basis sets them for any configuration.
     """
 
     sigma: PoleConfiguration
@@ -179,21 +182,30 @@ def _apply_rows(A: np.ndarray, f: TaylorSeries) -> np.ndarray:
     return A[:, :L] @ f.coeffs[:L]
 
 
-def interp_exact(sigma: PoleConfiguration, trunc: int | None = None) -> InterpResult:
+def interp_exact(sigma: PoleConfiguration) -> InterpResult:
     """Exact interpolation constant of a configuration.
 
-    A one-point ``sigma`` with no explicit truncation takes the banded route
-    of :func:`one_point_interp`, which reports no witnesses.  Every other
-    call builds the Malmquist basis E, solves the minimum Dirichlet-norm
-    problem for the traces A E of all basis elements in one dual-Gram solve,
-    and takes the top eigenvalue of the Dirichlet Gram of the resulting
-    L x n matrix of interpolants.  Raises :class:`CertificationError` for
-    configurations with distinct points closer than 1e-8, derivative
-    functionals that overflow, or ill-conditioned trace systems.
+    A one-point ``sigma`` takes the banded route of :func:`one_point_interp`,
+    which reports no witnesses; any other goes through
+    :func:`interp_from_basis` on the basis at the policy truncation.
     """
-    if trunc is None and sigma.is_one_point:
+    if sigma.is_one_point:
         return one_point_interp(sigma)
-    basis = malmquist_basis_auto(sigma, trunc)
+    return interp_from_basis(malmquist_basis_auto(sigma))
+
+
+def interp_from_basis(basis: MalmquistBasis) -> InterpResult:
+    """Exact interpolation constant on a built Malmquist basis E, with
+    witnesses.
+
+    Solves the minimum Dirichlet-norm problem for the traces A E of all basis
+    elements in one dual-Gram solve and takes the top eigenvalue of the
+    Dirichlet Gram of the resulting L x n matrix of interpolants.  Raises
+    :class:`CertificationError` for configurations with distinct points
+    closer than 1e-8, derivative functionals that overflow, or
+    ill-conditioned trace systems.
+    """
+    sigma = basis.sigma
     L = basis.trunc_len
     A = _constraint_rows(sigma, L)
     weights = NormKind.DIRICHLET.weights(L)
@@ -320,16 +332,14 @@ def interp_lower_eq9(n: int, abs_lam: float) -> Eq9Bounds:
     return Eq9Bounds(eq9, eq10_left)
 
 
-def theoremB_test_function(
-    n: int, lam: complex, trunc: int | None = None
-) -> TaylorSeries:
+def theoremB_test_function(n: int, lam: complex) -> TaylorSeries:
     """Competitor sum_{k=0}^{n-1} sqrt(1-|lam|^2) b_lam^k / (1 - conj(lam) z),
     i.e. the sum of all Malmquist elements of the one-point configuration;
     squared Hardy norm n.  Composed with b_lam at real lam = -r it collapses
     to (1-r^2)^{-1/2} (1 + (1+r)(z + ... + z^{n-1}) + r z^n)."""
     if n < 1:
         raise ValueError("need n >= 1")
-    basis = malmquist_basis_auto(PoleConfiguration.one_point(n, lam), trunc)
+    basis = malmquist_basis_auto(PoleConfiguration.one_point(n, lam))
     return basis.combine(np.ones(n))
 
 

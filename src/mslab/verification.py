@@ -5,11 +5,6 @@ panels and fixed tolerances, and reports a stable one-line detail, so two
 runs with the same seed produce byte-identical output.  The suite is meant
 to be cheap enough to run routinely; the acceptance tests scale the same
 properties up.
-
-``gram_perturbation`` is a harness hook: a nonzero value is injected into
-one entry of the orthonormality Gram before the defect is measured, which
-must flip the orthonormality check to FAIL (negative control for the exit
-path of the CLI).
 """
 
 from __future__ import annotations
@@ -79,7 +74,7 @@ def _random_sigma(rng: np.random.Generator, max_n: int = 8, max_r: float = 0.8) 
     return PoleConfiguration(tuple(complex(p) for p in rad * np.exp(1j * ang)))
 
 
-def _check_norm_splitting(rng: np.random.Generator, _: float) -> CheckResult:
+def _check_norm_splitting(rng: np.random.Generator) -> CheckResult:
     worst = 0.0
     for _i in range(200):
         f = _random_series(rng)
@@ -91,7 +86,7 @@ def _check_norm_splitting(rng: np.random.Generator, _: float) -> CheckResult:
     )
 
 
-def _check_norm_homogeneity(rng: np.random.Generator, _: float) -> CheckResult:
+def _check_norm_homogeneity(rng: np.random.Generator) -> CheckResult:
     worst = 0.0
     for _i in range(100):
         f = _random_series(rng)
@@ -105,7 +100,7 @@ def _check_norm_homogeneity(rng: np.random.Generator, _: float) -> CheckResult:
     )
 
 
-def _check_kernel_tail(rng: np.random.Generator, _: float) -> CheckResult:
+def _check_kernel_tail(rng: np.random.Generator) -> CheckResult:
     ok = True
     worst = 0.0
     for lam in (0.0, 0.3j, 0.5, -0.7, 0.8 * np.exp(1j * 0.9)):
@@ -120,7 +115,7 @@ def _check_kernel_tail(rng: np.random.Generator, _: float) -> CheckResult:
     )
 
 
-def _check_composition_evaluation(rng: np.random.Generator, _: float) -> CheckResult:
+def _check_composition_evaluation(rng: np.random.Generator) -> CheckResult:
     worst = 0.0
     for _i in range(20):
         deg = int(rng.integers(0, 13))
@@ -137,7 +132,7 @@ def _check_composition_evaluation(rng: np.random.Generator, _: float) -> CheckRe
     )
 
 
-def _check_composition_involution(rng: np.random.Generator, _: float) -> CheckResult:
+def _check_composition_involution(rng: np.random.Generator) -> CheckResult:
     worst = 0.0
     for lam in (0.4, -0.3 + 0.2j):
         f = polynomial(rng.normal(size=9) + 1j * rng.normal(size=9))
@@ -151,7 +146,7 @@ def _check_composition_involution(rng: np.random.Generator, _: float) -> CheckRe
     )
 
 
-def _check_orthonormality(rng: np.random.Generator, perturb: float) -> CheckResult:
+def _check_orthonormality(rng: np.random.Generator) -> CheckResult:
     worst = 0.0
     sigmas = [_random_sigma(rng) for _ in range(10)]
     sigmas.append(PoleConfiguration.one_point(8, 0.8))
@@ -161,15 +156,13 @@ def _check_orthonormality(rng: np.random.Generator, perturb: float) -> CheckResu
         except CertificationError as exc:
             return CheckResult("blaschke.orthonormality", False, str(exc))
         gram = basis.matrix.conj().T @ basis.matrix
-        if perturb != 0.0 and sig.n >= 2:
-            gram = gram + perturb * np.eye(sig.n, k=1)
         worst = max(worst, float(np.max(np.abs(gram - np.eye(sig.n)))))
     return CheckResult(
         "blaschke.orthonormality", worst <= 1e-10, f"max Gram defect {worst:.3e}"
     )
 
 
-def _check_projection(rng: np.random.Generator, _: float) -> CheckResult:
+def _check_projection(rng: np.random.Generator) -> CheckResult:
     worst_fix = worst_contract = 0.0
     for _i in range(10):
         sig = _random_sigma(rng, max_n=6)
@@ -206,7 +199,7 @@ def _projection_residual(f: TaylorSeries, basis: MalmquistBasis) -> TaylorSeries
     return polynomial(resid)
 
 
-def _check_projection_trace(rng: np.random.Generator, _: float) -> CheckResult:
+def _check_projection_trace(rng: np.random.Generator) -> CheckResult:
     worst = 0.0
     for _i in range(10):
         sig = _random_sigma(rng, max_n=6)
@@ -220,7 +213,7 @@ def _check_projection_trace(rng: np.random.Generator, _: float) -> CheckResult:
     )
 
 
-def _check_multiplicity_recentering(rng: np.random.Generator, _: float) -> CheckResult:
+def _check_multiplicity_recentering(rng: np.random.Generator) -> CheckResult:
     worst = 0.0
     for lam, m in ((0.4, 2), (-0.2 + 0.3j, 3)):
         sig = PoleConfiguration((lam,) * m + (0.1 - 0.5j,))
@@ -236,7 +229,7 @@ def _check_multiplicity_recentering(rng: np.random.Generator, _: float) -> Check
     )
 
 
-def _check_rotation_covariance(rng: np.random.Generator, _: float) -> CheckResult:
+def _check_rotation_covariance(rng: np.random.Generator) -> CheckResult:
     worst = 0.0
     sig = _random_sigma(rng, max_n=5, max_r=0.7)
     theta = 0.7
@@ -255,7 +248,7 @@ def _check_rotation_covariance(rng: np.random.Generator, _: float) -> CheckResul
     )
 
 
-def _check_rayleigh(rng: np.random.Generator, _: float) -> CheckResult:
+def _check_rayleigh(rng: np.random.Generator) -> CheckResult:
     worst = -math.inf
     for _i in range(5):
         d = int(rng.integers(2, 13))
@@ -271,7 +264,7 @@ def _check_rayleigh(rng: np.random.Generator, _: float) -> CheckResult:
     )
 
 
-def _check_congruence(rng: np.random.Generator, _: float) -> CheckResult:
+def _check_congruence(rng: np.random.Generator) -> CheckResult:
     worst = 0.0
     for _i in range(5):
         d = int(rng.integers(2, 9))
@@ -290,7 +283,7 @@ def _check_congruence(rng: np.random.Generator, _: float) -> CheckResult:
     )
 
 
-def _check_min_norm(rng: np.random.Generator, _: float) -> CheckResult:
+def _check_min_norm(rng: np.random.Generator) -> CheckResult:
     L = 12
     w = NormKind.DIRICHLET.weights(L)
     A = np.power([[0.3], [-0.4]], np.arange(L)).astype(np.complex128)
@@ -314,7 +307,7 @@ def _check_min_norm(rng: np.random.Generator, _: float) -> CheckResult:
     )
 
 
-def _check_quadrature_agreement(rng: np.random.Generator, _: float) -> CheckResult:
+def _check_quadrature_agreement(rng: np.random.Generator) -> CheckResult:
     worst = 0.0
     for _i in range(100):
         deg = int(rng.integers(0, 65))
@@ -330,7 +323,7 @@ def _check_quadrature_agreement(rng: np.random.Generator, _: float) -> CheckResu
     )
 
 
-def _check_quadrature_aliasing(rng: np.random.Generator, _: float) -> CheckResult:
+def _check_quadrature_aliasing(rng: np.random.Generator) -> CheckResult:
     f = polynomial([1.0] + [0.0] * 15 + [1.0])
     exact = hardy_norm_circle(f, 34)
     aliased = hardy_norm_circle(f, 16, allow_inexact=True)
@@ -340,7 +333,7 @@ def _check_quadrature_aliasing(rng: np.random.Generator, _: float) -> CheckResul
     )
 
 
-def _check_bernstein_hand_values(rng: np.random.Generator, _: float) -> CheckResult:
+def _check_bernstein_hand_values(rng: np.random.Generator) -> CheckResult:
     worst = 0.0
     cases = [
         (PoleConfiguration((0.0, 0.0)), 1.0),
@@ -357,7 +350,7 @@ def _check_bernstein_hand_values(rng: np.random.Generator, _: float) -> CheckRes
     )
 
 
-def _check_bernstein_homogeneity(rng: np.random.Generator, _: float) -> CheckResult:
+def _check_bernstein_homogeneity(rng: np.random.Generator) -> CheckResult:
     sig = _random_sigma(rng, max_n=5, max_r=0.6)
     basis = malmquist_basis_auto(sig)
     E = basis.matrix
@@ -371,7 +364,7 @@ def _check_bernstein_homogeneity(rng: np.random.Generator, _: float) -> CheckRes
     )
 
 
-def _check_bernstein_rotation(rng: np.random.Generator, _: float) -> CheckResult:
+def _check_bernstein_rotation(rng: np.random.Generator) -> CheckResult:
     worst = 0.0
     for _i in range(3):
         sig = _random_sigma(rng, max_n=5, max_r=0.7)
@@ -385,7 +378,7 @@ def _check_bernstein_rotation(rng: np.random.Generator, _: float) -> CheckResult
     )
 
 
-def _check_bernstein_nesting(rng: np.random.Generator, _: float) -> CheckResult:
+def _check_bernstein_nesting(rng: np.random.Generator) -> CheckResult:
     worst = -math.inf
     for r in (0.0, 0.5):
         prev = 0.0
@@ -400,7 +393,7 @@ def _check_bernstein_nesting(rng: np.random.Generator, _: float) -> CheckResult:
     )
 
 
-def _check_bernstein_chain(rng: np.random.Generator, _: float) -> CheckResult:
+def _check_bernstein_chain(rng: np.random.Generator) -> CheckResult:
     worst = -math.inf
     for _i in range(8):
         sig = _random_sigma(rng, max_n=6)
@@ -419,7 +412,7 @@ def _check_bernstein_chain(rng: np.random.Generator, _: float) -> CheckResult:
     )
 
 
-def _check_bernstein_member_domination(rng: np.random.Generator, _: float) -> CheckResult:
+def _check_bernstein_member_domination(rng: np.random.Generator) -> CheckResult:
     worst = -math.inf
     sig = _random_sigma(rng, max_n=6)
     basis = malmquist_basis_auto(sig)
@@ -432,7 +425,7 @@ def _check_bernstein_member_domination(rng: np.random.Generator, _: float) -> Ch
     )
 
 
-def _check_bernstein_step2(rng: np.random.Generator, _: float) -> CheckResult:
+def _check_bernstein_step2(rng: np.random.Generator) -> CheckResult:
     worst = 0.0
     ok = True
     for _i in range(10):
@@ -447,7 +440,7 @@ def _check_bernstein_step2(rng: np.random.Generator, _: float) -> CheckResult:
     )
 
 
-def _check_enprime_crosscheck(rng: np.random.Generator, _: float) -> CheckResult:
+def _check_enprime_crosscheck(rng: np.random.Generator) -> CheckResult:
     worst = 0.0
     for n in (2, 5, 8):
         for r in (0.0, 0.5):
@@ -461,26 +454,27 @@ def _check_enprime_crosscheck(rng: np.random.Generator, _: float) -> CheckResult
     )
 
 
-def _check_interp_hand_values(rng: np.random.Generator, _: float) -> CheckResult:
-    # Both routes: the banded one-point operator and, through an explicit
-    # truncation, the Malmquist basis with its min-norm solve.
+def _check_interp_hand_values(rng: np.random.Generator) -> CheckResult:
+    # Both routes: the banded one-point operator and the Malmquist basis with
+    # its min-norm solve.  The origin pair attains its projection bound.
     worst = 0.0
-    for lam in (0.0, 0.5):
-        sig = PoleConfiguration((lam,))
-        for trunc in (None, policy_truncation(1, abs(lam))):
-            res = ip.interp_exact(sig, trunc)
-            worst = max(worst, abs(res.exact - ip.single_point_closed_form(abs(lam))))
-    sig = PoleConfiguration((0.0, 0.0))
-    for trunc in (None, policy_truncation(2, 0.0)):
-        res = ip.interp_exact(sig, trunc)
-        worst = max(worst, abs(res.exact - math.sqrt(2.0)))
-        worst = max(worst, abs(res.exact - res.upper_projection))
+    for points, expect in (
+        ((0.0,), ip.single_point_closed_form(0.0)),
+        ((0.5,), ip.single_point_closed_form(0.5)),
+        ((0.0, 0.0), math.sqrt(2.0)),
+    ):
+        sig = PoleConfiguration(points)
+        basis = malmquist_basis_auto(sig)
+        for res in (ip.interp_exact(sig), ip.interp_from_basis(basis)):
+            worst = max(worst, abs(res.exact - expect))
+            if sig.n == 2:
+                worst = max(worst, abs(res.exact - res.upper_projection))
     return CheckResult(
         "interp.hand-values", worst <= 1e-9, f"max deviation {worst:.3e}"
     )
 
 
-def _check_interp_bracket(rng: np.random.Generator, _: float) -> CheckResult:
+def _check_interp_bracket(rng: np.random.Generator) -> CheckResult:
     worst = -math.inf
     for n in (2, 3, 4, 6):
         for r in (0.0, 0.5):
@@ -499,7 +493,7 @@ def _check_interp_bracket(rng: np.random.Generator, _: float) -> CheckResult:
     )
 
 
-def _check_interp_rotation(rng: np.random.Generator, _: float) -> CheckResult:
+def _check_interp_rotation(rng: np.random.Generator) -> CheckResult:
     sig = _random_sigma(rng, max_n=4, max_r=0.6)
     a = ip.interp_exact(sig).exact
     b = ip.interp_exact(sig.rotated(0.9)).exact
@@ -509,12 +503,11 @@ def _check_interp_rotation(rng: np.random.Generator, _: float) -> CheckResult:
     )
 
 
-def _check_interp_witness(rng: np.random.Generator, _: float) -> CheckResult:
+def _check_interp_witness(rng: np.random.Generator) -> CheckResult:
     worst = 0.0
     sig = _random_sigma(rng, max_n=5, max_r=0.7)
-    # An explicit truncation keeps the basis route, which carries witnesses,
-    # also for one-point draws.
-    res = ip.interp_exact(sig, policy_truncation(sig.n, sig.radius))
+    # The basis route carries witnesses, also for one-point draws.
+    res = ip.interp_from_basis(malmquist_basis_auto(sig))
     for lam in set(sig.points):
         worst = max(
             worst, abs(evaluate(res.witness_f, lam) - evaluate(res.witness_g, lam))
@@ -527,7 +520,7 @@ def _check_interp_witness(rng: np.random.Generator, _: float) -> CheckResult:
     )
 
 
-def _check_interp_reduction(rng: np.random.Generator, _: float) -> CheckResult:
+def _check_interp_reduction(rng: np.random.Generator) -> CheckResult:
     worst = -math.inf
     sig = _random_sigma(rng, max_n=4, max_r=0.6)
     res = ip.interp_exact(sig)
@@ -545,7 +538,7 @@ def _check_interp_reduction(rng: np.random.Generator, _: float) -> CheckResult:
     )
 
 
-def _check_interp_moebius(rng: np.random.Generator, _: float) -> CheckResult:
+def _check_interp_moebius(rng: np.random.Generator) -> CheckResult:
     worst = 0.0
     for _i in range(5):
         deg = int(rng.integers(1, 11))
@@ -564,7 +557,7 @@ def _check_interp_moebius(rng: np.random.Generator, _: float) -> CheckResult:
     )
 
 
-def _check_interp_envelope_order(rng: np.random.Generator, _: float) -> CheckResult:
+def _check_interp_envelope_order(rng: np.random.Generator) -> CheckResult:
     worst = -math.inf
     for n in (2, 4, 8, 12):
         for r in (0.0, 0.3, 0.5, 0.7):
@@ -578,7 +571,7 @@ def _check_interp_envelope_order(rng: np.random.Generator, _: float) -> CheckRes
     )
 
 
-_CHECKS: list[Callable[[np.random.Generator, float], CheckResult]] = [
+_CHECKS: list[Callable[[np.random.Generator], CheckResult]] = [
     _check_norm_splitting,
     _check_norm_homogeneity,
     _check_kernel_tail,
@@ -645,10 +638,10 @@ CHECK_NAMES = [
 ]
 
 
-def run_all(seed: int = 0, gram_perturbation: float = 0.0) -> list[CheckResult]:
+def run_all(seed: int = 0) -> list[CheckResult]:
     """Run every registered invariant check with a fresh seeded stream each."""
     results = []
     for i, fn in enumerate(_CHECKS):
         rng = np.random.default_rng(np.random.SeedSequence([seed, i]))
-        results.append(fn(rng, gram_perturbation))
+        results.append(fn(rng))
     return results

@@ -18,7 +18,7 @@ from mslab.bernstein import (
     step2_test_function,
     z2_upper_hardy,
 )
-from mslab.blaschke import PoleConfiguration, malmquist_basis_auto
+from mslab.blaschke import PoleConfiguration, malmquist_basis, malmquist_basis_auto
 from mslab.series import NormKind, differentiate, norm, norm_sq
 
 
@@ -200,9 +200,10 @@ class TestOnePointBandedRoute:
         )
 
     def test_explicit_truncation_takes_basis_route(self):
-        """An explicit truncation still builds E and reports its length."""
+        """A basis built at a fixed truncation gives the banded value and
+        reports its length."""
         sig = PoleConfiguration.one_point(4, 0.5)
-        res = bernstein_constant_sigma(sig, NormKind.BERGMAN, trunc=200)
+        res = constant_from_basis(malmquist_basis(sig, 200), NormKind.BERGMAN)
         assert res.trunc_len == 201
         np.testing.assert_allclose(
             res.constant,

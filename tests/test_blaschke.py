@@ -203,8 +203,8 @@ class TestMalmquistBasis:
             malmquist_basis(PoleConfiguration.one_point(6, 0.7), 8)
 
     def test_explicit_truncation_respected(self):
-        """Passing trunc pins the stored length."""
-        basis = malmquist_basis_auto(PoleConfiguration((0.5,)), trunc=96)
+        """A fixed truncation N stores N + 1 coefficients."""
+        basis = malmquist_basis(PoleConfiguration((0.5,)), 96)
         assert basis.trunc_len == 97
 
     @pytest.mark.parametrize("points", _ORACLE_PANEL.values(), ids=_ORACLE_PANEL.keys())

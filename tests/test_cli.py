@@ -1,5 +1,6 @@
 """Tests for the command line front end: schemas, exit codes, determinism."""
 
+import argparse
 import csv
 import io
 import json
@@ -12,10 +13,21 @@ import numpy as np
 import pytest
 
 import mslab
+from mslab import verification
 from mslab.blaschke import PoleConfiguration, malmquist_basis_auto
 from mslab.cli import build_parser, main
+from mslab.verification import CHECK_NAMES, CheckResult
 
 HEADER = "n,r,sigma,quantity,value,lower,upper,trunc,residual"
+
+# One valid invocation per subcommand.
+_VALID_ARGV = (
+    ["verify"],
+    ["bernstein", "--sigma", "0.3,0"],
+    ["interp", "--sigma", "0.3,0"],
+    ["asymptotics", "--n-list", "4,8"],
+    ["audit", "--n-list", "2", "--r-list", "0"],
+)
 
 
 def _run(capsys, argv):
@@ -30,6 +42,26 @@ def _module_env(**overrides):
     src = os.path.dirname(os.path.dirname(mslab.__file__))
     env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
     return env
+
+
+def _run_capped(argv):
+    """``python -m mslab argv`` in a child whose address space is capped at
+    3 GiB, so an allocation beyond the cap fails there and is never made."""
+    import resource
+
+    limit = 3 * 2**30
+
+    def cap_address_space():
+        resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+
+    return subprocess.run(
+        [sys.executable, "-m", "mslab", *argv],
+        capture_output=True,
+        text=True,
+        timeout=120,
+        env=_module_env(OPENBLAS_NUM_THREADS="1"),
+        preexec_fn=cap_address_space,
+    )
 
 
 def _parse_csv(text):
@@ -59,9 +91,14 @@ class TestVerifyCommand:
             assert set(obj) == {"name", "passed", "detail"}
             assert obj["passed"] is True
 
-    def test_injected_defect_fails(self, capsys):
-        """The hidden perturbation hook drives exit code 1 with one FAIL line."""
-        code, out, err = _run(capsys, ["verify", "--perturb-gram", "1e-6"])
+    def test_injected_defect_fails(self, capsys, monkeypatch):
+        """One failing check drives exit code 1 with one FAIL line."""
+        checks = list(verification._CHECKS)
+        checks[CHECK_NAMES.index("blaschke.orthonormality")] = lambda rng: CheckResult(
+            "blaschke.orthonormality", False, "injected"
+        )
+        monkeypatch.setattr(verification, "_CHECKS", checks)
+        code, out, err = _run(capsys, ["verify"])
         assert code == 1
         fails = [line for line in out.splitlines() if line.startswith("FAIL ")]
         assert len(fails) == 1 and "blaschke.orthonormality" in fails[0]
@@ -136,15 +173,6 @@ class TestBernsteinCommand:
         )
         assert code == 1
         assert "--strict-paper" in err
-
-    def test_insufficient_truncation_exits_three(self, capsys):
-        """A truncation too short to certify is a numerical failure."""
-        code, _, err = _run(
-            capsys,
-            ["bernstein", "--sigma", "one-point:n=6,r=0.7", "--trunc", "8"],
-        )
-        assert code == 3
-        assert "certification failure" in err
 
     def test_dimension_above_512_solves(self, capsys):
         """n = 520 at the origin gives the Bergman constant sqrt(n - 1)."""
@@ -226,28 +254,13 @@ class TestBernsteinCommand:
         matrix the allocator refuses exits 3 without a traceback; the limit
         is set in the child only, so nothing is allocated for real.  The
         configuration has two distinct points so that it needs a basis."""
-        import resource
-
-        limit = 3 * 2**30
-
-        def cap_address_space():
-            resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
-
-        proc = subprocess.run(
-            [sys.executable, "-m", "mslab", "bernstein", "--sigma", "0.99999999,0;0,0.5"],
-            capture_output=True,
-            text=True,
-            timeout=120,
-            env=_module_env(OPENBLAS_NUM_THREADS="1"),
-            preexec_fn=cap_address_space,
-        )
+        proc = _run_capped(["bernstein", "--sigma", "0.99999999,0;0,0.5"])
         assert proc.returncode == 3, proc.stderr
         assert "numerical certification failure: truncation 5843663464" in proc.stderr
         assert "Traceback" not in proc.stderr
 
-    def test_one_point_builds_no_basis_unless_truncated(self, capsys, monkeypatch):
-        """One-point configurations take the banded route; --trunc restores
-        the basis build."""
+    def test_one_point_builds_no_basis(self, capsys, monkeypatch):
+        """One-point configurations take the banded route."""
         builds = []
         build = mslab.blaschke.malmquist_basis
 
@@ -260,12 +273,6 @@ class TestBernsteinCommand:
         assert code == 0
         assert builds == []
         assert all(row["trunc"] == "4" for row in _parse_csv(out))
-        code, out, _ = _run(
-            capsys, ["bernstein", "--sigma", "one-point:n=4,r=0.9", "--trunc", "600"]
-        )
-        assert code == 0
-        assert builds == [600]
-        assert all(row["trunc"] == "601" for row in _parse_csv(out))
 
     def test_bad_sigma_exits_two(self, capsys):
         """Grammar violations are usage errors."""
@@ -312,11 +319,10 @@ class TestInterpCommand:
 
     def test_overflowing_dual_gram_exits_three(self, capsys, recwarn):
         """Derivative functionals that overflow are a numerical failure, not bad
-        input, and are refused without numpy overflow warnings.  --trunc
-        forces the basis route, whose constraint rows carry them."""
-        code, _, err = _run(
-            capsys, ["interp", "--sigma", "one-point:n=100,r=0.9", "--trunc", "2368"]
-        )
+        input, and are refused without numpy overflow warnings.  The second
+        point keeps the basis route, whose constraint rows carry them."""
+        spec = ";".join(["0.9,0"] * 99 + ["0.1,0"])
+        code, _, err = _run(capsys, ["interp", "--sigma", spec])
         assert code == 3
         assert "certification failure" in err
         assert "overflows at truncation 2369" in err
@@ -469,10 +475,56 @@ class TestOutputPlumbing:
         code, out, _ = _run(capsys, ["asymptotics", "--r", "0.3", "--n-list", "4,8"])
         assert code == 0 and out.startswith(HEADER)
 
-    def test_invalid_trunc_rejected(self, capsys):
-        """--trunc wants 'auto' or a positive integer."""
-        with pytest.raises(SystemExit):
-            main(["bernstein", "--sigma", "0.3,0", "--trunc", "-4"])
+    @pytest.mark.parametrize("knob", (["--trunc", "8"], ["--perturb-gram", "1e-6"]))
+    @pytest.mark.parametrize("argv", _VALID_ARGV, ids=lambda argv: argv[0])
+    def test_removed_knobs_are_usage_errors(self, capsys, argv, knob):
+        """No option overrides the route or the checks: --trunc and
+        --perturb-gram are unrecognized on every subcommand."""
+        with pytest.raises(SystemExit) as exc:
+            main(argv + knob)
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {' '.join(knob)}" in capsys.readouterr().err
+
+    def test_option_inventory(self):
+        """Each subcommand has exactly these options; a new one edits this test."""
+        (sub,) = [
+            action
+            for action in build_parser()._actions
+            if isinstance(action, argparse._SubParsersAction)
+        ]
+        inventory = {
+            name: sorted(opt for action in p._actions for opt in action.option_strings)
+            for name, p in sub.choices.items()
+        }
+        output = ["--format", "--out"]
+        assert inventory == {
+            "verify": sorted(["-h", "--help", "--seed", *output]),
+            "bernstein": sorted(
+                ["-h", "--help", "--sigma", "--target", "--seed", "--strict-paper", *output]
+            ),
+            "interp": sorted(["-h", "--help", "--sigma", "--seed", "--exact", "--bounds", *output]),
+            "asymptotics": sorted(["-h", "--help", "--r", "--n-list", "--target", *output]),
+            "audit": sorted(["-h", "--help", "--n-list", "--r-list", "--strict-paper", *output]),
+        }
+
+    @pytest.mark.parametrize(
+        "argv",
+        (
+            ["bernstein", "--sigma", "one-point:n=100000,r=0.5"],
+            ["interp", "--exact", "--sigma", "one-point:n=100000,r=0.5"],
+            ["asymptotics", "--n-list", "100000"],
+            ["audit", "--n-list", "2", "--r-list", "0.999"],
+        ),
+        ids=("bernstein", "interp", "asymptotics", "audit"),
+    )
+    def test_out_of_memory_exits_three(self, argv):
+        """An allocation the capped child cannot make (the 100000 x 100000
+        banded Gram, the 23453 x 23453 Legendre companion matrix of the audit's
+        quadrature rule) exits 3 with a one-line message and no traceback."""
+        proc = _run_capped(argv)
+        assert proc.returncode == 3, proc.stderr
+        assert proc.stderr.splitlines()[-1].startswith("out of memory: ")
+        assert "Traceback" not in proc.stderr
 
     def test_module_entry_point(self):
         """python -m mslab verify runs the suite in a fresh interpreter."""

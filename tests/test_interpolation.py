@@ -13,6 +13,7 @@ from mslab.interpolation import (
     Eq9Bounds,
     dirichlet_kernel_diag,
     interp_exact,
+    interp_from_basis,
     interp_lower_eq9,
     interp_upper_projection,
     one_point_interp,
@@ -24,7 +25,12 @@ from mslab.interpolation import (
     _constraint_rows,
     _corner_sum,
 )
-from mslab.blaschke import PoleConfiguration, malmquist_basis_auto, multiplicity_groups
+from mslab.blaschke import (
+    PoleConfiguration,
+    malmquist_basis,
+    malmquist_basis_auto,
+    multiplicity_groups,
+)
 from mslab.series import (
     NormKind,
     TaylorSeries,
@@ -146,8 +152,9 @@ class TestExactConstant:
 
     def test_multiplicity_matches_derivative(self):
         """At a double point the interpolant matches value and first derivative.
-        A one-point configuration needs an explicit truncation for witnesses."""
-        res = interp_exact(PoleConfiguration((0.3, 0.3)), trunc=policy_truncation(2, 0.3))
+        A one-point configuration gets witnesses from the basis route."""
+        sig = PoleConfiguration((0.3, 0.3))
+        res = interp_from_basis(malmquist_basis(sig, policy_truncation(2, 0.3)))
         f, g = res.witness_f, res.witness_g
         np.testing.assert_allclose(evaluate(g, 0.3), evaluate(f, 0.3), atol=1e-9)
         h = 1e-5
@@ -238,7 +245,8 @@ class TestOnePointInterpRoute:
         for n, r in ((2, 0.5), (6, 0.3 - 0.4j), (12, 0.66)):
             sig = PoleConfiguration.one_point(n, r)
             banded = interp_exact(sig)
-            via_basis = interp_exact(sig, trunc=policy_truncation(n, abs(r)))
+            assert banded.witness_f is None
+            via_basis = interp_from_basis(malmquist_basis(sig, policy_truncation(n, abs(r))))
             np.testing.assert_allclose(banded.exact, via_basis.exact, rtol=1e-10)
             assert banded.lower_eq9 == via_basis.lower_eq9
 
@@ -261,8 +269,9 @@ class TestOnePointInterpRoute:
         assert 0.0 <= res.residual <= 1e-10 * (1.0 + res.exact**2)
 
     def test_explicit_trunc_keeps_basis_route(self):
-        """An explicit truncation N still builds E and reports N + 1."""
-        res = interp_exact(PoleConfiguration.one_point(3, 0.4), trunc=200)
+        """A basis at a fixed truncation N gives the E route, which reports
+        N + 1 and carries witnesses."""
+        res = interp_from_basis(malmquist_basis(PoleConfiguration.one_point(3, 0.4), 200))
         assert res.trunc_len == 201
         assert res.witness_f is not None and res.witness_g is not None
 

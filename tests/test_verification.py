@@ -1,8 +1,27 @@
 """Tests for the deterministic invariant suite."""
 
+import dataclasses
+
 import pytest
 
+from mslab import verification
 from mslab.verification import CHECK_NAMES, CheckResult, run_all
+
+
+def _skew_bases(monkeypatch, delta):
+    """Make the suite's basis builder add delta times the first column of E
+    to the second, so that E^* E is off the identity by delta."""
+    build = verification.malmquist_basis_auto
+
+    def skewed(sigma):
+        basis = build(sigma)
+        if sigma.n < 2:
+            return basis
+        E = basis.matrix.copy()
+        E[:, 1] += delta * E[:, 0]
+        return dataclasses.replace(basis, matrix=E)
+
+    monkeypatch.setattr(verification, "malmquist_basis_auto", skewed)
 
 
 class TestRunAll:
@@ -40,13 +59,15 @@ class TestRunAll:
         """The invariants hold for fresh draws, not just the default ones."""
         assert all(res.passed for res in run_all(seed=7))
 
-    def test_perturbation_flips_exactly_the_targeted_check(self):
-        """A seeded Gram perturbation is caught by orthonormality and nothing else."""
-        results = run_all(seed=0, gram_perturbation=1e-6)
-        failed = [res.name for res in results if not res.passed]
-        assert failed == ["blaschke.orthonormality"]
+    def test_gram_defect_fails_orthonormality(self, monkeypatch):
+        """A basis whose Gram is off the identity by 1e-6 fails the
+        orthonormality check, which reports the defect."""
+        _skew_bases(monkeypatch, 1e-6)
+        (res,) = [res for res in run_all(seed=0) if res.name == "blaschke.orthonormality"]
+        assert not res.passed
+        assert res.detail == "max Gram defect 1.000e-06"
 
-    def test_tiny_perturbation_stays_green(self):
-        """A perturbation below the certification tolerance changes no verdict."""
-        results = run_all(seed=0, gram_perturbation=1e-12)
-        assert all(res.passed for res in results)
+    def test_tiny_perturbation_stays_green(self, monkeypatch):
+        """A Gram defect below the certification tolerance changes no verdict."""
+        _skew_bases(monkeypatch, 1e-12)
+        assert all(res.passed for res in run_all(seed=0))
