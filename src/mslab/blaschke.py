@@ -8,22 +8,30 @@ the Hardy space.  The Malmquist family
     e_1 = sqrt(1-|lam_1|^2) / (1 - conj(lam_1) z),
     e_k = b_{lam_1} ... b_{lam_{k-1}} sqrt(1-|lam_k|^2) / (1 - conj(lam_k) z),
 
-is an orthonormal basis of K_B in the Hardy pairing.  It is built by the
-two-term recurrence
+is an orthonormal basis of K_B in the Hardy pairing.  Its first L Taylor
+coefficients form the columns of one L x n coefficient matrix E, whose row m
+holds the m-th coefficients x_m of e_1..e_n.  Since K_B is invariant under
+the backward shift f -> (f - f(0))/z, the rows obey x_{m+1} = T x_m for the
+compressed shift T, an n x n lower-triangular matrix.  Taking coefficient m+1
+of the two-term recurrence
 
-    e_{k+1} = (s_{k+1}/s_k) (lam_k - z) e_k / (1 - conj(lam_{k+1}) z),
+    (1 - conj(lam_k) z) e_k = (s_k/s_{k-1}) (lam_{k-1} - z) e_{k-1},
     s_k = sqrt(1-|lam_k|^2),
 
-on a window of N+1 Taylor coefficients: the factor (lam_k - z) is a scale
-plus a one-place shift and the division is the stable first-order recurrence
-y_m = u_m + conj(lam_{k+1}) y_{m-1}, run by the one division routine of
-:mod:`mslab.series`, which its composition with a Blaschke factor shares.
-Both act causally on coefficients, so the stored coefficients of each element
-are its true Taylor coefficients up to rounding; only the tail beyond the
-truncation is missing.  The elements are the columns of one L x n coefficient
-matrix E, each with a Cauchy-estimate bound on the l2 mass of its tail, and
-construction certifies orthonormality of the computed Gram E^* E against the
-identity, refusing truncations too short to certify.
+gives it in closed form (j, k = 1..n):
+
+    x_0[j]  = e_j(0) = s_j lam_1 ... lam_{j-1},
+    T[j, j] = conj(lam_j),
+    T[j, k] = -s_j s_k prod_{k<i<j} lam_i   for j > k.
+
+T is the matrix, in the orthonormal basis e_1..e_n, of the compression of
+the backward shift to K_B, so ||T||_2 <= 1 and its powers never grow.  E is
+built by doubling: with the first d rows known, E[d:2d] = E[:d] (T^d)^T and
+the power is then squared, ceil(log2 L) matrix products whatever n is.  The recurrence is exact, so every stored row is a
+true Taylor coefficient up to rounding; only the tail beyond the truncation
+is missing.  Each column carries a Cauchy-estimate bound on the l2 mass of
+its tail, and construction certifies orthonormality of the computed Gram
+E^* E against the identity, refusing truncations too short to certify.
 
 A function of K_B is E a for a coefficient vector a, and the orthogonal
 projection onto K_B is E E^* in coefficient space.  Everything is invariant
@@ -40,7 +48,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CertificationError
-from .series import TaylorSeries, _divide_by_kernel_factor, policy_truncation
+from .series import _POWER_FLOOR, TaylorSeries, policy_truncation
 
 __all__ = [
     "PoleConfiguration",
@@ -183,28 +191,76 @@ def _cauchy_tail_bounds(points: tuple[complex, ...], N: int) -> np.ndarray:
     mods = np.abs(np.asarray(points))
     radii = np.maximum.accumulate(mods)
     bounds = np.zeros(len(points))
-    for r in set(radii.tolist()) - {0.0}:
-        group = np.flatnonzero(radii == r)
-        head = mods[: group[-1] + 1]
-        rho = 1.0 / r - _RHO_GAPS * (1.0 / r - 1.0)
+    # The radius never decreases along sigma, so the elements sharing one
+    # positive radius form a run starting wherever it grows.
+    grows = radii > np.concatenate(([0.0], radii[:-1]))
+    starts = np.flatnonzero(grows).tolist()
+    if not starts:
+        return bounds
+    first = starts[0]
+    group = np.cumsum(grows[first:]) - 1
+    live = mods[first:, None]
+    # Row g: the grid of rho for the g-th radius and the terms of the bound
+    # that depend on rho alone.
+    inv_r = 1.0 / radii[starts, None]
+    rho = inv_r - _RHO_GAPS * (inv_r - 1.0)
+    common = -(N + 1) * np.log(rho) - 0.5 * np.log1p(-(rho**-2))
+    # log s_j by math.log1p: numpy's log1p is off by an ulp on some inputs,
+    # an error the exp below would multiply a hundredfold.
+    log_s = np.array([[0.5 * math.log1p(-m * m)] for m in live[:, 0].tolist()])
+    # Row i: log M_j(rho) and its Blaschke prefix for j = first + i.
+    log_m = log_s - np.log1p(-live * rho[group])
+    log_prefix = np.empty_like(log_m)
+    for grid, start, stop in zip(rho, starts, starts[1:] + [len(points)]):
+        head = mods[:stop, None]
         # Row i: log of the sup of |b_{lam_i}| on the circle, summed over i < j.
-        log_b = np.log(rho - head[:, None]) - np.log1p(-head[:, None] * rho)
-        log_prefix = np.cumsum(log_b, axis=0) - log_b
-        common = -(N + 1) * np.log(rho) - 0.5 * np.log1p(-(rho**-2))
-        for j in group:
-            log_m = 0.5 * math.log1p(-mods[j] ** 2) - np.log1p(-mods[j] * rho)
-            log_tail = float(np.min(log_m + log_prefix[j] + common))
-            bounds[j] = math.exp(min(log_tail, 0.0))
+        log_b = np.log(grid - head) - np.log1p(-head * grid)
+        prefix = log_b.cumsum(axis=0) - log_b
+        log_prefix[start - first : stop - first] = prefix[start:]
+    log_tail = np.min(log_m + log_prefix + common[group], axis=1)
+    bounds[first:] = np.exp(np.minimum(log_tail, 0.0))
     return bounds
+
+
+def _compressed_shift(points: tuple[complex, ...]) -> tuple[np.ndarray, np.ndarray]:
+    """Row 0 of E and the compressed shift T of the module docstring, both
+    indexed from 0.
+
+    The products of points run as cumulative products, never as quotients,
+    so points at the origin need no special case.
+    """
+    lam = np.asarray(points, dtype=np.complex128)
+    s = np.sqrt(1.0 - np.abs(lam) ** 2)
+    # before[j] = lam_{j-1} (one for j = 0): its prefix products give x_0.
+    before = np.concatenate(([1.0], lam[:-1]))
+    x0 = s * before.cumprod()
+    idx = np.arange(lam.size)
+    below = idx[:, None] - idx
+    # Running down column k, the product picks up lam_{j-1} from j = k+2 on,
+    # which leaves prod_{k<i<j} lam_i in row j.
+    between = np.where(below > 1, before[:, None], 1.0).cumprod(axis=0)
+    T = np.where(below > 0, -s[:, None] * s * between, 0.0)
+    T.flat[:: lam.size + 1] = lam.conj()
+    return x0, T
+
+
+def _floored(power: np.ndarray) -> np.ndarray:
+    """Zero the real and imaginary parts below ``_POWER_FLOOR``, in place:
+    far below rounding, they would only feed subnormal floats, whose
+    arithmetic is slow on x86, into the matrix products."""
+    parts = power.view(np.float64)
+    parts[np.abs(parts) < _POWER_FLOOR] = 0.0
+    return power
 
 
 def malmquist_basis(sigma: PoleConfiguration, N: int) -> MalmquistBasis:
     """Build the Malmquist basis truncated at degree N and certify it.
 
-    The elements come from the two-term recurrence of the module docstring
-    on a window of N+1 coefficients, each division by 1 - conj(lam) z a
-    doubling scan costing O(N log N); each element's ``tail_bound`` is the
-    Cauchy estimate of :func:`_cauchy_tail_bounds`.
+    E comes from the row recurrence x_{m+1} = T x_m of the module docstring,
+    taken by doubling: ceil(log2 L) products of a block of known rows with a
+    power of T, with the n x n power squared in between, O(L n^2) work in
+    all, the order of the Gram certificate E^* E itself.  Each element's
+    ``tail_bound`` is the Cauchy estimate of :func:`_cauchy_tail_bounds`.
 
     Raises
     ------
@@ -219,8 +275,6 @@ def malmquist_basis(sigma: PoleConfiguration, N: int) -> MalmquistBasis:
             f"truncation {N} cannot carry an {sigma.n}-dimensional space"
         )
     L = N + 1
-    pts = sigma.points
-    s = [math.sqrt(1.0 - abs(lam) ** 2) for lam in pts]
     try:
         mat = np.empty((L, sigma.n), dtype=np.complex128)
     except (MemoryError, ValueError) as exc:
@@ -228,16 +282,16 @@ def malmquist_basis(sigma: PoleConfiguration, N: int) -> MalmquistBasis:
             f"truncation {N} needs a {L} x {sigma.n} coefficient matrix "
             f"that cannot be allocated: {exc}"
         ) from exc
-    e = np.zeros(L, dtype=np.complex128)
-    e[0] = s[0]
-    for j, lam in enumerate(pts):
-        if j > 0:
-            # (lam_{j-1} - z) e_{j-1}, rescaled from s_{j-1} to s_j.
-            u = pts[j - 1] * e
-            u[1:] -= e[:-1]
-            e = u * (s[j] / s[j - 1])
-        e = _divide_by_kernel_factor(e, lam.conjugate())
-        mat[:, j] = e
+    mat[0], T = _compressed_shift(sigma.points)
+    # Rows multiply from the left, so the powers are kept transposed.
+    power = _floored(T.T.copy())
+    d = 1
+    while d < L:
+        rows = min(d, L - d)
+        np.dot(mat[:rows], power, out=mat[d : d + rows])
+        d *= 2
+        if d < L:
+            power = _floored(power @ power)
     gram = _hardy_gram(mat)
     defect = float(np.max(np.abs(gram - np.eye(sigma.n))))
     if defect > ORTHO_TOL:
@@ -245,7 +299,7 @@ def malmquist_basis(sigma: PoleConfiguration, N: int) -> MalmquistBasis:
             f"truncation {N} too small to certify orthonormality "
             f"(Gram defect {defect:.3e} > {ORTHO_TOL:.0e})"
         )
-    return MalmquistBasis(sigma, mat, _cauchy_tail_bounds(pts, N), defect)
+    return MalmquistBasis(sigma, mat, _cauchy_tail_bounds(sigma.points, N), defect)
 
 
 def malmquist_basis_auto(sigma: PoleConfiguration) -> MalmquistBasis:

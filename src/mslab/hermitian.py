@@ -141,7 +141,9 @@ def max_eigenpair(matrix: HermitianMatrix) -> Eigenpair:
     window = CLUSTER_TOL * (1.0 + abs(top))
     members = [i for i, val in enumerate(values) if top - float(val) <= window]
     candidates = [_phase_normalize(vectors[:, i]) for i in members]
-    best = max(range(len(candidates)), key=lambda i: _lex_key(candidates[i]))
+    best = 0
+    if len(candidates) > 1:
+        best = max(range(len(candidates)), key=lambda i: _lex_key(candidates[i]))
     vec = candidates[best]
     chosen = float(values[members[best]])
     residual = float(np.linalg.norm(matrix.entries @ vec - chosen * vec))

@@ -20,6 +20,9 @@ Series are immutable values: every operation returns a fresh instance and the
 backing arrays are write-protected.  Tail bounds are exact for the geometric
 kernels and propagate conservatively through :func:`differentiate`,
 ``MalmquistBasis.combine`` and :func:`compose_with_blaschke_factor`.  The
+composition divides by first-order factors 1 - beta z with a doubling scan;
+the Malmquist basis itself is built in :mod:`mslab.blaschke` by a row
+recurrence on its coefficient matrix, so it needs no series arithmetic.  The
 truncation policy for a configuration of n poles of max modulus r lives in
 :func:`policy_truncation`.
 """
@@ -50,9 +53,11 @@ __all__ = [
 # by cos/sin land within a few ulp of modulus one.
 _CIRCLE_SLACK = 1e-12
 
-# The doubling scan of a division stops once the power of the ratio drops
-# below this: the remaining terms are far below rounding and would only feed
-# subnormal floats, whose arithmetic is slow on x86, into the passes.
+# Doubling schemes drop powers below this: the doubling scan of a division
+# stops once the power of the ratio falls under it, and the Malmquist build
+# zeros the entries of its shift powers that do.  The terms left out are far
+# below rounding and would only feed subnormal floats, whose arithmetic is
+# slow on x86, into the passes.
 _POWER_FLOOR = 1e-300
 
 
@@ -158,9 +163,10 @@ def _divide_by_kernel_factor(u: np.ndarray, beta: complex) -> np.ndarray:
     Solves y_m = u_m + beta y_{m-1} as a doubling scan: after the pass with
     shift d = 2^t every y_m sums its 2d-term window, so ceil(log2 L) passes
     of length L give the full recurrence, in elementwise numpy operations
-    whose result does not depend on the BLAS or its thread count.  This is
-    the package's one first-order division: the Malmquist basis and the
-    composition with a Blaschke factor both run on it.
+    whose result does not depend on the BLAS or its thread count.  Its one
+    caller is :func:`compose_with_blaschke_factor`; the Malmquist basis needs
+    no division, since its coefficient rows follow from one another by a
+    matrix recurrence (see :mod:`mslab.blaschke`).
     """
     y = u.copy()
     d, power = 1, complex(beta)

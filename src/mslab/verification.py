@@ -242,7 +242,7 @@ def _check_rotation_covariance(rng: np.random.Generator) -> CheckResult:
         idx = int(np.argmax(np.abs(twisted)))
         phase = e1[idx] / twisted[idx]
         worst = max(worst, float(np.max(np.abs(e1 - phase * twisted))))
-        worst = max(worst, abs(abs(phase) - 1.0))
+        worst = max(worst, abs(float(abs(phase)) - 1.0))
     return CheckResult(
         "blaschke.rotation-covariance", worst <= 1e-9, f"max phase-matched gap {worst:.3e}"
     )

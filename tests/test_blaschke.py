@@ -20,6 +20,7 @@ from mslab.interpolation import theoremB_test_function
 from mslab.series import (
     NormKind,
     TaylorSeries,
+    _divide_by_kernel_factor,
     evaluate,
     norm,
     norm_sq,
@@ -54,6 +55,43 @@ def _convolution_basis_matrix(sigma, N):
     return np.column_stack(columns)
 
 
+def _recurrence_basis_matrix(sigma, N):
+    """Independent build: the two-term recurrence element by element, each
+    a scale, a one-place shift and a division by 1 - conj(lam) z on a window
+    of N+1 coefficients, shape (N+1, n)."""
+    pts = sigma.points
+    s = [np.sqrt(1.0 - abs(lam) ** 2) for lam in pts]
+    columns = []
+    e = np.zeros(N + 1, dtype=np.complex128)
+    e[0] = s[0]
+    for j, lam in enumerate(pts):
+        if j > 0:
+            # (lam_{j-1} - z) e_{j-1}, rescaled from s_{j-1} to s_j.
+            u = pts[j - 1] * e
+            u[1:] -= e[:-1]
+            e = u * (s[j] / s[j - 1])
+        e = _divide_by_kernel_factor(e, lam.conjugate())
+        columns.append(e)
+    return np.column_stack(columns)
+
+
+def _solved_shift(points):
+    """T from coefficient m+1 of (1 - conj(lam_j) z) e_j =
+    a_j (lam_{j-1} - z) e_{j-1}, a_j = s_j/s_{j-1}: the lower-triangular
+    system (I - diag(a lam_prev) S) x_{m+1} = (diag(conj lam) - diag(a) S) x_m,
+    S the down-shift of the element index."""
+    lam = np.asarray(points, dtype=np.complex128)
+    n = lam.size
+    s = np.sqrt(1.0 - np.abs(lam) ** 2)
+    a = np.zeros(n)
+    a[1:] = s[1:] / s[:-1]
+    lam_prev = np.concatenate(([0.0], lam[:-1]))
+    S = np.eye(n, k=-1)
+    lhs = np.eye(n) - np.diag(a * lam_prev) @ S
+    rhs = np.diag(lam.conj()) - np.diag(a) @ S
+    return np.linalg.solve(lhs, rhs)
+
+
 def _loop_sum(basis, terms):
     """Independent sum: the element-by-element loop over (k, c) pairs, in
     their order, that the product E a replaced; tails add as |c| tail_k."""
@@ -75,6 +113,16 @@ _ORACLE_PANEL = {
     "one-point-0.99": (0.99,) * 3,
     "repeated": (0.3 + 0.2j, 0.3 + 0.2j, -0.4j, -0.4j, 0.7),
     "mixed-0.5-0.99": (0.5, 0.99j, 0.5, -0.99),
+}
+
+# The oracle panel plus one element, points at the origin between others,
+# a small modulus before 0.99, and radius 0.999.
+_RECURRENCE_PANEL = {
+    **_ORACLE_PANEL,
+    "n1": (0.6 - 0.2j,),
+    "origin-between": (0.0, 0.5j, 0.0, -0.8, 0.0),
+    "0.3-then-0.99": (0.3, 0.3j, 0.99, -0.99j),
+    "mixed-0.999": (0.999, -0.4 + 0.3j, 0.999j),
 }
 
 # Radii up to 0.99 with multiplicities, for the tail bound.
@@ -216,6 +264,68 @@ class TestMalmquistBasis:
         oracle = _convolution_basis_matrix(sig, N)
         assert oracle.shape[0] == basis.trunc_len
         np.testing.assert_allclose(basis.matrix, oracle, rtol=0, atol=1e-13)
+
+    @pytest.mark.parametrize(
+        "points", _RECURRENCE_PANEL.values(), ids=_RECURRENCE_PANEL.keys()
+    )
+    def test_row_doubling_matches_division_recurrence(self, points):
+        """E agrees with the element-by-element division recurrence to 1e-13."""
+        sig = PoleConfiguration(points)
+        basis = malmquist_basis_auto(sig)
+        oracle = _recurrence_basis_matrix(sig, basis.trunc_len - 1)
+        np.testing.assert_allclose(basis.matrix, oracle, rtol=0, atol=1e-13)
+
+    @pytest.mark.parametrize(
+        "points", _RECURRENCE_PANEL.values(), ids=_RECURRENCE_PANEL.keys()
+    )
+    def test_compressed_shift_is_a_contraction(self, points):
+        """The closed-form T solves the recurrence's triangular system and has
+        spectral norm at most one."""
+        _, T = blaschke._compressed_shift(points)
+        np.testing.assert_allclose(T, _solved_shift(points), rtol=0, atol=1e-14)
+        assert np.linalg.norm(T, 2) <= 1.0 + 1e-14
+
+    def test_first_row_is_value_at_origin(self):
+        """E[0, j] = e_{j+1}(0), evaluated from the Blaschke factors."""
+        sig = PoleConfiguration((0.5 - 0.2j, 0.0, 0.9j, 0.5 - 0.2j, -0.3))
+        basis = malmquist_basis_auto(sig)
+        for j, lam in enumerate(sig.points):
+            prefix = np.prod([blaschke_factor_eval(p, 0.0) for p in sig.points[:j]])
+            value = prefix * np.sqrt(1.0 - abs(lam) ** 2)
+            np.testing.assert_allclose(basis.matrix[0, j], value, rtol=0, atol=1e-16)
+
+    @pytest.mark.parametrize("points", _TAIL_PANEL.values(), ids=_TAIL_PANEL.keys())
+    def test_rows_follow_compressed_shift(self, points):
+        """E[m+1] = T E[m] for every stored row of a built basis."""
+        basis = malmquist_basis_auto(PoleConfiguration(points))
+        _, T = blaschke._compressed_shift(points)
+        E = basis.matrix
+        np.testing.assert_allclose(E[1:], E[:-1] @ T.T, rtol=0, atol=1e-14)
+
+    def test_matches_high_precision_build(self):
+        """The float64 E agrees to 1e-13 with the recurrence run sequentially
+        in 40-digit arithmetic, at radius 0.99."""
+        mpmath = pytest.importorskip("mpmath")
+        sig = PoleConfiguration((0.5 + 0.3j, -0.99, 0.0, 0.7j))
+        basis = malmquist_basis_auto(sig)
+        L = basis.trunc_len
+        with mpmath.workdps(40):
+            pts = [mpmath.mpc(p.real, p.imag) for p in sig.points]
+            s = [mpmath.sqrt(1 - abs(lam) ** 2) for lam in pts]
+            e = [s[0]] + [mpmath.mpc(0)] * (L - 1)
+            worst = mpmath.mpf(0)
+            for j, lam in enumerate(pts):
+                if j > 0:
+                    scale = s[j] / s[j - 1]
+                    e = [scale * (pts[j - 1] * e[0])] + [
+                        scale * (pts[j - 1] * e[m] - e[m - 1]) for m in range(1, L)
+                    ]
+                beta = mpmath.conj(lam)
+                for m in range(1, L):
+                    e[m] += beta * e[m - 1]
+                column = basis.matrix[:, j].tolist()
+                worst = max(worst, max(abs(c - x) for c, x in zip(column, e)))
+        assert worst <= 1e-13
 
     @pytest.mark.parametrize("points", _TAIL_PANEL.values(), ids=_TAIL_PANEL.keys())
     def test_tail_bound_dominates_doubled_truncation(self, points):
