@@ -27,11 +27,13 @@ gives it in closed form (j, k = 1..n):
 T is the matrix, in the orthonormal basis e_1..e_n, of the compression of
 the backward shift to K_B, so ||T||_2 <= 1 and its powers never grow.  E is
 built by doubling: with the first d rows known, E[d:2d] = E[:d] (T^d)^T and
-the power is then squared, ceil(log2 L) matrix products whatever n is.  The recurrence is exact, so every stored row is a
-true Taylor coefficient up to rounding; only the tail beyond the truncation
-is missing.  Each column carries a Cauchy-estimate bound on the l2 mass of
-its tail, and construction certifies orthonormality of the computed Gram
-E^* E against the identity, refusing truncations too short to certify.
+the power is then squared, ceil(log2 L) matrix products whatever n is.  The
+recurrence is exact, so every stored row is a true Taylor coefficient up to
+rounding; only the tail beyond the truncation is missing.  Construction
+certifies orthonormality of the computed Gram E^* E against the identity,
+refusing truncations too short to certify.  Since each e_j has unit norm,
+the diagonal of that certificate also bounds the l2 mass of every column's
+discarded tail by sqrt(ortho_defect), up to rounding.
 
 A function of K_B is E a for a coefficient vector a, and the orthogonal
 projection onto K_B is E E^* in coefficient space.  Everything is invariant
@@ -64,10 +66,6 @@ __all__ = [
 # Largest Gram deviation from the identity accepted as orthonormal.
 ORTHO_TOL = 1e-10
 
-# Fixed grid of radii for the Cauchy tail estimate: rho = 1/r - g (1/r - 1)
-# for the largest modulus r, so that 1 - r rho = g (1 - r) sweeps many scales.
-_RHO_GAPS = np.geomspace(1e-7, 0.999, 96)
-
 
 @dataclass(frozen=True)
 class PoleConfiguration:
@@ -84,7 +82,7 @@ class PoleConfiguration:
         if len(pts) == 0:
             raise ValueError("a configuration needs at least one point")
         for p in pts:
-            if abs(p) >= 1.0:
+            if not abs(p) < 1.0:
                 raise ValueError(f"configuration point outside the open disc: |{p}|={abs(p)}")
         object.__setattr__(self, "points", pts)
 
@@ -119,7 +117,7 @@ class PoleConfiguration:
 def blaschke_factor_eval(lam: complex, z: complex) -> complex:
     """Value of (lam - z)/(1 - conj(lam) z); involution of the disc."""
     lam, z = complex(lam), complex(z)
-    if abs(lam) >= 1.0:
+    if not abs(lam) < 1.0:
         raise ValueError(f"factor zero must lie inside the open disc: |lam|={abs(lam)}")
     den = 1.0 - np.conj(lam) * z
     if abs(den) < 1e-15:
@@ -138,88 +136,38 @@ def blaschke_product_eval(sigma: PoleConfiguration, z: complex) -> complex:
 class MalmquistBasis:
     """Orthonormal basis of the model space of a configuration, held as E.
 
-    ``matrix`` is the L x n coefficient matrix E whose column k holds the
-    first L Taylor coefficients of the (k+1)-th Malmquist function, and
-    ``tail_bounds[k]`` bounds the l2 mass of that column's discarded tail;
-    both are read-only.  ``ortho_defect`` is the certified max deviation of
-    the Hardy Gram E^* E from the identity.  A function of the model space
-    is f = E a, served by :meth:`combine`; every constant is a weighted Gram
-    of E.
+    ``matrix`` is the read-only L x n coefficient matrix E whose column k
+    holds the first L Taylor coefficients of the (k+1)-th Malmquist
+    function.  ``ortho_defect`` is the certified max deviation of the Hardy
+    Gram E^* E from the identity.  A function of the model space is f = E a,
+    served by :meth:`combine`; every constant is a weighted Gram of E.
     """
 
     sigma: PoleConfiguration
     matrix: np.ndarray
-    tail_bounds: np.ndarray
     ortho_defect: float
 
     def __post_init__(self) -> None:
         self.matrix.setflags(write=False)
-        self.tail_bounds.setflags(write=False)
 
     @property
     def trunc_len(self) -> int:
         return int(self.matrix.shape[0])
 
     def element(self, k: int) -> TaylorSeries:
-        """The (k+1)-th Malmquist function with its tail bound."""
-        return TaylorSeries(self.matrix[:, k], self.tail_bounds[k])
+        """The (k+1)-th Malmquist function, column k of E."""
+        return TaylorSeries(self.matrix[:, k])
 
     def combine(self, a: np.ndarray) -> TaylorSeries:
-        """f = sum_k a_k e_k as E a, with tail bound sum_k |a_k| tail_k."""
+        """f = sum_k a_k e_k as E a."""
         a = np.asarray(a, dtype=np.complex128)
         if a.shape != (self.sigma.n,):
             raise ValueError(f"need {self.sigma.n} expansion coefficients")
-        tail = sum(abs(c) * t for c, t in zip(a.tolist(), self.tail_bounds.tolist()))
-        return TaylorSeries(self.matrix @ a, tail)
+        return TaylorSeries(self.matrix @ a)
 
 
 def _hardy_gram(matrix: np.ndarray) -> np.ndarray:
     return matrix.conj().T @ matrix
-
-
-def _cauchy_tail_bounds(points: tuple[complex, ...], N: int) -> np.ndarray:
-    """Bounds on the l2 mass of the Taylor coefficients beyond N of each e_j.
-
-    On |z| = rho in (1, 1/r), r the largest modulus among lam_1..lam_j,
-    |b_lam(z)| <= (rho - |lam|)/(1 - |lam| rho) and
-    |s_j/(1 - conj(lam_j) z)| <= s_j/(1 - |lam_j| rho), so |e_j| <= M_j(rho)
-    there and Cauchy's estimate |c_k| <= M_j(rho) rho^-k gives the tail bound
-    M_j(rho) rho^-(N+1) / sqrt(1 - rho^-2), minimised over a fixed grid of
-    rho.  Since ||e_j|| = 1 the bound is also capped at one.  Elements whose
-    points all sit at the origin are monomials of degree below N: tail zero.
-    """
-    mods = np.abs(np.asarray(points))
-    radii = np.maximum.accumulate(mods)
-    bounds = np.zeros(len(points))
-    # The radius never decreases along sigma, so the elements sharing one
-    # positive radius form a run starting wherever it grows.
-    grows = radii > np.concatenate(([0.0], radii[:-1]))
-    starts = np.flatnonzero(grows).tolist()
-    if not starts:
-        return bounds
-    first = starts[0]
-    group = np.cumsum(grows[first:]) - 1
-    live = mods[first:, None]
-    # Row g: the grid of rho for the g-th radius and the terms of the bound
-    # that depend on rho alone.
-    inv_r = 1.0 / radii[starts, None]
-    rho = inv_r - _RHO_GAPS * (inv_r - 1.0)
-    common = -(N + 1) * np.log(rho) - 0.5 * np.log1p(-(rho**-2))
-    # log s_j by math.log1p: numpy's log1p is off by an ulp on some inputs,
-    # an error the exp below would multiply a hundredfold.
-    log_s = np.array([[0.5 * math.log1p(-m * m)] for m in live[:, 0].tolist()])
-    # Row i: log M_j(rho) and its Blaschke prefix for j = first + i.
-    log_m = log_s - np.log1p(-live * rho[group])
-    log_prefix = np.empty_like(log_m)
-    for grid, start, stop in zip(rho, starts, starts[1:] + [len(points)]):
-        head = mods[:stop, None]
-        # Row i: log of the sup of |b_{lam_i}| on the circle, summed over i < j.
-        log_b = np.log(grid - head) - np.log1p(-head * grid)
-        prefix = log_b.cumsum(axis=0) - log_b
-        log_prefix[start - first : stop - first] = prefix[start:]
-    log_tail = np.min(log_m + log_prefix + common[group], axis=1)
-    bounds[first:] = np.exp(np.minimum(log_tail, 0.0))
-    return bounds
 
 
 def _compressed_shift(points: tuple[complex, ...]) -> tuple[np.ndarray, np.ndarray]:
@@ -259,8 +207,7 @@ def malmquist_basis(sigma: PoleConfiguration, N: int) -> MalmquistBasis:
     E comes from the row recurrence x_{m+1} = T x_m of the module docstring,
     taken by doubling: ceil(log2 L) products of a block of known rows with a
     power of T, with the n x n power squared in between, O(L n^2) work in
-    all, the order of the Gram certificate E^* E itself.  Each element's
-    ``tail_bound`` is the Cauchy estimate of :func:`_cauchy_tail_bounds`.
+    all, the order of the Gram certificate E^* E itself.
 
     Raises
     ------
@@ -299,7 +246,7 @@ def malmquist_basis(sigma: PoleConfiguration, N: int) -> MalmquistBasis:
             f"truncation {N} too small to certify orthonormality "
             f"(Gram defect {defect:.3e} > {ORTHO_TOL:.0e})"
         )
-    return MalmquistBasis(sigma, mat, _cauchy_tail_bounds(sigma.points, N), defect)
+    return MalmquistBasis(sigma, mat, defect)
 
 
 def malmquist_basis_auto(sigma: PoleConfiguration) -> MalmquistBasis:
@@ -323,13 +270,10 @@ def malmquist_basis_auto(sigma: PoleConfiguration) -> MalmquistBasis:
 def model_projection(f: TaylorSeries, basis: MalmquistBasis) -> TaylorSeries:
     """Orthogonal projection of f onto the model space, P f = sum (f, e_k) e_k.
 
-    The pairing runs over coefficients shared with the basis truncation; the
-    result's tail bound collects the elementwise tails weighted by the
-    expansion coefficients plus the pairing error from f's own tail.
+    The pairing runs over coefficients shared with the basis truncation.
     """
     L = min(f.trunc_len, basis.trunc_len)
-    pf = basis.combine(basis.matrix[:L].conj().T @ f.coeffs[:L])
-    return TaylorSeries(pf.coeffs, pf.tail_bound + f.tail_bound)
+    return basis.combine(basis.matrix[:L].conj().T @ f.coeffs[:L])
 
 
 _ONE_POINT_RE = re.compile(r"^one-point:n=(\d+),r=([0-9.eE+-]+)$")

@@ -7,10 +7,11 @@ trust.  The reported top pair carries its residual ||M v - lambda v||, and by
 Weyl's inequality some eigenvalue of M lies within that residual of lambda,
 so a residual above the near-degeneracy window is a certification failure.
 Determinism comes from the fixed LAPACK call, phase normalization of the
-vector and a lexicographic tie-break inside the top cluster.
+vector and a lexicographic tie-break inside the top cluster.  Matrices are
+plain arrays: :func:`gram_matrix` returns its Gram already symmetrized, and a
+non-finite entry, the mark of an overflow upstream, is a certification
+failure of :func:`max_eigenpair`.
 
-Generalized problems M v = mu S v with S positive definite are reduced by a
-Cholesky congruence of S (with a tiny ridge retry when S is borderline).
 Weighted minimum-norm interpolation, minimize sum w_k |c_k|^2 subject to
 A c = b for an m x L functional matrix A, is solved through the dual Gram
 A W^{-1} A^*.  That Gram depends on A and the weights only, so it is built,
@@ -27,49 +28,14 @@ import numpy as np
 from .errors import CertificationError
 
 __all__ = [
-    "HermitianMatrix",
     "Eigenpair",
     "gram_matrix",
-    "eigenvalues",
     "max_eigenpair",
-    "max_generalized_eigenpair",
     "min_norm_solve",
 ]
 
-HERMITICITY_TOL = 1e-12
 CLUSTER_TOL = 1e-10
 CONDITION_LIMIT = 1e12
-
-
-def _real_or_complex(a: np.ndarray) -> np.ndarray:
-    """float64 for real input, complex128 otherwise: a real symmetric matrix
-    stays real, so LAPACK runs its real (several times cheaper) eigensolver."""
-    a = np.asarray(a)
-    return a.astype(np.complex128 if np.iscomplexobj(a) else np.float64, copy=False)
-
-
-@dataclass(frozen=True)
-class HermitianMatrix:
-    """Validated Hermitian matrix wrapper; real input stays real."""
-
-    entries: np.ndarray
-
-    def __post_init__(self) -> None:
-        arr = _real_or_complex(self.entries)
-        if arr.ndim != 2 or arr.shape[0] != arr.shape[1] or arr.shape[0] == 0:
-            raise ValueError("entries must form a nonempty square matrix")
-        if not np.all(np.isfinite(arr)):
-            raise ValueError("entries must be finite")
-        drift = float(np.max(np.abs(arr - arr.conj().T)))
-        if drift > HERMITICITY_TOL:
-            raise ValueError(f"matrix is not Hermitian: drift {drift:.3e}")
-        arr = (arr + arr.conj().T) / 2.0
-        arr.setflags(write=False)
-        object.__setattr__(self, "entries", arr)
-
-    @property
-    def dim(self) -> int:
-        return int(self.entries.shape[0])
 
 
 @dataclass(frozen=True)
@@ -88,28 +54,26 @@ class Eigenpair:
     cluster: tuple[float, ...]
 
 
-def gram_matrix(coeffs: np.ndarray, weights: np.ndarray) -> HermitianMatrix:
+def gram_matrix(coeffs: np.ndarray, weights: np.ndarray) -> np.ndarray:
     """Weighted Gram V^* diag(w) V of the columns of an L x m coefficient matrix.
 
     Column j of ``coeffs`` holds the Taylor coefficients of v_j and
-    ``weights[k]`` multiplies |c_k|^2, so entries[j][k] = <v_k, v_j>_w and the
+    ``weights[k]`` multiplies |c_k|^2, so G[j, k] = <v_k, v_j>_w and the
     quadratic form c^* G c is the squared weighted norm of V c; the top
     eigenvector is directly an extremal coefficient vector.  Every constant
     of the laboratory is an extreme eigenvalue of such a Gram of the
     Malmquist coefficient matrix E or of a matrix built from it.  A real
-    coefficient matrix gives a real symmetric Gram.
+    coefficient matrix gives a real symmetric Gram, on which LAPACK runs its
+    real (several times cheaper) eigensolver; either way the result is
+    symmetrized exactly, G = (G + G^*)/2.
     """
-    V = _real_or_complex(coeffs)
+    V = np.asarray(coeffs)
+    V = V.astype(np.complex128 if np.iscomplexobj(V) else np.float64, copy=False)
     w = np.asarray(weights, dtype=np.float64)
     if V.ndim != 2 or w.shape != V.shape[:1]:
         raise ValueError("need an L x m coefficient matrix and L weights")
     G = V.conj().T @ (w[:, None] * V)
-    return HermitianMatrix((G + G.conj().T) / 2.0)
-
-
-def eigenvalues(matrix: HermitianMatrix) -> np.ndarray:
-    """Full spectrum in ascending order."""
-    return np.linalg.eigvalsh(matrix.entries)
+    return (G + G.conj().T) / 2.0
 
 
 def _phase_normalize(v: np.ndarray) -> np.ndarray:
@@ -128,15 +92,18 @@ def _lex_key(v: np.ndarray) -> tuple[float, ...]:
     return tuple(out)
 
 
-def max_eigenpair(matrix: HermitianMatrix) -> Eigenpair:
-    """Largest eigenpair; ties within the near-degeneracy window are broken
-    by the lexicographically largest phase-normalized vector.
+def max_eigenpair(matrix: np.ndarray) -> Eigenpair:
+    """Largest eigenpair of a Hermitian array; ties within the
+    near-degeneracy window are broken by the lexicographically largest
+    phase-normalized vector.
 
-    Raises :class:`CertificationError` when the residual exceeds the
-    near-degeneracy window, i.e. when the pair is not certified to that
-    accuracy.
+    Raises :class:`CertificationError` when the matrix holds a non-finite
+    entry, or when the residual exceeds the near-degeneracy window, i.e. when
+    the pair is not certified to that accuracy.
     """
-    values, vectors = np.linalg.eigh(matrix.entries)
+    if not np.all(np.isfinite(matrix)):
+        raise CertificationError("Hermitian matrix has non-finite entries (overflow)")
+    values, vectors = np.linalg.eigh(matrix)
     top = float(values[-1])
     window = CLUSTER_TOL * (1.0 + abs(top))
     members = [i for i, val in enumerate(values) if top - float(val) <= window]
@@ -146,45 +113,13 @@ def max_eigenpair(matrix: HermitianMatrix) -> Eigenpair:
         best = max(range(len(candidates)), key=lambda i: _lex_key(candidates[i]))
     vec = candidates[best]
     chosen = float(values[members[best]])
-    residual = float(np.linalg.norm(matrix.entries @ vec - chosen * vec))
+    residual = float(np.linalg.norm(matrix @ vec - chosen * vec))
     if residual > window:
         raise CertificationError(
             f"eigen-residual {residual:.3e} exceeds the certification window {window:.3e}"
         )
     cluster = tuple(float(values[i]) for i in reversed(members))
     return Eigenpair(chosen, vec, residual, cluster)
-
-
-def max_generalized_eigenpair(
-    matrix: HermitianMatrix, spd: HermitianMatrix
-) -> Eigenpair:
-    """Largest mu with M v = mu S v, via Cholesky congruence of S.
-
-    A ridge of 1e-14 trace(S) is added once if plain Cholesky fails.
-    """
-    if matrix.dim != spd.dim:
-        raise ValueError("dimension mismatch")
-    S = np.array(spd.entries)
-    try:
-        Lc = np.linalg.cholesky(S)
-    except np.linalg.LinAlgError:
-        ridge = 1e-14 * float(np.real(np.trace(S)))
-        try:
-            Lc = np.linalg.cholesky(S + ridge * np.eye(spd.dim))
-        except np.linalg.LinAlgError as exc:
-            raise CertificationError("S factor is not positive definite") from exc
-    Y = np.linalg.solve(Lc, np.array(matrix.entries))
-    reduced = np.linalg.solve(Lc, Y.conj().T).conj().T
-    pair = max_eigenpair(HermitianMatrix((reduced + reduced.conj().T) / 2.0))
-    # Back-transform the witness to original coordinates.
-    v = np.linalg.solve(Lc.conj().T, pair.vector)
-    nv = float(np.linalg.norm(v))
-    if nv > 0.0:
-        v = _phase_normalize(v / nv)
-    res = float(
-        np.linalg.norm(matrix.entries @ v - pair.value * (spd.entries @ v))
-    )
-    return Eigenpair(pair.value, v, res, pair.cluster)
 
 
 def min_norm_solve(
@@ -229,7 +164,7 @@ def min_norm_solve(
     d = 1.0 / np.sqrt(diag)
     Gs = G * d[:, None] * d[None, :]
     Gs = (Gs + Gs.conj().T) / 2.0
-    vals = eigenvalues(HermitianMatrix(Gs))
+    vals = np.linalg.eigvalsh(Gs)
     lo, hi = float(vals[0]), float(vals[-1])
     if lo <= 0.0 or hi / lo > CONDITION_LIMIT:
         raise CertificationError(

@@ -1,8 +1,8 @@
 """Truncated Taylor series on the unit disc with coefficient-space norms.
 
 Everything downstream works with analytic functions f = sum_k c_k z^k held as
-their first N+1 Taylor coefficients together with a bound on the l2-mass of
-the discarded tail.  Three norms are carried purely in coefficient space,
+their first N+1 Taylor coefficients.  Three norms are carried purely in
+coefficient space,
 
     Hardy        sum_k |c_k|^2,
     Bergman      sum_k |c_k|^2 / (k+1),
@@ -17,9 +17,9 @@ an exact identity of finite sums, not an approximation; the test suite checks
 it at rounding level.
 
 Series are immutable values: every operation returns a fresh instance and the
-backing arrays are write-protected.  Tail bounds are exact for the geometric
-kernels and propagate conservatively through :func:`differentiate`,
-``MalmquistBasis.combine`` and :func:`compose_with_blaschke_factor`.  The
+backing arrays are write-protected.  No series carries a bound on its
+discarded tail: truncations are certified where they are made, by the
+orthonormality of the Malmquist basis (see :mod:`mslab.blaschke`).  The
 composition divides by first-order factors 1 - beta z with a doubling scan;
 the Malmquist basis itself is built in :mod:`mslab.blaschke` by a row
 recurrence on its coefficient matrix, so it needs no series arithmetic.  The
@@ -85,13 +85,9 @@ class TaylorSeries:
     ----------
     coeffs : array_like of complex
         Taylor coefficients c_0 .. c_N.  At least one entry.
-    tail_bound : float, optional
-        Bound on sqrt(sum_{k>N} |c_k|^2) for the discarded coefficients.
-        Zero (the default) declares the series to be an exact polynomial.
     """
 
     coeffs: np.ndarray
-    tail_bound: float = 0.0
 
     def __post_init__(self) -> None:
         arr = np.atleast_1d(np.asarray(self.coeffs, dtype=np.complex128))
@@ -99,13 +95,9 @@ class TaylorSeries:
             raise ValueError("coefficients must form a nonempty 1-d array")
         if not np.all(np.isfinite(arr)):
             raise ValueError("coefficients must be finite")
-        tb = float(self.tail_bound)
-        if not (tb >= 0.0 and math.isfinite(tb)):
-            raise ValueError("tail_bound must be finite and nonnegative")
         arr = arr.copy()
         arr.setflags(write=False)
         object.__setattr__(self, "coeffs", arr)
-        object.__setattr__(self, "tail_bound", tb)
 
     @property
     def trunc_len(self) -> int:
@@ -113,16 +105,13 @@ class TaylorSeries:
 
     def __str__(self) -> str:
         # Debug rendering, one "k: re im" line per stored coefficient.
-        lines = [
+        return "\n".join(
             f"{k}: {c.real:.17g} {c.imag:.17g}" for k, c in enumerate(self.coeffs)
-        ]
-        if self.tail_bound > 0.0:
-            lines.append(f"tail<= {self.tail_bound:.3e}")
-        return "\n".join(lines)
+        )
 
 
 def polynomial(coeffs: Iterable[complex]) -> TaylorSeries:
-    """Exact polynomial (tail bound zero)."""
+    """Series holding exactly the given coefficients."""
     return TaylorSeries(np.asarray(list(coeffs), dtype=np.complex128))
 
 
@@ -138,15 +127,12 @@ def norm(f: TaylorSeries, kind: NormKind) -> float:
 def differentiate(f: TaylorSeries) -> TaylorSeries:
     """Termwise derivative, c_k -> (k+1) c_{k+1}.
 
-    The truncation length drops by one (minimum one); the tail bound is
-    scaled by the input length, a conservative factor for the geometrically
-    decaying series this laboratory produces.
+    The truncation length drops by one (minimum one).
     """
     L = f.trunc_len
-    tail = f.tail_bound * L
     if L == 1:
-        return TaylorSeries(np.zeros(1, dtype=np.complex128), tail)
-    return TaylorSeries(f.coeffs[1:] * np.arange(1, L, dtype=np.float64), tail)
+        return TaylorSeries(np.zeros(1, dtype=np.complex128))
+    return TaylorSeries(f.coeffs[1:] * np.arange(1, L, dtype=np.float64))
 
 
 def evaluate(f: TaylorSeries, z: complex) -> complex:
@@ -180,10 +166,10 @@ def cauchy_kernel_series(lam: complex, N: int) -> TaylorSeries:
     """Reproducing kernel 1/(1 - conj(lam) z) truncated at degree N.
 
     Coefficients are conj(lam)^k; the discarded tail has l2-mass exactly
-    |lam|^{N+1} / sqrt(1 - |lam|^2), which is stored as the tail bound.
+    |lam|^{N+1} / sqrt(1 - |lam|^2).
     """
     lam = complex(lam)
-    if abs(lam) >= 1.0:
+    if not abs(lam) < 1.0:
         raise ValueError(f"kernel point must lie inside the open disc: |lam|={abs(lam)}")
     if N < 0:
         raise ValueError("truncation degree must be nonnegative")
@@ -191,8 +177,7 @@ def cauchy_kernel_series(lam: complex, N: int) -> TaylorSeries:
     c[0] = 1.0
     if N > 0:
         c[1:] = np.cumprod(np.full(N, np.conj(lam), dtype=np.complex128))
-    tail = abs(lam) ** (N + 1) / math.sqrt(1.0 - abs(lam) ** 2)
-    return TaylorSeries(c, tail)
+    return TaylorSeries(c)
 
 
 def compose_with_blaschke_factor(f: TaylorSeries, lam: complex, N: int) -> TaylorSeries:
@@ -203,14 +188,11 @@ def compose_with_blaschke_factor(f: TaylorSeries, lam: complex, N: int) -> Taylo
     coefficients: each step multiplies by lam - z (a scale and a one-place
     shift) and divides by 1 - conj(lam) z.  Both act causally, so
     coefficients 0..N of the result are exact for polynomial input up to
-    rounding.  The tail bound is the composition-operator bound
-    sqrt((1+|lam|)/(1-|lam|)) (||f||_Hardy + tail) on the Hardy space, which
-    bounds the whole of f(b_lam) and so its discarded tail.
+    rounding.
     """
     lam = complex(lam)
-    rho = abs(lam)
-    if rho >= 1.0:
-        raise ValueError(f"factor zero must lie inside the open disc: |lam|={rho}")
+    if not abs(lam) < 1.0:
+        raise ValueError(f"factor zero must lie inside the open disc: |lam|={abs(lam)}")
     if N < 0:
         raise ValueError("truncation degree must be nonnegative")
     beta = lam.conjugate()
@@ -221,10 +203,7 @@ def compose_with_blaschke_factor(f: TaylorSeries, lam: complex, N: int) -> Taylo
         u[1:] -= out[:-1]
         out = _divide_by_kernel_factor(u, beta)
         out[0] += c
-    tail = math.sqrt((1.0 + rho) / (1.0 - rho)) * (
-        norm(f, NormKind.HARDY) + f.tail_bound
-    )
-    return TaylorSeries(out, tail)
+    return TaylorSeries(out)
 
 
 def policy_truncation(n: int, radius: float) -> int:
@@ -234,8 +213,9 @@ def policy_truncation(n: int, radius: float) -> int:
     index about n (1+r)/(1-r), the peak boundary phase velocity, plus a
     transition region of width a few n^(1/3)/(1-r); beyond that the
     coefficients decay geometrically with ratio r.  The returned N adds a
-    geometric margin that pushes the certified tail below the 1e-14 scale, so
-    orthonormality of the resulting bases certifies at the 1e-10 level.
+    geometric margin that pushes the dropped coefficients below the 1e-14
+    scale, so orthonormality of the resulting bases certifies at the 1e-10
+    level.
     """
     if n < 1:
         raise ValueError("need at least one pole")

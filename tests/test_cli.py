@@ -2,6 +2,7 @@
 
 import argparse
 import csv
+import importlib
 import io
 import json
 import math
@@ -280,6 +281,18 @@ class TestBernsteinCommand:
         assert code == 2
         assert "invalid input" in err
 
+    @pytest.mark.parametrize(
+        "argv",
+        (["bernstein", "--sigma", "nan,0"], ["interp", "--sigma", "0.3,nan;0.2,0"]),
+        ids=("bernstein", "interp"),
+    )
+    def test_nan_point_exits_two(self, capsys, argv):
+        """A NaN coordinate is a point outside the open disc, refused as
+        invalid input before any basis or Gram is built."""
+        code, out, err = _run(capsys, argv)
+        assert code == 2 and out == ""
+        assert err.startswith("invalid input: configuration point outside the open disc")
+
 
 class TestInterpCommand:
     """Interpolation constants and bound rows."""
@@ -506,6 +519,48 @@ class TestOutputPlumbing:
             "asymptotics": sorted(["-h", "--help", "--r", "--n-list", "--target", *output]),
             "audit": sorted(["-h", "--help", "--n-list", "--r-list", "--strict-paper", *output]),
         }
+
+    def test_export_inventory(self):
+        """Each submodule exports exactly these names and every one resolves;
+        a new public name edits this test."""
+        inventory = {
+            "series": [
+                "NormKind", "TaylorSeries", "polynomial", "norm", "norm_sq",
+                "differentiate", "evaluate", "cauchy_kernel_series",
+                "compose_with_blaschke_factor", "policy_truncation",
+            ],
+            "blaschke": [
+                "PoleConfiguration", "MalmquistBasis", "blaschke_factor_eval",
+                "blaschke_product_eval", "malmquist_basis", "malmquist_basis_auto",
+                "model_projection", "parse_sigma_spec",
+            ],
+            "hermitian": ["Eigenpair", "gram_matrix", "max_eigenpair", "min_norm_solve"],
+            "bernstein": [
+                "BernsteinResult", "BoundEnvelope", "bernstein_constant_sigma",
+                "constant_from_basis", "one_point_constant", "eq4_envelope",
+                "z2_upper_hardy", "EnPrimeAudit", "en_prime_bergman_audit",
+                "step2_test_function", "default_alternation_depth", "Step2Report",
+                "step2_expansion_check", "RatioRow", "asymptotic_ratio_sweep",
+            ],
+            "interpolation": [
+                "InterpResult", "Eq9Bounds", "interp_exact", "interp_from_basis",
+                "one_point_interp", "one_point_upper_projection",
+                "interp_upper_projection", "interp_lower_eq9",
+                "theoremB_test_function", "theoremB_envelopes",
+                "dirichlet_kernel_diag", "single_point_closed_form",
+            ],
+            "quadrature": [
+                "DiscQuadrature", "bergman_norm_quadrature", "hardy_norm_circle",
+                "moebius_invariance_check", "MoebiusReport",
+            ],
+            "verification": ["CheckResult", "run_all", "CHECK_NAMES"],
+            "cli": ["main"],
+        }
+        for name, exports in inventory.items():
+            module = importlib.import_module(f"mslab.{name}")
+            assert module.__all__ == exports, name
+            for export in exports:
+                assert hasattr(module, export), f"mslab.{name}.{export}"
 
     @pytest.mark.parametrize(
         "argv",

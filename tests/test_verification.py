@@ -2,6 +2,7 @@
 
 import dataclasses
 
+import numpy as np
 import pytest
 
 from mslab import verification
@@ -73,3 +74,34 @@ class TestRunAll:
         """A Gram defect below the certification tolerance changes no verdict."""
         _skew_bases(monkeypatch, 1e-12)
         assert all(res.passed for res in run_all(seed=0))
+
+    def test_kernel_tail_check_catches_excess_mass(self, monkeypatch):
+        """A doubled kernel series whose extra coefficients outweigh the
+        closed-form tail |lam|^(N+1)/sqrt(1-|lam|^2) fails the check."""
+        kernel = verification.cauchy_kernel_series
+        calls = []
+
+        def heavy(lam, N):
+            # The check asks for the short series, then the doubled one.
+            calls.append(N)
+            f = kernel(lam, N)
+            if len(calls) % 2:
+                return f
+            c = f.coeffs.copy()
+            c[-1] += 1e-6
+            return dataclasses.replace(f, coeffs=c)
+
+        monkeypatch.setattr(verification, "cauchy_kernel_series", heavy)
+        res = verification._check_kernel_tail(np.random.default_rng(0))
+        assert res.name == "series.kernel-tail-bound"
+        assert res.passed is False
+
+    def test_congruence_check_needs_the_weight(self, monkeypatch):
+        """Reducing the pencil without its weight S breaks the congruence
+        invariance, and the check reports it."""
+        monkeypatch.setattr(
+            verification.np.linalg, "cholesky", lambda S: np.eye(S.shape[0])
+        )
+        res = verification._check_congruence(np.random.default_rng(0))
+        assert res.name == "hermitian.congruence-invariance"
+        assert res.passed is False
