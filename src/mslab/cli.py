@@ -20,11 +20,14 @@ rows.  ``trunc`` is the series length behind a row; one-point ``bernstein``,
 ``interp`` and ``asymptotics`` rows come from the n x n banded operator,
 have no series behind them and carry ``trunc`` = n.  Whether a
 configuration is one point is the only thing that picks the route; no
-option overrides it.  Human-oriented summaries go to stderr so redirected
-stdout stays machine-readable.
+option overrides it.  ``interp`` emits every row for every configuration:
+``interp-exact``, ``interp-upper`` (the projection bound sqrt(C_B^2 + 1))
+and, for one point with n >= 2, ``interp-lower-eq9``.  Human-oriented
+summaries go to stderr so redirected stdout stays machine-readable.
 
-Exit codes: 0 success, 1 invariant or bracket failure, 2 usage error,
-3 numerical certification failure (truncation, eigensolver or memory).
+Exit codes: 0 success, 1 invariant or bracket failure, 2 usage error
+(including an unwritable ``--out``), 3 numerical certification failure
+(truncation, eigensolver or memory).
 """
 
 from __future__ import annotations
@@ -54,8 +57,6 @@ from .errors import CertificationError
 from .interpolation import (
     interp_exact,
     interp_lower_eq9,
-    interp_upper_projection,
-    one_point_upper_projection,
     single_point_closed_form,
     theoremB_envelopes,
 )
@@ -119,7 +120,10 @@ def _emit(text: str, out: str | None) -> None:
     if out is None:
         sys.stdout.write(text)
     else:
-        Path(out).write_text(text, encoding="utf-8")
+        try:
+            Path(out).write_text(text, encoding="utf-8")
+        except OSError as exc:
+            raise ValueError(f"cannot write --out: {exc}") from exc
         print(f"wrote {out}", file=sys.stderr)
 
 
@@ -250,88 +254,65 @@ def cmd_bernstein(args: argparse.Namespace) -> int:
 
 def cmd_interp(args: argparse.Namespace) -> int:
     configs = parse_sigma_spec(args.sigma, default_seed=args.seed)
-    # Bare invocation computes everything; explicit flags narrow the output.
-    want_exact = args.exact or not args.bounds
-    want_bounds = args.bounds or not args.exact
     rows: list[OutputRow] = []
     for sigma in configs:
+        res = interp_exact(sigma)
         one_point = sigma.is_one_point
-        r = abs(sigma.points[0]) if one_point else sigma.radius
-        if args.bounds and one_point and sigma.n == 1:
-            interp_lower_eq9(sigma.n, r)  # raises the explanatory error
-        res = interp_exact(sigma) if want_exact else None
-        if res is not None:
-            rows.append(
-                OutputRow(
-                    sigma.n,
-                    sigma.radius,
-                    sigma.key(),
-                    "interp-exact",
-                    res.exact,
-                    res.lower_eq9,
-                    res.upper_projection,
-                    res.trunc_len,
-                    res.residual,
-                )
+        bounds = interp_lower_eq9(sigma.n, sigma.radius) if one_point and sigma.n >= 2 else None
+        rows.append(
+            OutputRow(
+                sigma.n,
+                sigma.radius,
+                sigma.key(),
+                "interp-exact",
+                res.exact,
+                None if bounds is None else bounds.eq9,
+                res.upper_projection,
+                res.trunc_len,
+                res.residual,
             )
-        if want_bounds:
-            if res is not None:
-                upper_proj = res.upper_projection
-                trunc_len = res.trunc_len
-            elif one_point:
-                upper_proj = one_point_upper_projection(sigma)
-                trunc_len = sigma.n
-            else:
-                basis = malmquist_basis_auto(sigma)
-                upper_proj = interp_upper_projection(basis)
-                trunc_len = basis.trunc_len
-            upper_env = None
-            if one_point:
-                upper_env = theoremB_envelopes(sigma.n, r)["eq10"].upper
+        )
+        rows.append(
+            OutputRow(
+                sigma.n,
+                sigma.radius,
+                sigma.key(),
+                "interp-upper",
+                res.upper_projection,
+                res.exact,
+                theoremB_envelopes(sigma.n, sigma.radius)["eq10"].upper if one_point else None,
+                res.trunc_len,
+                0.0,
+            )
+        )
+        if bounds is not None:
             rows.append(
                 OutputRow(
                     sigma.n,
                     sigma.radius,
                     sigma.key(),
-                    "interp-upper",
-                    upper_proj,
-                    res.exact if res is not None else None,
-                    upper_env,
-                    trunc_len,
+                    "interp-lower-eq9",
+                    bounds.eq9,
+                    None,
+                    res.exact,
+                    res.trunc_len,
                     0.0,
                 )
             )
-            if one_point and sigma.n >= 2:
-                bounds = interp_lower_eq9(sigma.n, r)
-                rows.append(
-                    OutputRow(
-                        sigma.n,
-                        sigma.radius,
-                        sigma.key(),
-                        "interp-lower-eq9",
-                        bounds.eq9,
-                        None,
-                        res.exact if res is not None else upper_proj,
-                        trunc_len,
-                        0.0,
-                    )
-                )
-        if res is not None and one_point and sigma.n >= 2:
-            bounds = interp_lower_eq9(sigma.n, r)
             print(
-                f"interp n={sigma.n} r={r:.6g}: {bounds.eq9:.12g} <= "
+                f"interp n={sigma.n} r={sigma.radius:.6g}: {bounds.eq9:.12g} <= "
                 f"{res.exact:.12g} <= {res.upper_projection:.12g} "
                 f"(one-sided refinement {bounds.eq10_left:.12g}, informational)",
                 file=sys.stderr,
             )
-        elif res is not None:
+        else:
             print(
                 f"interp n={sigma.n} r={sigma.radius:.6g}: "
                 f"{res.exact:.12g} <= {res.upper_projection:.12g}",
                 file=sys.stderr,
             )
-        if res is not None and sigma.n == 1:
-            closed = single_point_closed_form(r)
+        if sigma.n == 1:
+            closed = single_point_closed_form(sigma.radius)
             print(
                 f"  single-point closed form {closed:.12g} "
                 f"(deviation {abs(res.exact - closed):.3e})",
@@ -471,8 +452,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_interp = sub.add_parser("interp", help="constrained interpolation constants")
     p_interp.add_argument("--sigma", required=True, help="configuration (same grammar as bernstein)")
     p_interp.add_argument("--seed", type=int, default=0, help="seed for random: specs")
-    p_interp.add_argument("--exact", action="store_true", help="emit the exact-constant row (default: all rows)")
-    p_interp.add_argument("--bounds", action="store_true", help="emit the bound rows (default: all rows)")
     _add_output_options(p_interp)
     p_interp.set_defaults(func=cmd_interp)
 

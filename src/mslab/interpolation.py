@@ -35,12 +35,8 @@ constraint rows and no min-norm solve (:func:`one_point_interp`):
 * Therefore I^2 = lambda_max(R Delta^{-1} R^T) / (1 - r^2): the top
   eigenvalue of the tridiagonal Gram of R^T with weights d/q,
   q = (1 - r)(1 + r) and d = (1, 2, ..., n-1, 1/sigma_n).
-* With d_{n-1} = n instead the same matrix is E^* diag(k+1) E in these
-  coordinates, so the projection bound sqrt(C_B^2 + 1) needs no basis
-  either; it is taken from the banded Bergman constant C_B of
-  :func:`mslab.bernstein.one_point_constant`.
 * Rotating lam by theta multiplies coordinate k by e^{-i k theta}, a
-  unitary change that leaves both eigenvalues alone.
+  unitary change that leaves the eigenvalue alone.
 
 Whether sigma is one point is the only thing that picks the route
 (:func:`interp_exact`).  Banded results carry ``trunc_len`` = n and no
@@ -48,14 +44,14 @@ witness functions; :func:`interp_from_basis` takes any built basis, which
 keeps E the banded route's test oracle and gives one-point configurations
 witnesses.
 
-The closed-form companions: an upper bound from interpolating by the
-projection itself, sqrt(lambda_max(E^* diag(k+1) E)), which equals
-sqrt(C_B(sigma)^2 + 1) with C_B the Bergman derivative constant of the
-configuration (equality with I iff the projection is the minimizer, observed
-only at the origin configurations), a one-point lower bound from a composed
-test function, two-sided sqrt(n/(1-r)) envelopes for the one-point family,
-and the single-point closed form sqrt(k_Hardy / k_Dirichlet) from the
-reproducing kernels.
+Every result carries the bound from interpolating by the projection itself,
+sqrt(lambda_max(E^* diag(k+1) E)) = sqrt(C_B^2 + 1) since E^* E = I, with
+C_B the Bergman derivative constant from the route's own Bergman operator;
+it equals I iff the projection is the minimizer, observed only at the origin
+configurations.  The closed-form companions: a one-point lower bound from a
+composed test function, two-sided sqrt(n/(1-r)) envelopes for the one-point
+family, and the single-point closed form sqrt(k_Hardy / k_Dirichlet) from
+the reproducing kernels.
 """
 
 from __future__ import annotations
@@ -71,7 +67,7 @@ from .blaschke import (
     malmquist_basis_auto,
     multiplicity_groups,
 )
-from .bernstein import BoundEnvelope, one_point_constant
+from .bernstein import BoundEnvelope, constant_from_basis, one_point_constant
 from .errors import CertificationError
 from .hermitian import gram_matrix, max_eigenpair, min_norm_solve
 from .series import NormKind, TaylorSeries
@@ -82,8 +78,6 @@ __all__ = [
     "interp_exact",
     "interp_from_basis",
     "one_point_interp",
-    "one_point_upper_projection",
-    "interp_upper_projection",
     "interp_lower_eq9",
     "theoremB_test_function",
     "theoremB_envelopes",
@@ -94,8 +88,9 @@ __all__ = [
 
 @dataclass(frozen=True)
 class InterpResult:
-    """Exact constant with witnesses and the attached per-configuration bounds.
+    """Exact constant with its projection bound and witnesses.
 
+    ``upper_projection`` is sqrt(C_B^2 + 1) (module docstring).
     ``witness_f`` realizes the supremum on the model-space ball (unit Hardy
     norm); ``witness_g`` is its minimum Dirichlet-norm interpolant, so
     ``witness_g`` agrees with ``witness_f`` on the configuration and
@@ -107,7 +102,6 @@ class InterpResult:
     sigma: PoleConfiguration
     exact: float
     upper_projection: float
-    lower_eq9: float | None
     witness_f: TaylorSeries | None
     witness_g: TaylorSeries | None
     trunc_len: int
@@ -214,22 +208,16 @@ def interp_from_basis(basis: MalmquistBasis) -> InterpResult:
     exact = math.sqrt(max(pair.value, 0.0))
     witness_f = basis.combine(pair.vector)
     witness_g = TaylorSeries(interpolants @ pair.vector)
+    bergman = constant_from_basis(basis, NormKind.BERGMAN).constant
     return InterpResult(
         sigma,
         exact,
-        interp_upper_projection(basis),
-        _one_point_lower(sigma),
+        math.hypot(bergman, 1.0),
         witness_f,
         witness_g,
         L,
         pair.residual,
     )
-
-
-def _one_point_lower(sigma: PoleConfiguration) -> float | None:
-    if sigma.n >= 2 and sigma.is_one_point:
-        return interp_lower_eq9(sigma.n, abs(sigma.points[0])).eq9
-    return None
 
 
 _CORNER_CHUNK = 256
@@ -281,33 +269,16 @@ def one_point_interp(sigma: PoleConfiguration) -> InterpResult:
     d[-1] = 1.0 / _corner_sum(n, r)
     Rt = np.eye(n) - r * np.eye(n, k=1)
     pair = max_eigenpair(gram_matrix(Rt, d / q))
+    bergman = one_point_constant(sigma, NormKind.BERGMAN).constant
     return InterpResult(
         sigma,
         math.sqrt(max(pair.value, 0.0)),
-        one_point_upper_projection(sigma),
-        _one_point_lower(sigma),
+        math.hypot(bergman, 1.0),
         None,
         None,
         n,
         pair.residual,
     )
-
-
-def one_point_upper_projection(sigma: PoleConfiguration) -> float:
-    """The projection bound sqrt(C_B^2 + 1) of a one-point configuration,
-    with C_B from the banded Bergman operator of
-    :func:`~mslab.bernstein.one_point_constant`."""
-    return math.hypot(one_point_constant(sigma, NormKind.BERGMAN).constant, 1.0)
-
-
-def interp_upper_projection(basis: MalmquistBasis) -> float:
-    """Upper bound on the model space of a built basis from interpolating by
-    the projection itself: the Dirichlet norm over the model-space ball,
-    sqrt(lambda_max(E^* diag(k+1) E)).  Since E^* E is the identity this is
-    sqrt(C_B^2 + 1), C_B the Bergman derivative constant of the
-    configuration."""
-    w = NormKind.DIRICHLET.weights(basis.trunc_len)
-    return math.sqrt(max(max_eigenpair(gram_matrix(basis.matrix, w)).value, 0.0))
 
 
 def interp_lower_eq9(n: int, abs_lam: float) -> Eq9Bounds:

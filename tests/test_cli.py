@@ -17,7 +17,6 @@ import mslab
 from mslab import verification
 from mslab.blaschke import PoleConfiguration, malmquist_basis_auto
 from mslab.cli import build_parser, main
-from mslab.verification import CHECK_NAMES, CheckResult
 
 HEADER = "n,r,sigma,quantity,value,lower,upper,trunc,residual"
 
@@ -94,10 +93,8 @@ class TestVerifyCommand:
 
     def test_injected_defect_fails(self, capsys, monkeypatch):
         """One failing check drives exit code 1 with one FAIL line."""
-        checks = list(verification._CHECKS)
-        checks[CHECK_NAMES.index("blaschke.orthonormality")] = lambda rng: CheckResult(
-            "blaschke.orthonormality", False, "injected"
-        )
+        checks = dict(verification._CHECKS)
+        checks["blaschke.orthonormality"] = lambda rng: (False, "injected")
         monkeypatch.setattr(verification, "_CHECKS", checks)
         code, out, err = _run(capsys, ["verify"])
         assert code == 1
@@ -311,25 +308,6 @@ class TestInterpCommand:
         np.testing.assert_allclose(eq9, 1.0, rtol=1e-12)
         assert "one-sided refinement" in err
 
-    def test_exact_only(self, capsys):
-        """--exact narrows the output to the exact row."""
-        code, out, _ = _run(capsys, ["interp", "--sigma", "0,0;0,0", "--exact"])
-        assert code == 0
-        rows = _parse_csv(out)
-        assert [row["quantity"] for row in rows] == ["interp-exact"]
-        np.testing.assert_allclose(float(rows[0]["value"]), math.sqrt(2.0), rtol=1e-12)
-
-    def test_bounds_only_skips_eigen_solve(self, capsys):
-        """--bounds emits the projection bound without an exact row."""
-        code, out, _ = _run(
-            capsys, ["interp", "--sigma", "one-point:n=3,r=0.4", "--bounds"]
-        )
-        assert code == 0
-        rows = _parse_csv(out)
-        quantities = [row["quantity"] for row in rows]
-        assert "interp-exact" not in quantities
-        assert "interp-upper" in quantities and "interp-lower-eq9" in quantities
-
     def test_overflowing_dual_gram_exits_three(self, capsys, recwarn):
         """Derivative functionals that overflow are a numerical failure, not bad
         input, and are refused without numpy overflow warnings.  The second
@@ -348,9 +326,9 @@ class TestInterpCommand:
             ("one-point:n=100,r=0.9", 100, 0.9, 42.1075478838),
             ("one-point:n=30,r=0.5", 30, 0.5, 8.8444587417),
         ):
-            code, out, _ = _run(capsys, ["interp", "--sigma", spec, "--exact"])
+            code, out, _ = _run(capsys, ["interp", "--sigma", spec])
             assert code == 0
-            (row,) = _parse_csv(out)
+            (row,) = [row for row in _parse_csv(out) if row["quantity"] == "interp-exact"]
             assert int(row["trunc"]) == n
             basis = malmquist_basis_auto(PoleConfiguration.one_point(n, r))
             E = basis.matrix
@@ -360,18 +338,28 @@ class TestInterpCommand:
             np.testing.assert_allclose(float(row["value"]), expect, rtol=1e-10)
 
     def test_single_point_reports_closed_form(self, capsys):
-        """n = 1 exact runs report the closed-form comparison on stderr."""
+        """n = 1 runs report the closed-form comparison on stderr."""
         code, _, err = _run(capsys, ["interp", "--sigma", "0.5,0"])
         assert code == 0
         assert "single-point closed form" in err
 
-    def test_single_point_bounds_refused(self, capsys):
-        """Requesting the n >= 2 lower bound at n = 1 is a usage error."""
-        code, _, err = _run(
-            capsys, ["interp", "--sigma", "one-point:n=1,r=0.5", "--bounds"]
+    def test_projection_bound_is_hypot_of_bergman_constant(self, capsys):
+        """On a multiplicity configuration, which takes the basis route, the
+        interp-upper value is sqrt(C_B^2 + 1) with C_B the bernstein Bergman
+        value, and its lower cell is the exact constant."""
+        sigma = "0.3,0;0.3,0;-0.2,0.4"
+        code, out, _ = _run(capsys, ["interp", "--sigma", sigma])
+        assert code == 0
+        by_q = {row["quantity"]: row for row in _parse_csv(out)}
+        assert set(by_q) == {"interp-exact", "interp-upper"}
+        code, out, _ = _run(capsys, ["bernstein", "--sigma", sigma, "--target", "bergman"])
+        assert code == 0
+        (bergman,) = _parse_csv(out)
+        upper = by_q["interp-upper"]
+        np.testing.assert_allclose(
+            float(upper["value"]), math.hypot(float(bergman["value"]), 1.0), rtol=1e-12
         )
-        assert code == 2
-        assert "single-point closed form" in err
+        assert upper["lower"] == by_q["interp-exact"]["value"]
 
 
 class TestAsymptoticsCommand:
@@ -480,6 +468,24 @@ class TestOutputPlumbing:
         assert f"wrote {path}" in err
         assert path.read_text(encoding="utf-8").splitlines()[0] == HEADER
 
+    @pytest.mark.parametrize(
+        "argv, target",
+        (
+            (["bernstein", "--sigma", "one-point:n=3,r=0.5"], "missing/x.csv"),
+            (["verify"], "."),
+        ),
+        ids=("missing-directory", "is-a-directory"),
+    )
+    def test_unwritable_out_exits_two(self, capsys, tmp_path, argv, target):
+        """An --out path that cannot be written is a usage error: exit 2 with
+        one line naming the path, no traceback and nothing on stdout."""
+        path = tmp_path / target
+        code, out, err = _run(capsys, [*argv, "--out", str(path)])
+        assert code == 2 and out == ""
+        (line,) = [line for line in err.splitlines() if "cannot write" in line]
+        assert line.startswith("invalid input: cannot write --out: ")
+        assert str(path) in line
+
     def test_parser_built_once(self, capsys):
         """One parser per process serves back-to-back subcommands."""
         assert build_parser() is build_parser()
@@ -515,7 +521,7 @@ class TestOutputPlumbing:
             "bernstein": sorted(
                 ["-h", "--help", "--sigma", "--target", "--seed", "--strict-paper", *output]
             ),
-            "interp": sorted(["-h", "--help", "--sigma", "--seed", "--exact", "--bounds", *output]),
+            "interp": sorted(["-h", "--help", "--sigma", "--seed", *output]),
             "asymptotics": sorted(["-h", "--help", "--r", "--n-list", "--target", *output]),
             "audit": sorted(["-h", "--help", "--n-list", "--r-list", "--strict-paper", *output]),
         }
@@ -544,8 +550,7 @@ class TestOutputPlumbing:
             ],
             "interpolation": [
                 "InterpResult", "Eq9Bounds", "interp_exact", "interp_from_basis",
-                "one_point_interp", "one_point_upper_projection",
-                "interp_upper_projection", "interp_lower_eq9",
+                "one_point_interp", "interp_lower_eq9",
                 "theoremB_test_function", "theoremB_envelopes",
                 "dirichlet_kernel_diag", "single_point_closed_form",
             ],
@@ -566,7 +571,7 @@ class TestOutputPlumbing:
         "argv",
         (
             ["bernstein", "--sigma", "one-point:n=100000,r=0.5"],
-            ["interp", "--exact", "--sigma", "one-point:n=100000,r=0.5"],
+            ["interp", "--sigma", "one-point:n=100000,r=0.5"],
             ["asymptotics", "--n-list", "100000"],
             ["audit", "--n-list", "2", "--r-list", "0.999"],
         ),

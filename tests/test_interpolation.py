@@ -15,9 +15,7 @@ from mslab.interpolation import (
     interp_exact,
     interp_from_basis,
     interp_lower_eq9,
-    interp_upper_projection,
     one_point_interp,
-    one_point_upper_projection,
     single_point_closed_form,
     theoremB_envelopes,
     theoremB_test_function,
@@ -47,6 +45,14 @@ def _random_config(rng, n, max_r):
     rad = max_r * np.sqrt(rng.uniform(0.0, 1.0, size=n))
     ang = rng.uniform(0.0, 2.0 * np.pi, size=n)
     return PoleConfiguration(tuple(rad * np.exp(1j * ang)))
+
+
+def _projection_oracle(basis):
+    """The projection bound as the Dirichlet norm over the model-space ball,
+    sqrt(lambda_max(E^* diag(k+1) E)), straight from E."""
+    E = basis.matrix
+    G = E.conj().T @ (E * (np.arange(basis.trunc_len) + 1.0)[:, None])
+    return math.sqrt(np.linalg.eigvalsh(G)[-1])
 
 
 class TestSinglePoint:
@@ -234,10 +240,7 @@ class TestOnePointInterpRoute:
                     res.exact, self._lambda_min_oracle(basis), rtol=1e-12
                 )
                 np.testing.assert_allclose(
-                    res.upper_projection, interp_upper_projection(basis), rtol=1e-12
-                )
-                np.testing.assert_allclose(
-                    one_point_upper_projection(sig), res.upper_projection, rtol=0
+                    res.upper_projection, _projection_oracle(basis), rtol=1e-12
                 )
 
     def test_matches_min_norm_route(self):
@@ -248,7 +251,6 @@ class TestOnePointInterpRoute:
             assert banded.witness_f is None
             via_basis = interp_from_basis(malmquist_basis(sig, policy_truncation(n, abs(r))))
             np.testing.assert_allclose(banded.exact, via_basis.exact, rtol=1e-10)
-            assert banded.lower_eq9 == via_basis.lower_eq9
 
     def test_single_point_closed_form(self):
         """n = 1 reproduces the kernel quotient and stays under the
@@ -308,7 +310,7 @@ class TestBounds:
             basis = malmquist_basis_auto(sig)
             assert res.exact <= res.upper_projection + 1e-9
             np.testing.assert_allclose(
-                res.upper_projection, interp_upper_projection(basis), rtol=1e-12
+                res.upper_projection, _projection_oracle(basis), rtol=1e-12
             )
             bergman = constant_from_basis(basis, NormKind.BERGMAN).constant
             np.testing.assert_allclose(
