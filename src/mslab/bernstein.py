@@ -90,8 +90,6 @@ class BoundEnvelope:
 class BernsteinResult:
     """Computed constant with extremal witness and truncation diagnostics."""
 
-    sigma: PoleConfiguration
-    target: NormKind
     constant: float
     extremal: np.ndarray
     trunc_len: int
@@ -113,9 +111,7 @@ def constant_from_basis(basis: MalmquistBasis, target: NormKind) -> BernsteinRes
     constant = math.sqrt(max(pair.value, 0.0))
     vec = np.array(pair.vector)
     vec.setflags(write=False)
-    return BernsteinResult(
-        basis.sigma, target, constant, vec, basis.trunc_len, pair.residual
-    )
+    return BernsteinResult(constant, vec, basis.trunc_len, pair.residual)
 
 
 def one_point_constant(sigma: PoleConfiguration, target: NormKind) -> BernsteinResult:
@@ -159,9 +155,7 @@ def one_point_constant(sigma: PoleConfiguration, target: NormKind) -> BernsteinR
     pair = max_eigenpair(gram_matrix(D, w))
     vec = pair.vector * np.exp(-1j * math.atan2(lam.imag, lam.real) * k)
     vec.setflags(write=False)
-    return BernsteinResult(
-        sigma, target, math.sqrt(max(pair.value, 0.0)), vec, n, pair.residual
-    )
+    return BernsteinResult(math.sqrt(max(pair.value, 0.0)), vec, n, pair.residual)
 
 
 def bernstein_constant_sigma(
@@ -214,8 +208,6 @@ class EnPrimeAudit:
     r = 0 and split for r > 0.
     """
 
-    n: int
-    r: float
     numeric_sq: float
     quadrature_sq: float
     closed_form_sq: float
@@ -227,18 +219,16 @@ class EnPrimeAudit:
 
 
 def en_prime_bergman_audit(n: int, r: float) -> EnPrimeAudit:
-    from .quadrature import DiscQuadrature, bergman_norm_quadrature
+    from .quadrature import bergman_norm_quadrature
 
     if n < 1 or not 0.0 <= r < 1.0:
         raise ValueError("need n >= 1 and r in [0, 1)")
     basis = malmquist_basis_auto(PoleConfiguration.one_point(n, r))
     deriv = differentiate(basis.element(n - 1))
     numeric = norm_sq(deriv, NormKind.BERGMAN)
-    quad = bergman_norm_quadrature(
-        deriv, DiscQuadrature.for_degree(deriv.trunc_len - 1)
-    )
+    quad = bergman_norm_quadrature(deriv)
     closed = n / (1.0 - r) * (1.0 - (1.0 - r) / n)
-    return EnPrimeAudit(n, r, numeric, quad, closed, basis.trunc_len)
+    return EnPrimeAudit(numeric, quad, closed, basis.trunc_len)
 
 
 def default_alternation_depth(n: int) -> int:
@@ -284,10 +274,9 @@ class Step2Report:
     ``eq18`` bounds ||B|| by r ||f||_Hardy, and the sandwich
     ``eq16_lower <= eq16_mid <= eq16_upper`` is the triangle inequality
     applied to (A - B) after normalizing by ||f|| sqrt(n (1+r)).
+    :meth:`ok` holds all of them to 1e-9.
     """
 
-    n: int
-    r: float
     lhs17: float
     rhs17: float
     identity_gap: float
@@ -305,7 +294,8 @@ class Step2Report:
     def eq18_slack(self) -> float:
         return self.eq18_bound - self.eq18_norm
 
-    def ok(self, tol: float = 1e-9) -> bool:
+    def ok(self) -> bool:
+        tol = 1e-9
         scale17 = max(1.0, abs(self.lhs17))
         return (
             self.gap17 <= tol * scale17
@@ -358,8 +348,6 @@ def step2_expansion_check(n: int, r: float, coords: Sequence[complex]) -> Step2R
     eq16_upper = kappa * (normA + eq18_norm)
 
     return Step2Report(
-        n,
-        r,
         lhs17,
         rhs17,
         identity_gap,
@@ -374,15 +362,12 @@ def step2_expansion_check(n: int, r: float, coords: Sequence[complex]) -> Step2R
 @dataclass(frozen=True)
 class RatioRow:
     """One row of a growth sweep: constant against its predicted scale,
-    with the truncation length and eigen-residual of the constant."""
+    with the eigen-residual of the constant."""
 
     n: int
-    r: float
-    target: NormKind
     constant: float
     ratio: float
     limit: float
-    trunc_len: int
     residual: float
 
     @property
@@ -406,9 +391,5 @@ def asymptotic_ratio_sweep(
     for n in n_list:
         res = bernstein_constant_sigma(PoleConfiguration.one_point(n, r), target)
         ratio = res.constant / (math.sqrt(n) if bergman else n)
-        rows.append(
-            RatioRow(
-                n, r, target, res.constant, ratio, limit, res.trunc_len, res.residual
-            )
-        )
+        rows.append(RatioRow(n, res.constant, ratio, limit, res.residual))
     return rows

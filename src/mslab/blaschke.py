@@ -192,13 +192,13 @@ def _compressed_shift(points: tuple[complex, ...]) -> tuple[np.ndarray, np.ndarr
     return x0, T
 
 
-def _floored(power: np.ndarray) -> np.ndarray:
+def _floored(block: np.ndarray) -> np.ndarray:
     """Zero the real and imaginary parts below ``_POWER_FLOOR``, in place:
     far below rounding, they would only feed subnormal floats, whose
-    arithmetic is slow on x86, into the matrix products."""
-    parts = power.view(np.float64)
+    arithmetic is slow on x86, into the matrix products that follow."""
+    parts = block.view(np.float64)
     parts[np.abs(parts) < _POWER_FLOOR] = 0.0
-    return power
+    return block
 
 
 def malmquist_basis(sigma: PoleConfiguration, N: int) -> MalmquistBasis:
@@ -207,7 +207,9 @@ def malmquist_basis(sigma: PoleConfiguration, N: int) -> MalmquistBasis:
     E comes from the row recurrence x_{m+1} = T x_m of the module docstring,
     taken by doubling: ceil(log2 L) products of a block of known rows with a
     power of T, with the n x n power squared in between, O(L n^2) work in
-    all, the order of the Gram certificate E^* E itself.
+    all, the order of the Gram certificate E^* E itself.  Every power and
+    every block of rows is floored (:func:`_floored`) as it is written, so
+    no later product, certificate or weighted Gram multiplies subnormals.
 
     Raises
     ------
@@ -230,12 +232,13 @@ def malmquist_basis(sigma: PoleConfiguration, N: int) -> MalmquistBasis:
             f"that cannot be allocated: {exc}"
         ) from exc
     mat[0], T = _compressed_shift(sigma.points)
+    _floored(mat[:1])
     # Rows multiply from the left, so the powers are kept transposed.
     power = _floored(T.T.copy())
     d = 1
     while d < L:
         rows = min(d, L - d)
-        np.dot(mat[:rows], power, out=mat[d : d + rows])
+        _floored(np.dot(mat[:rows], power, out=mat[d : d + rows]))
         d *= 2
         if d < L:
             power = _floored(power @ power)
@@ -282,7 +285,7 @@ _RANDOM_RE = re.compile(
 )
 
 
-def parse_sigma_spec(text: str, default_seed: int = 0) -> list[PoleConfiguration]:
+def parse_sigma_spec(text: str) -> list[PoleConfiguration]:
     """Parse a configuration spec string into one or more configurations.
 
     Grammar (documented in the CLI help as well):
@@ -290,8 +293,8 @@ def parse_sigma_spec(text: str, default_seed: int = 0) -> list[PoleConfiguration
     * explicit points: ``re,im;re,im;...`` e.g. ``0.3,0;-0.2,0.1``
     * repeated real point: ``one-point:n=<k>,r=<x>``
     * seeded samples, uniform in the disc of radius r:
-      ``random:n=<k>,r=<x>,count=<m>[,seed=<s>]`` (seed defaults to
-      ``default_seed``); expands to ``count`` configurations.
+      ``random:n=<k>,r=<x>,count=<m>[,seed=<s>]`` (seed defaults to 0);
+      expands to ``count`` configurations.
     """
     text = text.strip().replace("−", "-")
     if not text:
@@ -305,7 +308,7 @@ def parse_sigma_spec(text: str, default_seed: int = 0) -> list[PoleConfiguration
     m = _RANDOM_RE.match(text)
     if m:
         n, r, count = int(m.group(1)), float(m.group(2)), int(m.group(3))
-        seed = int(m.group(4)) if m.group(4) is not None else default_seed
+        seed = int(m.group(4) or 0)
         if not 0.0 <= r < 1.0:
             raise ValueError(f"random radius must lie in [0, 1): {r}")
         if count < 1:

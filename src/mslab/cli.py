@@ -158,14 +158,26 @@ def _int_list(text: str) -> list[int]:
     return values
 
 
+def _radii(values: list[float]) -> list[float]:
+    if not values or any(not 0.0 <= v < 1.0 for v in values):
+        raise argparse.ArgumentTypeError("radii must lie in [0, 1)")
+    return values
+
+
 def _float_list(text: str) -> list[float]:
     try:
         values = [float(part) for part in text.split(",") if part.strip() != ""]
     except ValueError as exc:
         raise argparse.ArgumentTypeError("expected comma-separated floats") from exc
-    if not values or any(not 0.0 <= v < 1.0 for v in values):
-        raise argparse.ArgumentTypeError("radii must lie in [0, 1)")
-    return values
+    return _radii(values)
+
+
+def _radius(text: str) -> float:
+    try:
+        value = float(text)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(f"invalid float value: {text!r}") from exc
+    return _radii([value])[0]
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
@@ -195,7 +207,7 @@ _TARGETS = {
 
 
 def cmd_bernstein(args: argparse.Namespace) -> int:
-    configs = parse_sigma_spec(args.sigma, default_seed=args.seed)
+    configs = parse_sigma_spec(args.sigma)
     rows: list[OutputRow] = []
     strict_failures = []
     for sigma in configs:
@@ -253,12 +265,13 @@ def cmd_bernstein(args: argparse.Namespace) -> int:
 
 
 def cmd_interp(args: argparse.Namespace) -> int:
-    configs = parse_sigma_spec(args.sigma, default_seed=args.seed)
+    configs = parse_sigma_spec(args.sigma)
     rows: list[OutputRow] = []
     for sigma in configs:
         res = interp_exact(sigma)
         one_point = sigma.is_one_point
-        bounds = interp_lower_eq9(sigma.n, sigma.radius) if one_point and sigma.n >= 2 else None
+        eq10 = theoremB_envelopes(sigma.n, sigma.radius)["eq10"] if one_point else None
+        eq9 = interp_lower_eq9(sigma.n, sigma.radius) if one_point and sigma.n >= 2 else None
         rows.append(
             OutputRow(
                 sigma.n,
@@ -266,7 +279,7 @@ def cmd_interp(args: argparse.Namespace) -> int:
                 sigma.key(),
                 "interp-exact",
                 res.exact,
-                None if bounds is None else bounds.eq9,
+                eq9,
                 res.upper_projection,
                 res.trunc_len,
                 res.residual,
@@ -280,19 +293,19 @@ def cmd_interp(args: argparse.Namespace) -> int:
                 "interp-upper",
                 res.upper_projection,
                 res.exact,
-                theoremB_envelopes(sigma.n, sigma.radius)["eq10"].upper if one_point else None,
+                eq10.upper if one_point else None,
                 res.trunc_len,
                 0.0,
             )
         )
-        if bounds is not None:
+        if eq9 is not None:
             rows.append(
                 OutputRow(
                     sigma.n,
                     sigma.radius,
                     sigma.key(),
                     "interp-lower-eq9",
-                    bounds.eq9,
+                    eq9,
                     None,
                     res.exact,
                     res.trunc_len,
@@ -300,9 +313,9 @@ def cmd_interp(args: argparse.Namespace) -> int:
                 )
             )
             print(
-                f"interp n={sigma.n} r={sigma.radius:.6g}: {bounds.eq9:.12g} <= "
+                f"interp n={sigma.n} r={sigma.radius:.6g}: {eq9:.12g} <= "
                 f"{res.exact:.12g} <= {res.upper_projection:.12g} "
-                f"(one-sided refinement {bounds.eq10_left:.12g}, informational)",
+                f"(one-sided refinement {eq10.lower:.12g}, informational)",
                 file=sys.stderr,
             )
         else:
@@ -323,9 +336,6 @@ def cmd_interp(args: argparse.Namespace) -> int:
 
 def cmd_asymptotics(args: argparse.Namespace) -> int:
     r = args.r
-    if not 0.0 <= r < 1.0:
-        print("radius must lie in [0, 1)", file=sys.stderr)
-        return EXIT_USAGE
     if any(b <= a for a, b in zip(args.n_list, args.n_list[1:])):
         print("n-list must be strictly ascending", file=sys.stderr)
         return EXIT_USAGE
@@ -344,7 +354,7 @@ def cmd_asymptotics(args: argparse.Namespace) -> int:
                 row.ratio,
                 None,
                 row.limit,
-                row.trunc_len,
+                row.n,
                 row.residual,
             )
         )
@@ -440,7 +450,6 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     p_bern.add_argument("--target", choices=tuple(_TARGETS), default="both")
-    p_bern.add_argument("--seed", type=int, default=0, help="seed for random: specs")
     p_bern.add_argument(
         "--strict-paper",
         action="store_true",
@@ -451,12 +460,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_interp = sub.add_parser("interp", help="constrained interpolation constants")
     p_interp.add_argument("--sigma", required=True, help="configuration (same grammar as bernstein)")
-    p_interp.add_argument("--seed", type=int, default=0, help="seed for random: specs")
     _add_output_options(p_interp)
     p_interp.set_defaults(func=cmd_interp)
 
     p_asym = sub.add_parser("asymptotics", help="normalized constants along n at fixed radius")
-    p_asym.add_argument("--r", type=float, default=0.5)
+    p_asym.add_argument("--r", type=_radius, default=0.5)
     p_asym.add_argument("--n-list", type=_int_list, default=[25, 50, 100, 200], metavar="N1,N2,...")
     p_asym.add_argument("--target", choices=("bergman", "hardy"), default="bergman")
     _add_output_options(p_asym)

@@ -74,7 +74,6 @@ from .series import NormKind, TaylorSeries
 
 __all__ = [
     "InterpResult",
-    "Eq9Bounds",
     "interp_exact",
     "interp_from_basis",
     "one_point_interp",
@@ -99,25 +98,12 @@ class InterpResult:
     built basis sets them for any configuration.
     """
 
-    sigma: PoleConfiguration
     exact: float
     upper_projection: float
     witness_f: TaylorSeries | None
     witness_g: TaylorSeries | None
     trunc_len: int
     residual: float
-
-
-@dataclass(frozen=True)
-class Eq9Bounds:
-    """One-point lower bounds: the published form and the proof-step form.
-
-    The two differ at order 1/n (the proof-step value is never smaller);
-    the exact constant is required to dominate each independently.
-    """
-
-    eq9: float
-    eq10_left: float
 
 
 def dirichlet_kernel_diag(abs_lam: float) -> float:
@@ -199,9 +185,8 @@ def interp_from_basis(basis: MalmquistBasis) -> InterpResult:
     closer than 1e-8, derivative functionals that overflow, or
     ill-conditioned trace systems.
     """
-    sigma = basis.sigma
     L = basis.trunc_len
-    A = _constraint_rows(sigma, L)
+    A = _constraint_rows(basis.sigma, L)
     weights = NormKind.DIRICHLET.weights(L)
     interpolants = min_norm_solve(weights, A, A @ basis.matrix)
     pair = max_eigenpair(gram_matrix(interpolants, weights))
@@ -210,7 +195,6 @@ def interp_from_basis(basis: MalmquistBasis) -> InterpResult:
     witness_g = TaylorSeries(interpolants @ pair.vector)
     bergman = constant_from_basis(basis, NormKind.BERGMAN).constant
     return InterpResult(
-        sigma,
         exact,
         math.hypot(bergman, 1.0),
         witness_f,
@@ -271,7 +255,6 @@ def one_point_interp(sigma: PoleConfiguration) -> InterpResult:
     pair = max_eigenpair(gram_matrix(Rt, d / q))
     bergman = one_point_constant(sigma, NormKind.BERGMAN).constant
     return InterpResult(
-        sigma,
         math.sqrt(max(pair.value, 0.0)),
         math.hypot(bergman, 1.0),
         None,
@@ -281,11 +264,13 @@ def one_point_interp(sigma: PoleConfiguration) -> InterpResult:
     )
 
 
-def interp_lower_eq9(n: int, abs_lam: float) -> Eq9Bounds:
-    """One-point lower bounds for the exact constant, n >= 2.
+def interp_lower_eq9(n: int, abs_lam: float) -> float:
+    """The paper's one-point lower bound (eq9) for the exact constant, n >= 2.
 
-    At n = 1 the bracket under the square root is negative and the bound is
-    meaningless; ask for the single-point closed form instead.
+    It sits below the proof-step bound, the lower end of
+    ``theoremB_envelopes(n, r)["eq10"]``, by order 1/n.  At n = 1 the bracket
+    under the square root is negative and the bound is meaningless; ask for
+    the single-point closed form instead.
     """
     if n < 2:
         raise ValueError(
@@ -296,11 +281,9 @@ def interp_lower_eq9(n: int, abs_lam: float) -> Eq9Bounds:
         raise ValueError("need |lam| in [0, 1)")
     r = abs_lam
     scale_factor = math.sqrt(n / (1.0 - r))
-    eq9 = scale_factor * math.sqrt(
+    return scale_factor * math.sqrt(
         max(((1.0 + r) ** 2 - 2.0 / n - 2.0 * r / n) / (2.0 * (1.0 + r)), 0.0)
     )
-    eq10_left = scale_factor * math.sqrt((1.0 + r) / 2.0 * (1.0 - 1.0 / n))
-    return Eq9Bounds(eq9, eq10_left)
 
 
 def theoremB_test_function(n: int, lam: complex) -> TaylorSeries:

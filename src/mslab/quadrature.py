@@ -15,6 +15,10 @@ uniform M-point angular rule is exact once M > 2 deg f.  No Parseval-type
 shortcut is taken anywhere here: values of f on the grid are computed by
 polynomial evaluation (an FFT over the angular grid, which is the same
 evaluation arranged efficiently) and squared pointwise.
+
+The area rule is read off the stored degree of f, so it is exact by
+construction; only the circle rule takes its angle count from the caller,
+which lets the aliasing control ask for too few.
 """
 
 from __future__ import annotations
@@ -35,7 +39,6 @@ from .series import (
 )
 
 __all__ = [
-    "DiscQuadrature",
     "bergman_norm_quadrature",
     "hardy_norm_circle",
     "moebius_invariance_check",
@@ -52,47 +55,6 @@ def _gauss_legendre(K: int) -> tuple[np.ndarray, np.ndarray]:
     nodes.setflags(write=False)
     weights.setflags(write=False)
     return nodes, weights
-
-
-@dataclass(frozen=True)
-class DiscQuadrature:
-    """Tensor rule on the disc: Gauss-Legendre in s = rho^2 times uniform angles."""
-
-    radial_nodes: np.ndarray
-    radial_weights: np.ndarray
-    angular_count: int
-
-    def __post_init__(self) -> None:
-        nodes = np.asarray(self.radial_nodes, dtype=np.float64)
-        weights = np.asarray(self.radial_weights, dtype=np.float64)
-        if nodes.shape != weights.shape or nodes.ndim != 1 or nodes.size == 0:
-            raise ValueError("radial nodes and weights must be matching vectors")
-        if np.any(nodes < 0.0) or np.any(nodes > 1.0):
-            raise ValueError("radial nodes must lie in [0, 1]")
-        if abs(float(np.sum(weights)) - 1.0) > 1e-14:
-            raise ValueError("radial weights must sum to one")
-        if self.angular_count < 1:
-            raise ValueError("need at least one angle")
-        nodes = nodes.copy()
-        weights = weights.copy()
-        nodes.setflags(write=False)
-        weights.setflags(write=False)
-        object.__setattr__(self, "radial_nodes", nodes)
-        object.__setattr__(self, "radial_weights", weights)
-
-    @classmethod
-    def for_degree(cls, degree: int) -> "DiscQuadrature":
-        """Smallest rule of this family exact for polynomials of the degree."""
-        if degree < 0:
-            raise ValueError("degree must be nonnegative")
-        nodes, weights = _gauss_legendre(math.ceil((degree + 1) / 2) + 1)
-        return cls(nodes, weights, 2 * degree + 2)
-
-    def exact_degree(self) -> int:
-        """Largest polynomial degree this rule integrates exactly."""
-        radial = 2 * self.radial_nodes.size - 1
-        angular = (self.angular_count - 1) // 2
-        return min(radial, angular)
 
 
 def _grid_values_sq(f: TaylorSeries, radii_sq: np.ndarray, M: int) -> np.ndarray:
@@ -115,23 +77,15 @@ def _grid_values_sq(f: TaylorSeries, radii_sq: np.ndarray, M: int) -> np.ndarray
     return np.abs(values) ** 2
 
 
-def bergman_norm_quadrature(
-    f: TaylorSeries, q: DiscQuadrature, allow_inexact: bool = False
-) -> float:
-    """Discretized (1/pi) int_D |f|^2 dA, the squared Bergman norm.
-
-    Raises :class:`CertificationError` when the rule is too coarse for the
-    stored degree, unless ``allow_inexact`` is set (used by the negative
-    controls that demonstrate aliasing).
-    """
+def bergman_norm_quadrature(f: TaylorSeries) -> float:
+    """Discretized (1/pi) int_D |f|^2 dA, the squared Bergman norm, by a
+    tensor rule of the module docstring exact for the stored degree:
+    ceil((deg + 1)/2) + 1 Gauss-Legendre nodes in s = rho^2 times 2 deg + 2
+    uniform angles."""
     degree = f.trunc_len - 1
-    if not allow_inexact and q.exact_degree() < degree:
-        raise CertificationError(
-            f"quadrature exact to degree {q.exact_degree()} asked to integrate degree {degree}"
-        )
-    vals = _grid_values_sq(f, q.radial_nodes, q.angular_count)
-    angular_mean = np.mean(vals, axis=1)
-    return float(np.dot(q.radial_weights, angular_mean))
+    nodes, weights = _gauss_legendre(math.ceil((degree + 1) / 2) + 1)
+    angular_mean = np.mean(_grid_values_sq(f, nodes, 2 * degree + 2), axis=1)
+    return float(np.dot(weights, angular_mean))
 
 
 def hardy_norm_circle(f: TaylorSeries, M: int, allow_inexact: bool = False) -> float:
@@ -168,13 +122,8 @@ def moebius_invariance_check(g: TaylorSeries, lam: complex) -> MoebiusReport:
     lam = complex(lam)
     if abs(lam) >= 1.0:
         raise ValueError("automorphism parameter must lie inside the open disc")
-    dg = differentiate(g)
-    lhs = bergman_norm_quadrature(dg, DiscQuadrature.for_degree(max(dg.trunc_len - 1, 0)))
-    N = policy_truncation(max(g.trunc_len, 1), abs(lam))
-    comp = compose_with_blaschke_factor(g, lam, N)
-    dcomp = differentiate(comp)
-    rhs = bergman_norm_quadrature(
-        dcomp, DiscQuadrature.for_degree(max(dcomp.trunc_len - 1, 0))
-    )
+    lhs = bergman_norm_quadrature(differentiate(g))
+    comp = compose_with_blaschke_factor(g, lam, policy_truncation(g.trunc_len, abs(lam)))
+    rhs = bergman_norm_quadrature(differentiate(comp))
     scale = max(abs(lhs), abs(rhs), 1e-300)
     return MoebiusReport(lhs, rhs, abs(lhs - rhs) / scale)

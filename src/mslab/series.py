@@ -55,10 +55,12 @@ _CIRCLE_SLACK = 1e-12
 
 # Doubling schemes drop powers below this: the doubling scan of a division
 # stops once the power of the ratio falls under it, and the Malmquist build
-# zeros the entries of its shift powers that do.  The terms left out are far
-# below rounding and would only feed subnormal floats, whose arithmetic is
-# slow on x86, into the passes.
-_POWER_FLOOR = 1e-300
+# zeros the parts of its shift powers and coefficient rows that do.  It is
+# the square root of the smallest normal float, so a product of two parts
+# kept is never subnormal.  The terms left out are far below rounding and
+# would only feed subnormal floats, whose arithmetic is slow on x86, into
+# the passes.
+_POWER_FLOOR = math.sqrt(np.finfo(np.float64).tiny)
 
 
 class NormKind(enum.Enum):

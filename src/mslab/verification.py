@@ -27,7 +27,6 @@ from .blaschke import (
 from .errors import CertificationError
 from .hermitian import gram_matrix, max_eigenpair, min_norm_solve
 from .quadrature import (
-    DiscQuadrature,
     bergman_norm_quadrature,
     hardy_norm_circle,
     moebius_invariance_check,
@@ -316,8 +315,7 @@ def _check_quadrature_agreement(rng: np.random.Generator) -> tuple[bool, str]:
     for _i in range(100):
         deg = int(rng.integers(0, 65))
         f = polynomial(rng.normal(size=deg + 1) + 1j * rng.normal(size=deg + 1))
-        q = DiscQuadrature.for_degree(deg)
-        bq = bergman_norm_quadrature(f, q)
+        bq = bergman_norm_quadrature(f)
         bc = norm_sq(f, NormKind.BERGMAN)
         hq = hardy_norm_circle(f, 2 * deg + 2)
         hc = norm_sq(f, NormKind.HARDY)
@@ -429,7 +427,7 @@ def _check_bernstein_step2(rng: np.random.Generator) -> tuple[bool, str]:
         r = float(rng.uniform(0.0, 0.8))
         a = rng.normal(size=n) + 1j * rng.normal(size=n)
         rep = bn.step2_expansion_check(n, r, a)
-        ok = ok and rep.ok(1e-9)
+        ok = ok and rep.ok()
         worst = max(worst, rep.gap17 / max(1.0, abs(rep.lhs17)), rep.identity_gap)
     return ok, f"max gap {worst:.3e}"
 
@@ -472,14 +470,13 @@ def _check_interp_bracket(rng: np.random.Generator) -> tuple[bool, str]:
     for n in (2, 3, 4, 6):
         for r in (0.0, 0.5):
             res = ip.interp_exact(PoleConfiguration.one_point(n, r))
-            bounds = ip.interp_lower_eq9(n, r)
-            env = ip.theoremB_envelopes(n, r)
+            eq10 = ip.theoremB_envelopes(n, r)["eq10"]
             worst = max(
                 worst,
-                bounds.eq9 - res.exact,
-                bounds.eq10_left - res.exact,
+                ip.interp_lower_eq9(n, r) - res.exact,
+                eq10.lower - res.exact,
                 res.exact - res.upper_projection,
-                res.upper_projection - env["eq10"].upper,
+                res.upper_projection - eq10.upper,
             )
     return worst <= 1e-9, f"max bracket violation {worst:.3e}"
 

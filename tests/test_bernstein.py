@@ -311,7 +311,7 @@ class TestStep2Expansion:
             r = float(rng.uniform(0.0, 0.7))
             coords = rng.normal(size=n) + 1j * rng.normal(size=n)
             rep = step2_expansion_check(n, r, coords)
-            assert rep.ok(1e-9)
+            assert rep.ok()
             assert rep.gap17 <= 1e-9 * max(1.0, abs(rep.lhs17))
             assert rep.identity_gap <= 1e-9
             assert rep.eq18_slack >= -1e-12

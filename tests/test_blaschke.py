@@ -345,6 +345,16 @@ class TestMalmquistBasis:
             gap = float(np.linalg.norm(long[N + 1 :]))
             assert gap**2 <= basis.ortho_defect + 1e-13
 
+    def test_no_part_below_the_power_floor(self):
+        """At r = 0.99 the rows decay past 1e-154: every real and imaginary
+        part kept is zero or at least sqrt(tiny), so no product of two of
+        them, in the certificate or a weighted Gram, is subnormal."""
+        floor = np.sqrt(np.finfo(np.float64).tiny)
+        (sig,) = parse_sigma_spec("random:n=40,r=0.99,count=1,seed=0")
+        parts = np.abs(malmquist_basis_auto(sig).matrix.view(np.float64))
+        assert np.count_nonzero(parts == 0.0) > 0
+        assert not np.any((parts > 0.0) & (parts < floor))
+
 
 class TestBasisMatrix:
     """The stored matrix E and the sums served from it."""
@@ -497,9 +507,9 @@ class TestParseSigmaSpec:
             assert x.radius <= 0.6
 
     def test_random_default_seed_argument(self):
-        """Omitting seed falls back to the provided default."""
-        a = parse_sigma_spec("random:n=2,r=0.4,count=3", default_seed=9)
-        b = parse_sigma_spec("random:n=2,r=0.4,count=3,seed=9")
+        """Omitting the spec's seed= argument draws as seed=0."""
+        a = parse_sigma_spec("random:n=2,r=0.4,count=3")
+        b = parse_sigma_spec("random:n=2,r=0.4,count=3,seed=0")
         for x, y in zip(a, b):
             assert x.points == y.points
 

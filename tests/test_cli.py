@@ -412,9 +412,13 @@ class TestAsymptoticsCommand:
         assert "ascending" in err
 
     def test_bad_radius_rejected(self, capsys):
-        """Radii outside [0, 1) are usage errors."""
-        code, _, _ = _run(capsys, ["asymptotics", "--r", "1.0", "--n-list", "5,10"])
-        assert code == 2
+        """Radii outside [0, 1), and non-numbers, are argparse usage errors
+        under the same test as --r-list."""
+        for radius in ("1.0", "-0.1", "nan", "half"):
+            with pytest.raises(SystemExit) as exc:
+                main(["asymptotics", "--r", radius, "--n-list", "5,10"])
+            assert exc.value.code == 2
+            assert "argument --r: " in capsys.readouterr().err
 
 
 class TestAuditCommand:
@@ -504,6 +508,15 @@ class TestOutputPlumbing:
         assert exc.value.code == 2
         assert f"unrecognized arguments: {' '.join(knob)}" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv", _VALID_ARGV[1:3], ids=lambda argv: argv[0])
+    def test_seed_only_on_verify(self, capsys, argv):
+        """A random: spec carries its own seed=, so bernstein and interp take
+        no --seed."""
+        with pytest.raises(SystemExit) as exc:
+            main(argv + ["--seed", "1"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --seed 1" in capsys.readouterr().err
+
     def test_option_inventory(self):
         """Each subcommand has exactly these options; a new one edits this test."""
         (sub,) = [
@@ -519,9 +532,9 @@ class TestOutputPlumbing:
         assert inventory == {
             "verify": sorted(["-h", "--help", "--seed", *output]),
             "bernstein": sorted(
-                ["-h", "--help", "--sigma", "--target", "--seed", "--strict-paper", *output]
+                ["-h", "--help", "--sigma", "--target", "--strict-paper", *output]
             ),
-            "interp": sorted(["-h", "--help", "--sigma", "--seed", *output]),
+            "interp": sorted(["-h", "--help", "--sigma", *output]),
             "asymptotics": sorted(["-h", "--help", "--r", "--n-list", "--target", *output]),
             "audit": sorted(["-h", "--help", "--n-list", "--r-list", "--strict-paper", *output]),
         }
@@ -549,13 +562,13 @@ class TestOutputPlumbing:
                 "step2_expansion_check", "RatioRow", "asymptotic_ratio_sweep",
             ],
             "interpolation": [
-                "InterpResult", "Eq9Bounds", "interp_exact", "interp_from_basis",
+                "InterpResult", "interp_exact", "interp_from_basis",
                 "one_point_interp", "interp_lower_eq9",
                 "theoremB_test_function", "theoremB_envelopes",
                 "dirichlet_kernel_diag", "single_point_closed_form",
             ],
             "quadrature": [
-                "DiscQuadrature", "bergman_norm_quadrature", "hardy_norm_circle",
+                "bergman_norm_quadrature", "hardy_norm_circle",
                 "moebius_invariance_check", "MoebiusReport",
             ],
             "verification": ["CheckResult", "run_all", "CHECK_NAMES"],

@@ -10,7 +10,6 @@ from mslab.bernstein import constant_from_basis
 from mslab.errors import CertificationError
 from mslab.hermitian import min_norm_solve
 from mslab.interpolation import (
-    Eq9Bounds,
     dirichlet_kernel_diag,
     interp_exact,
     interp_from_basis,
@@ -322,10 +321,10 @@ class TestBounds:
         for n in (2, 4, 8):
             for r in (0.0, 0.3, 0.5, 0.7):
                 res = interp_exact(PoleConfiguration.one_point(n, r))
-                bounds = interp_lower_eq9(n, r)
+                eq9 = interp_lower_eq9(n, r)
                 env = theoremB_envelopes(n, r)["eq10"]
-                assert bounds.eq9 <= bounds.eq10_left + 1e-12
-                assert bounds.eq10_left <= res.exact + 1e-9
+                assert eq9 <= env.lower + 1e-12
+                assert env.lower <= res.exact + 1e-9
                 assert res.exact <= env.upper + 1e-9
 
     def test_lower_bound_needs_two_points(self):
@@ -335,9 +334,9 @@ class TestBounds:
 
     def test_eq9_hand_value(self):
         """n = 2, r = 1/2: the published lower bound collapses to exactly 1."""
-        bounds = interp_lower_eq9(2, 0.5)
-        np.testing.assert_allclose(bounds.eq9, 1.0, rtol=1e-12)
-        assert isinstance(bounds, Eq9Bounds)
+        eq9 = interp_lower_eq9(2, 0.5)
+        assert isinstance(eq9, float)
+        np.testing.assert_allclose(eq9, 1.0, rtol=1e-12)
 
     def test_envelope_rails_are_ordered(self):
         """Each envelope carries lower <= upper; eq12 is the uniform bracket."""

@@ -6,7 +6,6 @@ import pytest
 from mslab import quadrature
 from mslab.errors import CertificationError
 from mslab.quadrature import (
-    DiscQuadrature,
     MoebiusReport,
     bergman_norm_quadrature,
     hardy_norm_circle,
@@ -16,42 +15,43 @@ from mslab.series import NormKind, norm_sq, polynomial
 
 
 class TestDiscQuadrature:
-    """Construction and exactness bookkeeping of the tensor rule."""
+    """The tensor rule on the disc, read off the degree of the integrand."""
 
-    def test_for_degree_reports_sufficient_exactness(self):
-        """The constructed rule certifies at least the requested degree."""
-        for deg in (0, 1, 5, 16, 40):
-            q = DiscQuadrature.for_degree(deg)
-            assert q.exact_degree() >= deg
-
-    def test_radial_weights_must_sum_to_one(self):
-        """A rule whose weights do not average is refused."""
-        with pytest.raises(ValueError):
-            DiscQuadrature(np.array([0.5]), np.array([0.7]), 4)
+    def test_rule_from_degree_is_exact_at_every_degree(self):
+        """The rule read off the stored degree integrates 1 + z^d exactly for
+        every d up to 64: its even and odd node counts both cover the
+        degree-d radial polynomial."""
+        for deg in range(65):
+            coeffs = np.zeros(deg + 1)
+            coeffs[0] += 1.0
+            coeffs[deg] += 1.0
+            f = polynomial(coeffs)
+            np.testing.assert_allclose(
+                bergman_norm_quadrature(f), norm_sq(f, NormKind.BERGMAN), rtol=1e-13
+            )
 
     def test_nodes_confined_to_unit_interval(self):
-        """Radial nodes live in [0, 1] after the s = rho^2 substitution."""
-        with pytest.raises(ValueError):
-            DiscQuadrature(np.array([1.5]), np.array([1.0]), 4)
-        q = DiscQuadrature.for_degree(9)
-        assert np.all(q.radial_nodes >= 0.0) and np.all(q.radial_nodes <= 1.0)
+        """Radial nodes live in [0, 1] after the s = rho^2 substitution, and
+        the weights average."""
+        for K in (1, 2, 6, 33):
+            nodes, weights = quadrature._gauss_legendre(K)
+            assert np.all(nodes >= 0.0) and np.all(nodes <= 1.0)
+            np.testing.assert_allclose(np.sum(weights), 1.0, rtol=1e-14)
 
     def test_cached_rule_is_bit_identical_and_read_only(self):
         """Repeated calls reuse one Gauss-Legendre rule, equal bit for bit to
         a fresh leggauss, and nothing can write into the shared copy."""
         from numpy.polynomial.legendre import leggauss
 
-        for deg in (0, 7, 64):
-            q1, q2 = DiscQuadrature.for_degree(deg), DiscQuadrature.for_degree(deg)
-            x, w = leggauss(q1.radial_nodes.size)
-            assert np.array_equal(q1.radial_nodes, (x + 1.0) / 2.0)
-            assert np.array_equal(q1.radial_weights, w / 2.0)
-            assert np.array_equal(q1.radial_nodes, q2.radial_nodes)
+        for K in (2, 5, 34):
+            nodes, weights = quadrature._gauss_legendre(K)
+            x, w = leggauss(K)
+            assert np.array_equal(nodes, (x + 1.0) / 2.0)
+            assert np.array_equal(weights, w / 2.0)
+            assert quadrature._gauss_legendre(K)[0] is nodes
+            assert not nodes.flags.writeable and not weights.flags.writeable
             with pytest.raises(ValueError):
-                q1.radial_nodes[0] = 0.0
-        nodes, weights = quadrature._gauss_legendre(5)
-        assert quadrature._gauss_legendre(5)[0] is nodes
-        assert not nodes.flags.writeable and not weights.flags.writeable
+                nodes[0] = 0.0
 
 
 class TestBergmanQuadrature:
@@ -61,9 +61,8 @@ class TestBergmanQuadrature:
         """(1/pi) int |z^k|^2 dA = 1/(k+1) at machine precision."""
         for k in (0, 1, 4, 9, 23):
             f = polynomial([0.0] * k + [1.0])
-            q = DiscQuadrature.for_degree(k)
             np.testing.assert_allclose(
-                bergman_norm_quadrature(f, q), 1.0 / (k + 1), rtol=1e-13
+                bergman_norm_quadrature(f), 1.0 / (k + 1), rtol=1e-13
             )
 
     def test_matches_coefficient_pipeline(self):
@@ -72,32 +71,11 @@ class TestBergmanQuadrature:
         for _ in range(20):
             deg = int(rng.integers(0, 30))
             f = polynomial(rng.normal(size=deg + 1) + 1j * rng.normal(size=deg + 1))
-            q = DiscQuadrature.for_degree(deg)
             np.testing.assert_allclose(
-                bergman_norm_quadrature(f, q),
+                bergman_norm_quadrature(f),
                 norm_sq(f, NormKind.BERGMAN),
                 rtol=1e-12,
             )
-
-    def test_coarse_rule_refused(self):
-        """A rule too coarse for the stored degree raises by default."""
-        f = polynomial(np.ones(12))
-        q = DiscQuadrature.for_degree(3)
-        with pytest.raises(CertificationError):
-            bergman_norm_quadrature(f, q)
-
-    def test_allow_inexact_exposes_aliasing(self):
-        """Opting in to a coarse rule shows a genuinely different value."""
-        M = 6
-        coeffs = np.zeros(M + 1)
-        coeffs[0] = 1.0
-        coeffs[M] = 1.0
-        f = polynomial(coeffs)
-        q = DiscQuadrature.for_degree(2)
-        q = DiscQuadrature(q.radial_nodes, q.radial_weights, M)
-        aliased = bergman_norm_quadrature(f, q, allow_inexact=True)
-        exact = norm_sq(f, NormKind.BERGMAN)
-        assert abs(aliased - exact) > 0.05
 
 
 class TestHardyCircle:
