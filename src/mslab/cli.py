@@ -158,6 +158,13 @@ def _int_list(text: str) -> list[int]:
     return values
 
 
+def _ascending_int_list(text: str) -> list[int]:
+    values = _int_list(text)
+    if any(b <= a for a, b in zip(values, values[1:])):
+        raise argparse.ArgumentTypeError("values must be strictly ascending")
+    return values
+
+
 def _radii(values: list[float]) -> list[float]:
     if not values or any(not 0.0 <= v < 1.0 for v in values):
         raise argparse.ArgumentTypeError("radii must lie in [0, 1)")
@@ -336,9 +343,6 @@ def cmd_interp(args: argparse.Namespace) -> int:
 
 def cmd_asymptotics(args: argparse.Namespace) -> int:
     r = args.r
-    if any(b <= a for a, b in zip(args.n_list, args.n_list[1:])):
-        print("n-list must be strictly ascending", file=sys.stderr)
-        return EXIT_USAGE
     target = NormKind.BERGMAN if args.target == "bergman" else NormKind.HARDY
     sweep = asymptotic_ratio_sweep(r, args.n_list, target)
     gaps = [row.gap for row in sweep]
@@ -465,7 +469,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_asym = sub.add_parser("asymptotics", help="normalized constants along n at fixed radius")
     p_asym.add_argument("--r", type=_radius, default=0.5)
-    p_asym.add_argument("--n-list", type=_int_list, default=[25, 50, 100, 200], metavar="N1,N2,...")
+    p_asym.add_argument("--n-list", type=_ascending_int_list, default=[25, 50, 100, 200], metavar="N1,N2,...")
     p_asym.add_argument("--target", choices=("bergman", "hardy"), default="bergman")
     _add_output_options(p_asym)
     p_asym.set_defaults(func=cmd_asymptotics)

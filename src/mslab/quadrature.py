@@ -60,21 +60,13 @@ def _gauss_legendre(K: int) -> tuple[np.ndarray, np.ndarray]:
 def _grid_values_sq(f: TaylorSeries, radii_sq: np.ndarray, M: int) -> np.ndarray:
     """|f|^2 on the polar grid, rows per radius, via FFT polynomial evaluation."""
     L = f.trunc_len
-    padded = np.zeros((radii_sq.size, max(M, L)), dtype=np.complex128)
-    rho = np.sqrt(radii_sq)
     # Row j holds c_k rho_j^k; the FFT evaluates at the M-th roots of unity.
-    powers = rho[:, None] ** np.arange(L)[None, :]
-    padded[:, :L] = f.coeffs[None, :] * powers
+    rows = f.coeffs * np.sqrt(radii_sq)[:, None] ** np.arange(L)
     if M < L:
         # Fold aliased coefficients so the evaluation stays exact pointwise.
-        folded = np.zeros((radii_sq.size, M), dtype=np.complex128)
-        for start in range(0, padded.shape[1], M):
-            block = padded[:, start : start + M]
-            folded[:, : block.shape[1]] += block
-        values = np.fft.fft(folded, axis=1)
-    else:
-        values = np.fft.fft(padded[:, :M], axis=1)
-    return np.abs(values) ** 2
+        rows = np.pad(rows, ((0, 0), (0, -L % M))).reshape(radii_sq.size, -1, M).sum(axis=1)
+    values = np.fft.fft(rows, n=M, axis=1)
+    return values.real**2 + values.imag**2
 
 
 def bergman_norm_quadrature(f: TaylorSeries) -> float:
@@ -84,8 +76,8 @@ def bergman_norm_quadrature(f: TaylorSeries) -> float:
     uniform angles."""
     degree = f.trunc_len - 1
     nodes, weights = _gauss_legendre(math.ceil((degree + 1) / 2) + 1)
-    angular_mean = np.mean(_grid_values_sq(f, nodes, 2 * degree + 2), axis=1)
-    return float(np.dot(weights, angular_mean))
+    angular_mean = _grid_values_sq(f, nodes, 2 * degree + 2).mean(axis=1)
+    return float(weights @ angular_mean)
 
 
 def hardy_norm_circle(f: TaylorSeries, M: int, allow_inexact: bool = False) -> float:
@@ -97,8 +89,7 @@ def hardy_norm_circle(f: TaylorSeries, M: int, allow_inexact: bool = False) -> f
         raise CertificationError(
             f"{M}-point circle rule aliases degree {degree}"
         )
-    vals = _grid_values_sq(f, np.ones(1), M)
-    return float(np.mean(vals[0]))
+    return float(_grid_values_sq(f, np.ones(1), M).mean())
 
 
 @dataclass(frozen=True)

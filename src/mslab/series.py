@@ -32,7 +32,6 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
-from typing import Iterable
 
 import numpy as np
 
@@ -71,12 +70,10 @@ class NormKind(enum.Enum):
     DIRICHLET = "dirichlet"
 
     def weights(self, length: int) -> np.ndarray:
-        k = np.arange(length, dtype=np.float64)
         if self is NormKind.HARDY:
             return np.ones(length, dtype=np.float64)
-        if self is NormKind.BERGMAN:
-            return 1.0 / (k + 1.0)
-        return k + 1.0
+        k1 = np.arange(1.0, length + 1.0)
+        return 1.0 / k1 if self is NormKind.BERGMAN else k1
 
 
 @dataclass(frozen=True)
@@ -92,12 +89,11 @@ class TaylorSeries:
     coeffs: np.ndarray
 
     def __post_init__(self) -> None:
-        arr = np.atleast_1d(np.asarray(self.coeffs, dtype=np.complex128))
+        arr = np.array(self.coeffs, dtype=np.complex128, ndmin=1)
         if arr.ndim != 1 or arr.size == 0:
             raise ValueError("coefficients must form a nonempty 1-d array")
-        if not np.all(np.isfinite(arr)):
+        if not np.isfinite(arr).all():
             raise ValueError("coefficients must be finite")
-        arr = arr.copy()
         arr.setflags(write=False)
         object.__setattr__(self, "coeffs", arr)
 
@@ -112,18 +108,34 @@ class TaylorSeries:
         )
 
 
-def polynomial(coeffs: Iterable[complex]) -> TaylorSeries:
+def polynomial(coeffs: np.typing.ArrayLike) -> TaylorSeries:
     """Series holding exactly the given coefficients."""
-    return TaylorSeries(np.asarray(list(coeffs), dtype=np.complex128))
+    return TaylorSeries(coeffs)
+
+
+def _norm_sq(coeffs: np.ndarray, kind: NormKind) -> np.ndarray:
+    """Squared norms of the series stored along the last axis of ``coeffs``;
+    zero padding at the end of a row leaves its norm unchanged, so a
+    zero-padded stack of series is measured in one pass."""
+    sq = coeffs.real**2 + coeffs.imag**2
+    return sq @ kind.weights(coeffs.shape[-1])
 
 
 def norm_sq(f: TaylorSeries, kind: NormKind) -> float:
-    w = kind.weights(f.trunc_len)
-    return float(np.real(np.vdot(f.coeffs * w, f.coeffs)))
+    return float(_norm_sq(f.coeffs, kind))
 
 
 def norm(f: TaylorSeries, kind: NormKind) -> float:
     return math.sqrt(norm_sq(f, kind))
+
+
+def _derivative(coeffs: np.ndarray) -> np.ndarray:
+    """Termwise derivative along the last axis, one entry shorter (minimum
+    one); the derivative of a zero-padded row is the zero-padded derivative."""
+    L = coeffs.shape[-1]
+    if L == 1:
+        return np.zeros_like(coeffs)
+    return coeffs[..., 1:] * np.arange(1.0, L)
 
 
 def differentiate(f: TaylorSeries) -> TaylorSeries:
@@ -131,37 +143,34 @@ def differentiate(f: TaylorSeries) -> TaylorSeries:
 
     The truncation length drops by one (minimum one).
     """
-    L = f.trunc_len
-    if L == 1:
-        return TaylorSeries(np.zeros(1, dtype=np.complex128))
-    return TaylorSeries(f.coeffs[1:] * np.arange(1, L, dtype=np.float64))
+    return TaylorSeries(_derivative(f.coeffs))
 
 
-def evaluate(f: TaylorSeries, z: complex) -> complex:
-    """Horner evaluation at a point of the closed unit disc."""
-    z = complex(z)
-    if abs(z) > 1.0 + _CIRCLE_SLACK:
-        raise ValueError(f"evaluation point outside the closed unit disc: |z|={abs(z)}")
-    return complex(np.polyval(f.coeffs[::-1], z))
+def evaluate(f: TaylorSeries, z: np.typing.ArrayLike) -> complex | np.ndarray:
+    """Value of f at a point of the closed unit disc, or at each of an array
+    of such points (an array of values of the same shape).
 
-
-def _divide_by_kernel_factor(u: np.ndarray, beta: complex) -> np.ndarray:
-    """Coefficients of u(z) / (1 - beta z) on the window of u, |beta| < 1.
-
-    Solves y_m = u_m + beta y_{m-1} as a doubling scan: after the pass with
-    shift d = 2^t every y_m sums its 2d-term window, so ceil(log2 L) passes
-    of length L give the full recurrence, in elementwise numpy operations
-    whose result does not depend on the BLAS or its thread count.  Its one
-    caller is :func:`compose_with_blaschke_factor`; the Malmquist basis needs
-    no division, since its coefficient rows follow from one another by a
-    matrix recurrence (see :mod:`mslab.blaschke`).
+    The powers z^k come from one running product along k, so z^k carries k
+    complex roundings, and the value is the sum of their products with the
+    coefficients: the error is at worst of order k_max 2^-53 sum_k |c_k|, the
+    same order as for Horner's rule, and the roundings largely cancel.
     """
-    y = u.copy()
-    d, power = 1, complex(beta)
-    while d < y.size and abs(power) >= _POWER_FLOOR:
-        y[d:] += power * y[:-d]
-        d, power = 2 * d, power * power
-    return y
+    z = np.asarray(z, dtype=np.complex128)
+    modulus = np.abs(z)
+    if np.any(modulus > 1.0 + _CIRCLE_SLACK):
+        raise ValueError(
+            f"evaluation point outside the closed unit disc: |z|={float(np.max(modulus))}"
+        )
+    powers = np.ones(z.shape + (f.trunc_len,), dtype=np.complex128)
+    np.cumprod(
+        np.broadcast_to(z[..., None], z.shape + (f.trunc_len - 1,)),
+        axis=-1,
+        out=powers[..., 1:],
+    )
+    # A sum along the last axis adds each point's terms in the same order
+    # however many points come with it.
+    values = np.sum(powers * f.coeffs, axis=-1)
+    return complex(values) if values.ndim == 0 else values
 
 
 def cauchy_kernel_series(lam: complex, N: int) -> TaylorSeries:
@@ -182,6 +191,41 @@ def cauchy_kernel_series(lam: complex, N: int) -> TaylorSeries:
     return TaylorSeries(c)
 
 
+def _compose_rows(coeffs: np.ndarray, lam: np.ndarray, N: int) -> np.ndarray:
+    """Coefficients 0..N of f_i(b_{lam_i}(z)) for every row f_i of ``coeffs``
+    (m x L, rows zero-padded at the end) and factor zero ``lam[i]``, as an
+    m x (N+1) array; the Horner loop of :func:`compose_with_blaschke_factor`
+    run on all rows at once.
+
+    Each step multiplies by lam - z and divides by 1 - beta z, beta =
+    conj(lam), solving y_j = u_j + beta y_{j-1} as a doubling scan: after
+    the pass with shift d = 2^t every y_j sums its 2d-term window, so
+    ceil(log2(N+1)) passes give the full recurrence.  A row's scan stops at
+    the first pass whose multiplier beta^(2^t) falls below ``_POWER_FLOOR``
+    (its multiplier is zero from there on), so subnormals stay out.  Every
+    operation is elementwise and causal, so row i agrees entry for entry
+    with the same loop run on that row alone, on any window.
+    """
+    lam = lam[:, None]
+    power = np.conj(lam)
+    live = np.abs(power) >= _POWER_FLOOR
+    scan = []
+    while (d := 1 << len(scan)) < N + 1 and live.any():
+        scan.append((d, np.where(live, power, 0.0)))
+        power = power * power
+        live &= np.abs(power) >= _POWER_FLOOR
+    out = np.zeros((coeffs.shape[0], N + 1), dtype=np.complex128)
+    out[:, 0] = coeffs[:, -1]
+    for k in range(coeffs.shape[1] - 2, -1, -1):
+        y = lam * out
+        y[:, 1:] -= out[:, :-1]
+        for d, multiplier in scan:
+            y[:, d:] += multiplier * y[:, :-d]
+        y[:, 0] += coeffs[:, k]
+        out = y
+    return out
+
+
 def compose_with_blaschke_factor(f: TaylorSeries, lam: complex, N: int) -> TaylorSeries:
     """Taylor coefficients of f(b_lam(z)) to length N+1, b_lam the disc
     automorphism (lam - z)/(1 - conj(lam) z).
@@ -197,15 +241,7 @@ def compose_with_blaschke_factor(f: TaylorSeries, lam: complex, N: int) -> Taylo
         raise ValueError(f"factor zero must lie inside the open disc: |lam|={abs(lam)}")
     if N < 0:
         raise ValueError("truncation degree must be nonnegative")
-    beta = lam.conjugate()
-    out = np.zeros(N + 1, dtype=np.complex128)
-    out[0] = f.coeffs[-1]
-    for c in f.coeffs[-2::-1]:
-        u = lam * out
-        u[1:] -= out[:-1]
-        out = _divide_by_kernel_factor(u, beta)
-        out[0] += c
-    return TaylorSeries(out)
+    return TaylorSeries(_compose_rows(f.coeffs[None, :], np.array([lam]), N)[0])
 
 
 def policy_truncation(n: int, radius: float) -> int:

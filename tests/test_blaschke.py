@@ -20,7 +20,6 @@ from mslab.interpolation import theoremB_test_function
 from mslab.series import (
     NormKind,
     TaylorSeries,
-    _divide_by_kernel_factor,
     evaluate,
     norm,
     norm_sq,
@@ -53,6 +52,14 @@ def _convolution_basis_matrix(sigma, N):
         columns.append(np.convolve(prefix, kernel)[: N + 1])
         prefix = np.convolve(prefix, _factor_coeffs(lam, N))[: N + 1]
     return np.column_stack(columns)
+
+
+def _divide_by_kernel_factor(u, beta):
+    """u(z) / (1 - beta z) on the window of u, by y_m = u_m + beta y_{m-1}."""
+    y = np.array(u, dtype=np.complex128)
+    for m in range(1, y.size):
+        y[m] += beta * y[m - 1]
+    return y
 
 
 def _recurrence_basis_matrix(sigma, N):

@@ -406,10 +406,15 @@ class TestAsymptoticsCommand:
         assert all(float(row["value"]) < limit for row in rows)
 
     def test_descending_list_rejected(self, capsys):
-        """A non-ascending n list is a usage error."""
-        code, _, err = _run(capsys, ["asymptotics", "--n-list", "20,10"])
-        assert code == 2
-        assert "ascending" in err
+        """A non-ascending n list is an argparse usage error, with the usage
+        line and the option named, as a bad --r is."""
+        for n_list in ("20,10", "10,5", "5,5"):
+            with pytest.raises(SystemExit) as exc:
+                main(["asymptotics", "--n-list", n_list])
+            assert exc.value.code == 2
+            err = capsys.readouterr().err
+            assert err.startswith("usage: ")
+            assert "argument --n-list: values must be strictly ascending" in err
 
     def test_bad_radius_rejected(self, capsys):
         """Radii outside [0, 1), and non-numbers, are argparse usage errors

@@ -6,6 +6,7 @@ import pytest
 from mslab.series import (
     NormKind,
     TaylorSeries,
+    _compose_rows,
     cauchy_kernel_series,
     compose_with_blaschke_factor,
     differentiate,
@@ -99,8 +100,17 @@ class TestDifferentiate:
         assert d.coeffs[0] == 0.0
 
 
+def _python_horner(coeffs, z):
+    """Reference value of sum_k c_k z^k by Horner's rule in Python complex
+    arithmetic, one coefficient at a time."""
+    acc = 0j
+    for c in reversed([complex(c) for c in coeffs]):
+        acc = acc * z + c
+    return acc
+
+
 class TestEvaluate:
-    """Horner evaluation on the closed disc."""
+    """Power-vector evaluation on the closed disc."""
 
     def test_matches_polyval(self):
         """evaluate agrees with numpy polynomial evaluation."""
@@ -110,10 +120,38 @@ class TestEvaluate:
         for z in (0.0, 0.5j, -0.8, 0.6 + 0.6j):
             np.testing.assert_allclose(evaluate(f, z), np.polyval(c[::-1], z), rtol=1e-14)
 
+    @pytest.mark.parametrize("modulus", (1.0, 0.999))
+    def test_long_series_match_horner_oracle(self, modulus):
+        """At degree 500 and 1000, on and just inside the circle, the
+        running-product powers stay within 1e-13 sum_k |c_k| of Horner's rule."""
+        rng = np.random.default_rng(29)
+        for degree in (500, 1000):
+            c = rng.normal(size=degree + 1) + 1j * rng.normal(size=degree + 1)
+            f = polynomial(c)
+            angles = rng.uniform(0.0, 2.0 * np.pi, size=8)
+            for z in modulus * np.exp(1j * angles):
+                gap = abs(evaluate(f, z) - _python_horner(c, complex(z)))
+                assert gap <= 1e-13 * np.sum(np.abs(c)), (degree, z, gap)
+
+    def test_array_of_points_matches_pointwise(self):
+        """An array of points gives the array of values, each one equal to
+        the value at that point alone."""
+        rng = np.random.default_rng(31)
+        f = polynomial(rng.normal(size=30) + 1j * rng.normal(size=30))
+        z = 0.95 * np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, size=(2, 3)))
+        values = evaluate(f, z)
+        assert values.shape == (2, 3)
+        for point, value in zip(z.ravel(), values.ravel()):
+            assert value == evaluate(f, point)
+        assert isinstance(evaluate(f, 0.5), complex)
+
     def test_rejects_points_outside_disc(self):
-        """Evaluation beyond the closed disc is refused."""
+        """Evaluation beyond the closed disc is refused, also when one point
+        of an array lies outside."""
         with pytest.raises(ValueError):
             evaluate(polynomial([1.0]), 1.5)
+        with pytest.raises(ValueError):
+            evaluate(polynomial([1.0]), [0.5, 1.5j])
 
 
 class TestArithmetic:
@@ -192,6 +230,22 @@ class TestComposition:
             assert got.shape == (N + 1,)
             gap = np.max(np.abs(got - want)) / np.max(np.abs(want))
             assert gap <= 1e-13, (deg, gap)
+
+    def test_rows_compose_as_they_would_alone(self):
+        """Rows of different degrees and factor zeros, zero-padded into one
+        array and composed on one window, give each row's own composition
+        on its own window, entry for entry."""
+        rng = np.random.default_rng(47)
+        lams = np.array([0.0, 0.35, 0.45 + 0.25j, 0.9 * np.exp(0.7j), 1e-160])
+        degrees = (0, 3, 12, 7, 5)
+        windows = (4, 30, 90, 200, 2)
+        rows = np.zeros((lams.size, max(degrees) + 1), dtype=np.complex128)
+        for row, deg in zip(rows, degrees):
+            row[: deg + 1] = rng.normal(size=deg + 1) + 1j * rng.normal(size=deg + 1)
+        together = _compose_rows(rows, lams, max(windows))
+        for row, deg, lam, N, got in zip(rows, degrees, lams, windows, together):
+            alone = compose_with_blaschke_factor(polynomial(row[: deg + 1]), lam, N)
+            np.testing.assert_array_equal(got[: N + 1], alone.coeffs)
 
     def test_rejects_factor_zero_outside_disc(self):
         """|lam| >= 1 or NaN is no disc automorphism and is refused."""

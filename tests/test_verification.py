@@ -1,12 +1,20 @@
 """Tests for the deterministic invariant suite."""
 
 import dataclasses
+import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from mslab import verification
 from mslab.verification import CHECK_NAMES, CheckResult, run_all
+
+# For seeds 0-3, the generator state each check leaves behind, recorded from
+# the per-sample loops the panels were first written with.
+PANEL_STATES = json.loads(
+    Path(__file__).with_name("verify_panel_states.json").read_text(encoding="utf-8")
+)
 
 
 def _skew_bases(monkeypatch, delta):
@@ -37,6 +45,27 @@ class TestRunAll:
             res.name for res in results if not res.passed
         ]
         assert [res.name for res in results if type(res.passed) is not bool] == []
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_panels_draw_what_they_always_drew(self, seed, monkeypatch):
+        """Each check consumes exactly the stream it always consumed, so no
+        panel shrank, grew or was redrawn: the bit generator state after
+        every check matches the recorded one."""
+        states = {}
+
+        def recording(name, check):
+            def wrapped(rng):
+                verdict = check(rng)
+                st = rng.bit_generator.state
+                states[name] = f"{st['state']['state']:032x}:{st['has_uint32']}:{st['uinteger']}"
+                return verdict
+
+            return wrapped
+
+        checks = {name: recording(name, check) for name, check in verification._CHECKS.items()}
+        monkeypatch.setattr(verification, "_CHECKS", checks)
+        run_all(seed=seed)
+        assert states == PANEL_STATES[str(seed)]
 
     def test_registry_matches_published_names(self):
         """Result order and names agree with CHECK_NAMES."""
