@@ -145,7 +145,7 @@ def _check_composition_evaluation(rng: np.random.Generator) -> tuple[bool, str]:
         fs.append(polynomial(rng.normal(size=deg + 1) + 1j * rng.normal(size=deg + 1)))
         lams.append(complex(rng.uniform(-0.7, 0.7), rng.uniform(-0.7, 0.7) * 0.5))
         Ns.append(policy_truncation(deg + 1, abs(lams[-1])))
-        # Five points per draw: a radius, then an angle.
+        # Five points, each drawn as a radius, then an angle.
         u = rng.uniform(size=(5, 2))
         zs.append(0.9 * np.sqrt(u[:, 0]) * np.exp(1j * (2 * np.pi * u[:, 1])))
     comps = _compose_rows(_padded([f.coeffs for f in fs]), np.array(lams), max(Ns))
