@@ -40,7 +40,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .blaschke import MalmquistBasis, PoleConfiguration, malmquist_basis_auto
+from .blaschke import MalmquistBasis, PoleConfiguration, malmquist_basis
 from .hermitian import gram_matrix, max_eigenpair
 from .series import (
     NormKind,
@@ -165,12 +165,12 @@ def bernstein_constant_sigma(
 
     A one-point ``sigma`` takes the banded route of
     :func:`one_point_constant`; any other builds the Malmquist matrix E at
-    the policy truncation and reads the constant off it.
+    its certified truncation and reads the constant off it.
     """
     _check_target(target)
     if sigma.is_one_point:
         return one_point_constant(sigma, target)
-    return constant_from_basis(malmquist_basis_auto(sigma), target)
+    return constant_from_basis(malmquist_basis(sigma), target)
 
 
 def eq4_envelope(n: int, r: float) -> BoundEnvelope:
@@ -223,7 +223,7 @@ def en_prime_bergman_audit(n: int, r: float) -> EnPrimeAudit:
 
     if n < 1 or not 0.0 <= r < 1.0:
         raise ValueError("need n >= 1 and r in [0, 1)")
-    basis = malmquist_basis_auto(PoleConfiguration.one_point(n, r))
+    basis = malmquist_basis(PoleConfiguration.one_point(n, r))
     deriv = differentiate(basis.element(n - 1))
     numeric = norm_sq(deriv, NormKind.BERGMAN)
     quad = bergman_norm_quadrature(deriv)
@@ -243,7 +243,7 @@ def step2_test_function(n: int, r: float, s: int) -> TaylorSeries:
         raise ValueError("alternation depth must be even and nonnegative")
     if s + 2 >= n:
         raise ValueError(f"depth {s} underflows the basis of dimension {n}")
-    basis = malmquist_basis_auto(PoleConfiguration.one_point(n, r))
+    basis = malmquist_basis(PoleConfiguration.one_point(n, r))
     k = np.arange(s + 3)
     a = np.zeros(n)
     a[n - 1 - k] = (-1.0) ** k
@@ -333,7 +333,7 @@ def step2_expansion_check(n: int, r: float, coords: Sequence[complex]) -> Step2R
     eq18_norm = norm(B, NormKind.BERGMAN)
     eq18_bound = r * f_norm
 
-    basis = malmquist_basis_auto(PoleConfiguration.one_point(n, r))
+    basis = malmquist_basis(PoleConfiguration.one_point(n, r))
     f = basis.combine(a)
     fprime_bergman = norm(differentiate(f), NormKind.BERGMAN)
     diff = polynomial(A.coeffs - B.coeffs)

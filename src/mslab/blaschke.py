@@ -29,11 +29,25 @@ the backward shift to K_B, so ||T||_2 <= 1 and its powers never grow.  E is
 built by doubling: with the first d rows known, E[d:2d] = E[:d] (T^d)^T and
 the power is then squared, ceil(log2 L) matrix products whatever n is.  The
 recurrence is exact, so every stored row is a true Taylor coefficient up to
-rounding; only the tail beyond the truncation is missing.  Construction
-certifies orthonormality of the computed Gram E^* E against the identity,
-refusing truncations too short to certify.  Since each e_j has unit norm,
-the diagonal of that certificate also bounds the l2 mass of every column's
-discarded tail by sqrt(ortho_defect), up to rounding.
+rounding; only the tail beyond the truncation is missing, and it is known
+exactly.  Put A = conj(T) and c = conj(x_0), so that row m of conj(E) is
+A^m c.  The full basis is orthonormal, I = sum_{m>=0} A^m c c^* (A^*)^m =
+c c^* + A A^*, and summing I - A A^* = c c^* over the first L rows gives
+
+    I - E^* E = A^L (A^*)^L,    so    n - ||E||_F^2 = ||T^L||_F^2.
+
+The build stops on that identity: it takes the smallest L with
+||T^L||_F^2 <= ``TAIL_TOL``, no guessed truncation and no retry.  The same
+sum with weights gives the dropped tails of the weighted Grams, with G_1
+and G_2 the full Grams of weights k and k^2:
+
+    sum_{m>=L} m   A^m c c^* (A^*)^m = A^L (L I + G_1) (A^*)^L,
+    sum_{m>=L} m^2 A^m c c^* (A^*)^m = A^L (L^2 I + 2 L G_1 + G_2) (A^*)^L.
+
+Construction also certifies orthonormality of the computed Gram E^* E
+against the identity, which only rounding can break at this tail.  Since
+each e_j has unit norm, the diagonal of that certificate also bounds the l2
+mass of every column's discarded tail by sqrt(ortho_defect), up to rounding.
 
 A function of K_B is E a for a coefficient vector a, and the orthogonal
 projection onto K_B is E E^* in coefficient space.  Everything is invariant
@@ -50,7 +64,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CertificationError
-from .series import _POWER_FLOOR, TaylorSeries, policy_truncation
+from .series import _POWER_FLOOR, TaylorSeries
 
 __all__ = [
     "PoleConfiguration",
@@ -58,13 +72,15 @@ __all__ = [
     "blaschke_factor_eval",
     "blaschke_product_eval",
     "malmquist_basis",
-    "malmquist_basis_auto",
     "model_projection",
     "parse_sigma_spec",
 ]
 
 # Largest Gram deviation from the identity accepted as orthonormal.
 ORTHO_TOL = 1e-10
+
+# Largest squared Frobenius norm of the dropped tail I - E^* E accepted.
+TAIL_TOL = 1e-20
 
 
 @dataclass(frozen=True)
@@ -201,82 +217,97 @@ def _floored(block: np.ndarray) -> np.ndarray:
     return block
 
 
-def malmquist_basis(sigma: PoleConfiguration, N: int) -> MalmquistBasis:
-    """Build the Malmquist basis truncated at degree N and certify it.
+def _rows(count: int, needed: int, n: int) -> np.ndarray:
+    """An uninitialized ``count`` x n buffer of coefficient rows, or a
+    :class:`CertificationError` naming the truncation of at least ``needed``
+    rows that asked for it."""
+    try:
+        return np.empty((count, n), dtype=np.complex128)
+    except (MemoryError, ValueError) as exc:
+        raise CertificationError(
+            f"truncation {needed} or longer needs a {count} x {n} coefficient "
+            f"buffer that cannot be allocated: {exc}"
+        ) from exc
+
+
+def malmquist_basis(sigma: PoleConfiguration) -> MalmquistBasis:
+    """Build the Malmquist basis at its smallest certified row count.
 
     E comes from the row recurrence x_{m+1} = T x_m of the module docstring,
-    taken by doubling: ceil(log2 L) products of a block of known rows with a
-    power of T, with the n x n power squared in between, O(L n^2) work in
-    all, the order of the Gram certificate E^* E itself.  Every power and
-    every block of rows is floored (:func:`_floored`) as it is written, so
-    no later product, certificate or weighted Gram multiplies subnormals.
+    taken by doubling: with d rows known, rows d..2d-1 are E[:d] (T^d)^T and
+    the power is then squared, O(L n^2) work in all, the order of the Gram
+    certificate E^* E itself.  The doubling stops at the first d with
+    ||T^d||_F^2 <= ``TAIL_TOL``, and L is the smallest row count whose
+    dropped tail ||T^L||_F^2 = ||T^d||_F^2 + sum_{L<=m<d} |x_m|^2 is at most
+    ``TAIL_TOL``.  No L below n stops (L rows carry at most L dimensions),
+    nor any below ceil(ln TAIL_TOL / (2 ln r)), since ||T^L||_F >= r^L for
+    the spectral radius r = ``sigma.radius`` of T; that many rows, rounded
+    up to the power of two the doubling reaches anyway, are allocated before
+    any product.  Every power and every block of rows is floored
+    (:func:`_floored`) as it is written, so no later product, certificate or
+    weighted Gram multiplies subnormals.
 
     Raises
     ------
     CertificationError
-        If the Hardy Gram of the truncated elements deviates from the
-        identity by more than ``ORTHO_TOL`` in any entry, i.e. the truncation
-        is too short to certify orthonormality, or if the coefficient matrix
-        of the truncation cannot be allocated.
+        If the coefficient matrix of the truncation cannot be allocated
+        (checked before the first product and before every growth), or if
+        the Hardy Gram of the stored rows deviates from the identity by more
+        than ``ORTHO_TOL`` in any entry, which only rounding can cause.
     """
-    if N + 1 <= sigma.n:
-        raise CertificationError(
-            f"truncation {N} cannot carry an {sigma.n}-dimensional space"
-        )
-    L = N + 1
-    try:
-        mat = np.empty((L, sigma.n), dtype=np.complex128)
-    except (MemoryError, ValueError) as exc:
-        raise CertificationError(
-            f"truncation {N} needs a {L} x {sigma.n} coefficient matrix "
-            f"that cannot be allocated: {exc}"
-        ) from exc
+    n, r = sigma.n, sigma.radius
+    lower = n
+    if r > 0.0:
+        lower = max(lower, math.ceil(math.log(TAIL_TOL) / (2.0 * math.log(r))))
+    mat = _rows(1 << (lower - 1).bit_length(), lower, n)
     mat[0], T = _compressed_shift(sigma.points)
     _floored(mat[:1])
     # Rows multiply from the left, so the powers are kept transposed.
     power = _floored(T.T.copy())
     d = 1
-    while d < L:
-        rows = min(d, L - d)
-        _floored(np.dot(mat[:rows], power, out=mat[d : d + rows]))
+    while d < lower or (tail := float(np.vdot(power, power).real)) > TAIL_TOL:
+        if 2 * d > mat.shape[0]:
+            grown = _rows(2 * d, d + 1, n)
+            grown[:d] = mat[:d]
+            mat = grown
+        _floored(np.dot(mat[:d], power, out=mat[d : 2 * d]))
+        power = _floored(power @ power)
         d *= 2
-        if d < L:
-            power = _floored(power @ power)
+    # ||T^m||_F^2 for m = d/2..d-1, summed from the end of the last block;
+    # ||T^(d/2)||_F^2 > TAIL_TOL, so L lies in (d/2, d].
+    lo = d // 2
+    parts = mat[lo:d].view(np.float64)
+    row_sq = np.einsum("ij,ij->i", parts, parts)
+    tails = np.cumsum(row_sq[::-1])[::-1] + tail
+    mat = mat[: lo + int(np.count_nonzero(tails > TAIL_TOL))]
     gram = _hardy_gram(mat)
-    defect = float(np.max(np.abs(gram - np.eye(sigma.n))))
+    defect = float(np.max(np.abs(gram - np.eye(n))))
     if defect > ORTHO_TOL:
         raise CertificationError(
-            f"truncation {N} too small to certify orthonormality "
+            f"truncation {mat.shape[0]} fails to certify orthonormality "
             f"(Gram defect {defect:.3e} > {ORTHO_TOL:.0e})"
         )
     return MalmquistBasis(sigma, mat, defect)
 
 
-def malmquist_basis_auto(sigma: PoleConfiguration) -> MalmquistBasis:
-    """Basis at the policy truncation, doubling up to twice if certification
-    fails; a truncation that cannot be allocated is refused at once, since a
-    doubled one only asks for more memory.  A fixed truncation is
-    :func:`malmquist_basis`."""
-    N = policy_truncation(sigma.n, sigma.radius)
-    last: CertificationError | None = None
-    for _ in range(3):
-        try:
-            return malmquist_basis(sigma, N)
-        except CertificationError as exc:
-            if isinstance(exc.__cause__, (MemoryError, ValueError)):
-                raise
-            last = exc
-            N *= 2
-    raise CertificationError(f"certification failed up to truncation {N // 2}: {last}")
-
-
 def model_projection(f: TaylorSeries, basis: MalmquistBasis) -> TaylorSeries:
     """Orthogonal projection of f onto the model space, P f = sum (f, e_k) e_k.
 
-    The pairing runs over coefficients shared with the basis truncation.
+    The pairing runs over every coefficient of f: past the basis truncation
+    L, E is continued by x_{m+L} = T^L x_m, a block of L rows at a time, so
+    a window of f longer than E loses nothing (the dropped part of each e_k
+    is up to sqrt(``TAIL_TOL``) in norm, far above rounding).  P f has the
+    longer of the two windows.
     """
-    L = min(f.trunc_len, basis.trunc_len)
-    return basis.combine(basis.matrix[:L].conj().T @ f.coeffs[:L])
+    E = basis.matrix
+    if f.trunc_len > basis.trunc_len:
+        _, T = _compressed_shift(basis.sigma.points)
+        step = np.linalg.matrix_power(T, basis.trunc_len).T
+        blocks = [E]
+        for _ in range(-(-f.trunc_len // basis.trunc_len) - 1):
+            blocks.append(_floored(blocks[-1] @ step))
+        E = np.concatenate(blocks)[: f.trunc_len]
+    return TaylorSeries(E @ (E[: f.trunc_len].conj().T @ f.coeffs))
 
 
 _ONE_POINT_RE = re.compile(r"^one-point:n=(\d+),r=([0-9.eE+-]+)$")

@@ -16,18 +16,20 @@ bracket the value before the process exits (audit rows excepted: there the
 mismatch is the finding, and only ``--strict-paper`` turns it into a
 failure).  ``residual`` is the eigensolver certificate for computed
 quantities, the cross-oracle gap for audit rows, and 0 for closed-form bound
-rows.  ``trunc`` is the series length behind a row; one-point ``bernstein``,
-``interp`` and ``asymptotics`` rows come from the n x n banded operator,
-have no series behind them and carry ``trunc`` = n.  Whether a
-configuration is one point is the only thing that picks the route; no
-option overrides it.  ``interp`` emits every row for every configuration:
+rows.  ``trunc`` is the series length behind a row: the row count L of the
+Malmquist matrix E, the smallest whose dropped Hardy mass ||T^L||_F^2 is at
+most 1e-20 (:mod:`mslab.blaschke`).  One-point ``bernstein``, ``interp`` and
+``asymptotics`` rows come from the n x n banded operator, have no series
+behind them and carry ``trunc`` = n.  Whether a configuration is one point
+is the only thing that picks the route; no option overrides it.  ``interp``
+emits every row for every configuration:
 ``interp-exact``, ``interp-upper`` (the projection bound sqrt(C_B^2 + 1))
 and, for one point with n >= 2, ``interp-lower-eq9``.  Human-oriented
 summaries go to stderr so redirected stdout stays machine-readable.
 
 Exit codes: 0 success, 1 invariant or bracket failure, 2 usage error
 (including an unwritable ``--out``), 3 numerical certification failure
-(truncation, eigensolver or memory).
+(a basis that cannot be allocated or certified, eigensolver or memory).
 """
 
 from __future__ import annotations
@@ -52,7 +54,7 @@ from .bernstein import (
     one_point_constant,
     z2_upper_hardy,
 )
-from .blaschke import PoleConfiguration, malmquist_basis_auto, parse_sigma_spec
+from .blaschke import PoleConfiguration, malmquist_basis, parse_sigma_spec
 from .errors import CertificationError
 from .interpolation import (
     interp_exact,
@@ -220,7 +222,7 @@ def cmd_bernstein(args: argparse.Namespace) -> int:
     for sigma in configs:
         # A one-point configuration takes the banded route and needs no
         # basis; otherwise one basis serves every target.
-        basis = None if sigma.is_one_point else malmquist_basis_auto(sigma)
+        basis = None if sigma.is_one_point else malmquist_basis(sigma)
         for target in _TARGETS[args.target]:
             if basis is None:
                 res = one_point_constant(sigma, target)

@@ -64,7 +64,7 @@ import numpy as np
 from .blaschke import (
     MalmquistBasis,
     PoleConfiguration,
-    malmquist_basis_auto,
+    malmquist_basis,
     multiplicity_groups,
 )
 from .bernstein import BoundEnvelope, constant_from_basis, one_point_constant
@@ -167,11 +167,11 @@ def interp_exact(sigma: PoleConfiguration) -> InterpResult:
 
     A one-point ``sigma`` takes the banded route of :func:`one_point_interp`,
     which reports no witnesses; any other goes through
-    :func:`interp_from_basis` on the basis at the policy truncation.
+    :func:`interp_from_basis` on the basis at its certified truncation.
     """
     if sigma.is_one_point:
         return one_point_interp(sigma)
-    return interp_from_basis(malmquist_basis_auto(sigma))
+    return interp_from_basis(malmquist_basis(sigma))
 
 
 def interp_from_basis(basis: MalmquistBasis) -> InterpResult:
@@ -293,7 +293,7 @@ def theoremB_test_function(n: int, lam: complex) -> TaylorSeries:
     to (1-r^2)^{-1/2} (1 + (1+r)(z + ... + z^{n-1}) + r z^n)."""
     if n < 1:
         raise ValueError("need n >= 1")
-    basis = malmquist_basis_auto(PoleConfiguration.one_point(n, lam))
+    basis = malmquist_basis(PoleConfiguration.one_point(n, lam))
     return basis.combine(np.ones(n))
 
 

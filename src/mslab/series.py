@@ -18,12 +18,11 @@ it at rounding level.
 
 Series are immutable values: every operation returns a fresh instance and the
 backing arrays are write-protected.  No series carries a bound on its
-discarded tail: truncations are certified where they are made, by the
-orthonormality of the Malmquist basis (see :mod:`mslab.blaschke`).  The
+discarded tail: the Malmquist basis is built in :mod:`mslab.blaschke` by a
+row recurrence on its coefficient matrix, with no series arithmetic, and
+stops where its exact tail identity makes the dropped mass negligible.  The
 composition divides by first-order factors 1 - beta z with a doubling scan;
-the Malmquist basis itself is built in :mod:`mslab.blaschke` by a row
-recurrence on its coefficient matrix, so it needs no series arithmetic.  The
-truncation policy for a configuration of n poles of max modulus r lives in
+its window, which has no such identity, is sized by
 :func:`policy_truncation`.
 """
 
@@ -245,15 +244,17 @@ def compose_with_blaschke_factor(f: TaylorSeries, lam: complex, N: int) -> Taylo
 
 
 def policy_truncation(n: int, radius: float) -> int:
-    """Default truncation length exponent for n poles of max modulus ``radius``.
+    """Window degree N for composing a series of n coefficients with
+    Blaschke factors of modulus at most ``radius``.
 
-    A degree-n inner factor with zeros of modulus r carries Taylor mass up to
-    index about n (1+r)/(1-r), the peak boundary phase velocity, plus a
-    transition region of width a few n^(1/3)/(1-r); beyond that the
-    coefficients decay geometrically with ratio r.  The returned N adds a
-    geometric margin that pushes the dropped coefficients below the 1e-14
-    scale, so orthonormality of the resulting bases certifies at the 1e-10
-    level.
+    It sizes the composition windows of the quadrature oracle and of the
+    invariant suite; Malmquist bases do not use it, since their build stops
+    on an exact tail identity (:mod:`mslab.blaschke`).  A degree-n inner
+    factor with zeros of modulus r carries Taylor mass up to index about
+    n (1+r)/(1-r), the peak boundary phase velocity, plus a transition
+    region of width a few n^(1/3)/(1-r); beyond that the coefficients decay
+    geometrically with ratio r.  The returned N adds a geometric margin that
+    pushes the dropped coefficients below the 1e-14 scale.
     """
     if n < 1:
         raise ValueError("need at least one pole")

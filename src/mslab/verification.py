@@ -21,7 +21,7 @@ from .blaschke import (
     MalmquistBasis,
     PoleConfiguration,
     blaschke_factor_eval,
-    malmquist_basis_auto,
+    malmquist_basis,
     model_projection,
 )
 from .errors import CertificationError
@@ -177,7 +177,7 @@ def _check_orthonormality(rng: np.random.Generator) -> tuple[bool, str]:
     sigmas.append(PoleConfiguration.one_point(8, 0.8))
     for sig in sigmas:
         try:
-            basis = malmquist_basis_auto(sig)
+            basis = malmquist_basis(sig)
         except CertificationError as exc:
             return False, str(exc)
         gram = basis.matrix.conj().T @ basis.matrix
@@ -190,7 +190,7 @@ def _check_projection(rng: np.random.Generator) -> tuple[bool, str]:
     worst_fix = worst_contract = 0.0
     for _i in range(10):
         sig = _random_sigma(rng, max_n=6)
-        basis = malmquist_basis_auto(sig)
+        basis = malmquist_basis(sig)
         coeffs = rng.normal(size=sig.n) + 1j * rng.normal(size=sig.n)
         member = basis.combine(coeffs)
         fixed = model_projection(member, basis)
@@ -224,7 +224,7 @@ def _check_projection_trace(rng: np.random.Generator) -> tuple[bool, str]:
     worst = 0.0
     for _i in range(10):
         sig = _random_sigma(rng, max_n=6)
-        basis = malmquist_basis_auto(sig)
+        basis = malmquist_basis(sig)
         f = _random_series(rng, 40)
         resid = _projection_residual(f, basis)
         worst = max(worst, float(np.max(np.abs(evaluate(resid, sig.points)))))
@@ -237,7 +237,7 @@ def _check_multiplicity_recentering(rng: np.random.Generator) -> tuple[bool, str
     resids = []
     for lam, m in zip(lams, mults):
         sig = PoleConfiguration((complex(lam),) * m + (0.1 - 0.5j,))
-        resids.append(_projection_residual(_random_series(rng, 30), malmquist_basis_auto(sig)))
+        resids.append(_projection_residual(_random_series(rng, 30), malmquist_basis(sig)))
     # The low coefficients are the head of any window, so one serves both.
     recentered = _compose_rows(_padded([r.coeffs for r in resids]), lams, max(mults) - 1)
     worst = max(float(np.max(np.abs(row[:m]))) for row, m in zip(recentered, mults))
@@ -250,8 +250,8 @@ def _check_rotation_covariance(rng: np.random.Generator) -> tuple[bool, str]:
     sig = _random_sigma(rng, max_n=5, max_r=0.7)
     theta = 0.7
     rot = sig.rotated(theta)
-    E0 = malmquist_basis_auto(sig).matrix
-    E1 = malmquist_basis_auto(rot).matrix
+    E0 = malmquist_basis(sig).matrix
+    E1 = malmquist_basis(rot).matrix
     L = min(E0.shape[0], E1.shape[0])
     for e0, e1 in zip(E0[:L].T, E1[:L].T):
         twisted = e0 * np.exp(-1j * theta * np.arange(L))
@@ -359,7 +359,7 @@ def _check_bernstein_hand_values(rng: np.random.Generator) -> tuple[bool, str]:
     for sig, expect in cases:
         # Both routes: the banded one-point operator and the basis matrix E.
         banded = bn.bernstein_constant_sigma(sig, NormKind.BERGMAN).constant
-        via_e = bn.constant_from_basis(malmquist_basis_auto(sig), NormKind.BERGMAN).constant
+        via_e = bn.constant_from_basis(malmquist_basis(sig), NormKind.BERGMAN).constant
         worst = max(worst, abs(banded - expect), abs(via_e - expect))
     return worst <= 1e-9, f"max deviation {worst:.3e}"
 
@@ -367,7 +367,7 @@ def _check_bernstein_hand_values(rng: np.random.Generator) -> tuple[bool, str]:
 @_check("bernstein.norm-homogeneity")
 def _check_bernstein_homogeneity(rng: np.random.Generator) -> tuple[bool, str]:
     sig = _random_sigma(rng, max_n=5, max_r=0.6)
-    basis = malmquist_basis_auto(sig)
+    basis = malmquist_basis(sig)
     E = basis.matrix
     w = np.arange(basis.trunc_len, dtype=np.float64)
     c = complex(rng.normal(), rng.normal())
@@ -426,7 +426,7 @@ def _check_bernstein_chain(rng: np.random.Generator) -> tuple[bool, str]:
 def _check_bernstein_member_domination(rng: np.random.Generator) -> tuple[bool, str]:
     worst = -math.inf
     sig = _random_sigma(rng, max_n=6)
-    basis = malmquist_basis_auto(sig)
+    basis = malmquist_basis(sig)
     for target in (NormKind.BERGMAN, NormKind.HARDY):
         c = bn.constant_from_basis(basis, target).constant
         for k in range(sig.n):
@@ -472,7 +472,7 @@ def _check_interp_hand_values(rng: np.random.Generator) -> tuple[bool, str]:
         ((0.0, 0.0), math.sqrt(2.0)),
     ):
         sig = PoleConfiguration(points)
-        basis = malmquist_basis_auto(sig)
+        basis = malmquist_basis(sig)
         for res in (ip.interp_exact(sig), ip.interp_from_basis(basis)):
             worst = max(worst, abs(res.exact - expect))
             if sig.n == 2:
@@ -511,7 +511,7 @@ def _check_interp_witness(rng: np.random.Generator) -> tuple[bool, str]:
     worst = 0.0
     sig = _random_sigma(rng, max_n=5, max_r=0.7)
     # The basis route carries witnesses, also for one-point draws.
-    res = ip.interp_from_basis(malmquist_basis_auto(sig))
+    res = ip.interp_from_basis(malmquist_basis(sig))
     gaps = evaluate(res.witness_f, sig.points) - evaluate(res.witness_g, sig.points)
     worst = float(np.max(np.abs(gaps)))
     fn = norm(res.witness_f, NormKind.HARDY)
@@ -525,7 +525,7 @@ def _check_interp_reduction(rng: np.random.Generator) -> tuple[bool, str]:
     worst = -math.inf
     sig = _random_sigma(rng, max_n=4, max_r=0.6)
     res = ip.interp_exact(sig)
-    basis = malmquist_basis_auto(sig)
+    basis = malmquist_basis(sig)
     L = basis.trunc_len
     A = ip._constraint_rows(sig, L)
     w = NormKind.DIRICHLET.weights(L)
@@ -560,7 +560,7 @@ def _check_interp_envelope_order(rng: np.random.Generator) -> tuple[bool, str]:
     worst = -math.inf
     for n in (2, 4, 8, 12):
         for r in (0.0, 0.3, 0.5, 0.7):
-            basis = malmquist_basis_auto(PoleConfiguration.one_point(n, r))
+            basis = malmquist_basis(PoleConfiguration.one_point(n, r))
             upper8 = math.hypot(bn.constant_from_basis(basis, NormKind.BERGMAN).constant, 1.0)
             env = ip.theoremB_envelopes(n, r)
             worst = max(worst, upper8 - env["eq10"].upper)

@@ -16,7 +16,7 @@ from mslab.bernstein import (
     step2_expansion_check,
     z2_upper_hardy,
 )
-from mslab.blaschke import PoleConfiguration, malmquist_basis_auto, model_projection
+from mslab.blaschke import PoleConfiguration, malmquist_basis, model_projection
 from mslab.cli import main
 from mslab.interpolation import (
     interp_exact,
@@ -66,7 +66,7 @@ class TestAcceptance:
         rng = np.random.default_rng(1002)
         for _ in range(50):
             sig = _random_config(rng, 12, 0.8)
-            basis = malmquist_basis_auto(sig)
+            basis = malmquist_basis(sig)
             mat = basis.matrix
             defect = float(np.max(np.abs(mat.conj().T @ mat - np.eye(sig.n))))
             assert defect <= 1e-10
@@ -77,7 +77,7 @@ class TestAcceptance:
         rng = np.random.default_rng(1003)
         for trial in range(50):
             sig = _random_config(rng, 10, 0.75, duplicate=(trial % 3 == 0))
-            basis = malmquist_basis_auto(sig)
+            basis = malmquist_basis(sig)
             raw = rng.normal(size=40) + 1j * rng.normal(size=40)
             f = polynomial(raw / np.linalg.norm(raw))
             pf = model_projection(f, basis)

@@ -18,7 +18,7 @@ from mslab.bernstein import (
     step2_test_function,
     z2_upper_hardy,
 )
-from mslab.blaschke import PoleConfiguration, malmquist_basis, malmquist_basis_auto
+from mslab.blaschke import PoleConfiguration, malmquist_basis
 from mslab.series import NormKind, differentiate, norm, norm_sq
 
 
@@ -89,7 +89,7 @@ class TestHandValues:
         """n = 1: the lone normalized kernel gives a directly summable norm."""
         lam = 0.5
         res = bernstein_constant_sigma(PoleConfiguration((lam,)), NormKind.BERGMAN)
-        e = malmquist_basis_auto(PoleConfiguration((lam,))).element(0)
+        e = malmquist_basis(PoleConfiguration((lam,))).element(0)
         np.testing.assert_allclose(
             res.constant, norm(differentiate(e), NormKind.BERGMAN), rtol=1e-12
         )
@@ -105,7 +105,7 @@ class TestConstantProperties:
     def test_weighted_gram_matches_differentiated_route(self, points, target):
         """The top eigenvalue of E^* diag(w) E equals the constant obtained by
         differentiating the basis first."""
-        basis = malmquist_basis_auto(PoleConfiguration(points))
+        basis = malmquist_basis(PoleConfiguration(points))
         np.testing.assert_allclose(
             constant_from_basis(basis, target).constant,
             _differentiated_gram_constant(basis, target),
@@ -130,7 +130,7 @@ class TestConstantProperties:
         """The reported eigenvector assembles a unit function achieving the norm."""
         rng = np.random.default_rng(20)
         sig = _random_config(rng, 5, 0.5)
-        basis = malmquist_basis_auto(sig)
+        basis = malmquist_basis(sig)
         res = constant_from_basis(basis, NormKind.BERGMAN)
         f = basis.combine(res.extremal)
         np.testing.assert_allclose(norm(f, NormKind.HARDY), 1.0, atol=1e-9)
@@ -178,7 +178,7 @@ class TestOnePointBandedRoute:
             sig = PoleConfiguration.one_point(n, r)
             banded = bernstein_constant_sigma(sig, target)
             assert banded.trunc_len == n
-            oracle = constant_from_basis(malmquist_basis_auto(sig), target)
+            oracle = constant_from_basis(malmquist_basis(sig), target)
             np.testing.assert_allclose(
                 banded.constant, oracle.constant, rtol=1e-12, atol=1e-14
             )
@@ -188,7 +188,7 @@ class TestOnePointBandedRoute:
         """For lam = |lam| e^{i theta} the rotated banded eigenvector, combined
         over the Malmquist basis of lam, is a unit function attaining C."""
         sig = PoleConfiguration.one_point(6, 0.6 * np.exp(1.1j))
-        basis = malmquist_basis_auto(sig)
+        basis = malmquist_basis(sig)
         res = one_point_constant(sig, target)
         f = basis.combine(res.extremal)
         np.testing.assert_allclose(norm(f, NormKind.HARDY), 1.0, atol=1e-9)
@@ -197,18 +197,6 @@ class TestOnePointBandedRoute:
         )
         np.testing.assert_allclose(
             res.constant, constant_from_basis(basis, target).constant, rtol=1e-12
-        )
-
-    def test_explicit_truncation_takes_basis_route(self):
-        """A basis built at a fixed truncation gives the banded value and
-        reports its length."""
-        sig = PoleConfiguration.one_point(4, 0.5)
-        res = constant_from_basis(malmquist_basis(sig, 200), NormKind.BERGMAN)
-        assert res.trunc_len == 201
-        np.testing.assert_allclose(
-            res.constant,
-            bernstein_constant_sigma(sig, NormKind.BERGMAN).constant,
-            rtol=1e-12,
         )
 
     def test_rejects_distinct_points(self):

@@ -8,7 +8,6 @@ from mslab.blaschke import (
     blaschke_factor_eval,
     blaschke_product_eval,
     malmquist_basis,
-    malmquist_basis_auto,
     model_projection,
     multiplicity_groups,
     parse_sigma_spec,
@@ -138,6 +137,9 @@ _TAIL_PANEL = {
     "mixed-0.5-0.99": (0.5, 0.99j, 0.5),
 }
 
+_IDENTITY_PANEL = {**_ORACLE_PANEL, **_TAIL_PANEL}
+(_N200,) = parse_sigma_spec("random:n=200,r=0.9,count=1,seed=3")
+
 
 class TestPoleConfiguration:
     """Container invariants for the point multiset."""
@@ -215,7 +217,7 @@ class TestMalmquistBasis:
     def test_origin_basis_is_signed_monomials(self):
         """At sigma = {0,...,0} the elements are (-z)^k up to stored padding."""
         sig = PoleConfiguration.one_point(3, 0.0)
-        basis = malmquist_basis_auto(sig)
+        basis = malmquist_basis(sig)
         for k in range(sig.n):
             e = basis.element(k)
             expect = np.zeros(e.trunc_len, dtype=complex)
@@ -226,7 +228,7 @@ class TestMalmquistBasis:
         """e_1 has coefficients sqrt(1-|lam|^2) conj(lam)^k."""
         lam = 0.4 + 0.3j
         sig = PoleConfiguration((lam, 0.2))
-        basis = malmquist_basis_auto(sig)
+        basis = malmquist_basis(sig)
         e1 = basis.element(0)
         expect = np.sqrt(1.0 - abs(lam) ** 2) * np.conj(lam) ** np.arange(e1.trunc_len)
         np.testing.assert_allclose(e1.coeffs, expect, rtol=1e-13)
@@ -234,7 +236,7 @@ class TestMalmquistBasis:
     def test_second_element_matches_pointwise_formula(self):
         """e_2 = b_{lam_1} times normalized kernel at lam_2, checked by evaluation."""
         a, b = 0.3 - 0.1j, -0.25 + 0.2j
-        basis = malmquist_basis_auto(PoleConfiguration((a, b)))
+        basis = malmquist_basis(PoleConfiguration((a, b)))
         for z in (0.0, 0.4, -0.3j):
             direct = blaschke_factor_eval(a, z) * np.sqrt(1.0 - abs(b) ** 2) / (
                 1.0 - np.conj(b) * z
@@ -246,32 +248,86 @@ class TestMalmquistBasis:
         rng = np.random.default_rng(42)
         for _ in range(25):
             sig = _random_config(rng, int(rng.integers(1, 9)), 0.8)
-            basis = malmquist_basis_auto(sig)
+            basis = malmquist_basis(sig)
             mat = basis.matrix
             gram = mat.conj().T @ mat
             np.testing.assert_allclose(gram, np.eye(sig.n), atol=1e-10)
             assert basis.ortho_defect <= 1e-10
 
-    def test_short_truncation_refused(self):
-        """A window shorter than the dimension cannot certify."""
-        with pytest.raises(CertificationError):
-            malmquist_basis(PoleConfiguration.one_point(4, 0.0), 3)
+    def test_origin_stops_at_the_dimension(self):
+        """At the origin T is nilpotent, T^n = 0: the build stops at exactly
+        n rows, the fewest that can carry an n-dimensional space."""
+        basis = malmquist_basis(PoleConfiguration.one_point(4, 0.0))
+        assert basis.trunc_len == 4
+        np.testing.assert_array_equal(basis.matrix, np.diag((-1.0) ** np.arange(4)))
 
-    def test_uncertifiable_truncation_raises(self):
-        """A too-short window at positive radius fails the Gram certificate."""
-        with pytest.raises(CertificationError):
-            malmquist_basis(PoleConfiguration.one_point(6, 0.7), 8)
+    def test_uncertifiable_truncation_raises(self, monkeypatch):
+        """The Gram certificate still guards the build: held to a tolerance
+        below its rounding, the same basis is refused."""
+        sig = PoleConfiguration.one_point(6, 0.7)
+        defect = malmquist_basis(sig).ortho_defect
+        assert 0.0 < defect <= blaschke.ORTHO_TOL
+        monkeypatch.setattr(blaschke, "ORTHO_TOL", defect / 2)
+        with pytest.raises(CertificationError, match="fails to certify orthonormality"):
+            malmquist_basis(sig)
 
-    def test_explicit_truncation_respected(self):
-        """A fixed truncation N stores N + 1 coefficients."""
-        basis = malmquist_basis(PoleConfiguration((0.5,)), 96)
-        assert basis.trunc_len == 97
+    @pytest.mark.parametrize("points", _IDENTITY_PANEL.values(), ids=_IDENTITY_PANEL.keys())
+    def test_truncation_is_smallest_certified(self, points):
+        """L is the smallest row count whose dropped Hardy mass is at most
+        TAIL_TOL, both measured on the division-recurrence oracle at 4L rows
+        (its tail beyond 4L is at most TAIL_TOL^4)."""
+        sig = PoleConfiguration(points)
+        L = malmquist_basis(sig).trunc_len
+        row_mass = np.sum(np.abs(_recurrence_basis_matrix(sig, 4 * L - 1)) ** 2, axis=1)
+        assert row_mass[L:].sum() <= blaschke.TAIL_TOL < row_mass[L - 1 :].sum()
+
+    @pytest.mark.parametrize(
+        "points",
+        [*_IDENTITY_PANEL.values(), _N200.points],
+        ids=[*_IDENTITY_PANEL.keys(), "random-n200-0.9"],
+    )
+    def test_gram_defect_is_the_shift_power(self, points):
+        """I - E_l^* E_l = A^l (A^*)^l with A = conj(T), on the leading l
+        rows of a built E for l = 1, L/4, L/2 and L, so also where the tail
+        is large."""
+        sig = PoleConfiguration(points)
+        E = malmquist_basis(sig).matrix
+        _, T = blaschke._compressed_shift(points)
+        L = E.shape[0]
+        for rows in sorted({1, L // 4, L // 2, L} - {0}):
+            A = np.linalg.matrix_power(T, rows).conj()
+            defect = np.eye(sig.n) - E[:rows].conj().T @ E[:rows]
+            np.testing.assert_allclose(defect, A @ A.conj().T, rtol=0, atol=1e-13)
+
+    @pytest.mark.parametrize("points", _TAIL_PANEL.values(), ids=_TAIL_PANEL.keys())
+    def test_weighted_tails_have_closed_forms(self, points):
+        """The dropped parts of the weighted Grams, the sums over m >= L of
+        w_m conj(x_m) x_m^T on the oracle at 4L rows, are
+        A^L (L I + G_1) (A^*)^L for w = k and
+        A^L (L^2 I + 2 L G_1 + G_2) (A^*)^L for w = k^2, with G_1 and G_2
+        the full Grams, to 1e-12 of their size."""
+        sig = PoleConfiguration(points)
+        L = malmquist_basis(sig).trunc_len
+        F = _recurrence_basis_matrix(sig, 4 * L - 1)
+        k = np.arange(4 * L, dtype=np.float64)
+
+        def gram(w, start=0):
+            return F[start:].conj().T @ (w[start:, None] * F[start:])
+
+        G1, G2, eye = gram(k), gram(k * k), np.eye(sig.n)
+        _, T = blaschke._compressed_shift(points)
+        A = np.linalg.matrix_power(T, L).conj()
+        for w, inner in ((k, L * eye + G1), (k * k, L * L * eye + 2 * L * G1 + G2)):
+            closed = A @ inner @ A.conj().T
+            np.testing.assert_allclose(
+                gram(w, L), closed, rtol=0, atol=1e-12 * np.abs(closed).max()
+            )
 
     @pytest.mark.parametrize("points", _ORACLE_PANEL.values(), ids=_ORACLE_PANEL.keys())
     def test_recurrence_matches_convolution_build(self, points):
         """The recurrence build agrees with full Cauchy products to 1e-13."""
         sig = PoleConfiguration(points)
-        basis = malmquist_basis_auto(sig)
+        basis = malmquist_basis(sig)
         N = basis.trunc_len - 1
         oracle = _convolution_basis_matrix(sig, N)
         assert oracle.shape[0] == basis.trunc_len
@@ -283,7 +339,7 @@ class TestMalmquistBasis:
     def test_row_doubling_matches_division_recurrence(self, points):
         """E agrees with the element-by-element division recurrence to 1e-13."""
         sig = PoleConfiguration(points)
-        basis = malmquist_basis_auto(sig)
+        basis = malmquist_basis(sig)
         oracle = _recurrence_basis_matrix(sig, basis.trunc_len - 1)
         np.testing.assert_allclose(basis.matrix, oracle, rtol=0, atol=1e-13)
 
@@ -300,7 +356,7 @@ class TestMalmquistBasis:
     def test_first_row_is_value_at_origin(self):
         """E[0, j] = e_{j+1}(0), evaluated from the Blaschke factors."""
         sig = PoleConfiguration((0.5 - 0.2j, 0.0, 0.9j, 0.5 - 0.2j, -0.3))
-        basis = malmquist_basis_auto(sig)
+        basis = malmquist_basis(sig)
         for j, lam in enumerate(sig.points):
             prefix = np.prod([blaschke_factor_eval(p, 0.0) for p in sig.points[:j]])
             value = prefix * np.sqrt(1.0 - abs(lam) ** 2)
@@ -309,7 +365,7 @@ class TestMalmquistBasis:
     @pytest.mark.parametrize("points", _TAIL_PANEL.values(), ids=_TAIL_PANEL.keys())
     def test_rows_follow_compressed_shift(self, points):
         """E[m+1] = T E[m] for every stored row of a built basis."""
-        basis = malmquist_basis_auto(PoleConfiguration(points))
+        basis = malmquist_basis(PoleConfiguration(points))
         _, T = blaschke._compressed_shift(points)
         E = basis.matrix
         np.testing.assert_allclose(E[1:], E[:-1] @ T.T, rtol=0, atol=1e-14)
@@ -319,7 +375,7 @@ class TestMalmquistBasis:
         in 40-digit arithmetic, at radius 0.99."""
         mpmath = pytest.importorskip("mpmath")
         sig = PoleConfiguration((0.5 + 0.3j, -0.99, 0.0, 0.7j))
-        basis = malmquist_basis_auto(sig)
+        basis = malmquist_basis(sig)
         L = basis.trunc_len
         with mpmath.workdps(40):
             pts = [mpmath.mpc(p.real, p.imag) for p in sig.points]
@@ -343,12 +399,12 @@ class TestMalmquistBasis:
     def test_tail_bound_dominates_doubled_truncation(self, points):
         """Each e_j has unit norm, so the certificate bounds the l2 mass of
         every dropped tail by sqrt(ortho_defect), up to rounding; that bound
-        covers coefficients N+1..2N of every element."""
+        covers coefficients N+1..2N of every element, taken from the
+        division-recurrence oracle."""
         sig = PoleConfiguration(points)
-        basis = malmquist_basis_auto(sig)
+        basis = malmquist_basis(sig)
         N = basis.trunc_len - 1
-        doubled = malmquist_basis(sig, 2 * N)
-        for long in doubled.matrix.T:
+        for long in _recurrence_basis_matrix(sig, 2 * N).T:
             gap = float(np.linalg.norm(long[N + 1 :]))
             assert gap**2 <= basis.ortho_defect + 1e-13
 
@@ -358,7 +414,7 @@ class TestMalmquistBasis:
         them, in the certificate or a weighted Gram, is subnormal."""
         floor = np.sqrt(np.finfo(np.float64).tiny)
         (sig,) = parse_sigma_spec("random:n=40,r=0.99,count=1,seed=0")
-        parts = np.abs(malmquist_basis_auto(sig).matrix.view(np.float64))
+        parts = np.abs(malmquist_basis(sig).matrix.view(np.float64))
         assert np.count_nonzero(parts == 0.0) > 0
         assert not np.any((parts > 0.0) & (parts < floor))
 
@@ -368,13 +424,13 @@ class TestBasisMatrix:
 
     def test_matrix_is_read_only(self):
         """E cannot be written through the basis."""
-        basis = malmquist_basis_auto(PoleConfiguration((0.5, 0.2j)))
+        basis = malmquist_basis(PoleConfiguration((0.5, 0.2j)))
         with pytest.raises(ValueError):
             basis.matrix[0, 0] = 1.0
 
     def test_element_is_column(self):
         """element(k) is column k of E."""
-        basis = malmquist_basis_auto(PoleConfiguration((0.9j, 0.9j, -0.3)))
+        basis = malmquist_basis(PoleConfiguration((0.9j, 0.9j, -0.3)))
         for k in range(3):
             np.testing.assert_array_equal(basis.element(k).coeffs, basis.matrix[:, k])
 
@@ -382,21 +438,21 @@ class TestBasisMatrix:
     def test_combine_matches_loop_sum(self, points):
         """combine(a) = E a agrees with the add/scale loop."""
         rng = np.random.default_rng(61)
-        basis = malmquist_basis_auto(PoleConfiguration(points))
+        basis = malmquist_basis(PoleConfiguration(points))
         a = rng.normal(size=basis.sigma.n) + 1j * rng.normal(size=basis.sigma.n)
         got, want = basis.combine(a), _loop_sum(basis, enumerate(a))
         np.testing.assert_allclose(got.coeffs, want.coeffs, rtol=0, atol=1e-13)
 
     def test_combine_needs_one_coefficient_per_element(self):
         """A coefficient vector of the wrong length is refused."""
-        basis = malmquist_basis_auto(PoleConfiguration((0.5, 0.2j)))
+        basis = malmquist_basis(PoleConfiguration((0.5, 0.2j)))
         with pytest.raises(ValueError):
             basis.combine(np.ones(3))
 
     @pytest.mark.parametrize("n, lam", ((3, 0.4), (10, -0.5), (7, 0.3 + 0.2j), (4, 0.99)))
     def test_theoremB_function_matches_loop_sum(self, n, lam):
         """The sum of all one-point elements equals the loop that built it."""
-        basis = malmquist_basis_auto(PoleConfiguration.one_point(n, lam))
+        basis = malmquist_basis(PoleConfiguration.one_point(n, lam))
         got = theoremB_test_function(n, lam)
         want = _loop_sum(basis, [(k, 1.0) for k in range(n)])
         np.testing.assert_allclose(got.coeffs, want.coeffs, rtol=0, atol=1e-13)
@@ -404,7 +460,7 @@ class TestBasisMatrix:
     @pytest.mark.parametrize("n, r, s", ((3, 0.5, 0), (9, 0.3, 2), (30, 0.9, 4), (12, 0.99, 2)))
     def test_step2_function_matches_loop_sum(self, n, r, s):
         """The alternating tail sum equals the loop from e_n downwards."""
-        basis = malmquist_basis_auto(PoleConfiguration.one_point(n, r))
+        basis = malmquist_basis(PoleConfiguration.one_point(n, r))
         got = step2_test_function(n, r, s)
         want = _loop_sum(basis, [(n - 1 - k, (-1.0) ** k) for k in range(s + 3)])
         np.testing.assert_allclose(got.coeffs, want.coeffs, rtol=0, atol=1e-13)
@@ -412,30 +468,33 @@ class TestBasisMatrix:
 
 class TestAllocationRefusal:
     """A truncation whose coefficient matrix cannot exist is a certification
-    failure, refused without a retry."""
+    failure, refused before any product is formed."""
 
-    # policy_truncation(2, r) is about 6.9e17 here: 2.2e19 bytes of matrix.
+    # ||T^L||_F >= r^L, so no L below ceil(ln 1e-20 / (2 ln r)), about
+    # 2.1e17 here, can stop the build: 6.6e18 bytes of matrix at least.
     SIGMA = PoleConfiguration.one_point(2, 0.9999999999999999)
+    LOWER = 207398427335936864
 
     def test_too_big_matrix_raises_certification_error(self):
-        """numpy's "array is too big" becomes a CertificationError naming N."""
-        N = 691327357826976320
-        with pytest.raises(CertificationError, match=f"truncation {N}"):
-            malmquist_basis(self.SIGMA, N)
+        """numpy's refusal becomes a CertificationError naming the lower
+        bound on the rows."""
+        with pytest.raises(CertificationError, match=f"truncation {self.LOWER} or longer needs"):
+            malmquist_basis(self.SIGMA)
 
-    def test_auto_build_does_not_double_a_refused_allocation(self, monkeypatch):
-        """The doubling loop gives up after the first allocation refusal."""
-        attempts = []
-        build = blaschke.malmquist_basis
+    def test_refusal_at_lower_bound_makes_one_allocation(self, monkeypatch):
+        """The build asks once, for the rows the lower bound forces, and
+        gives up on the refusal."""
+        asked = []
+        rows = blaschke._rows
 
-        def counted(sigma, N):
-            attempts.append(N)
-            return build(sigma, N)
+        def counted(count, needed, n):
+            asked.append(needed)
+            return rows(count, needed, n)
 
-        monkeypatch.setattr(blaschke, "malmquist_basis", counted)
+        monkeypatch.setattr(blaschke, "_rows", counted)
         with pytest.raises(CertificationError, match="cannot be allocated"):
-            malmquist_basis_auto(self.SIGMA)
-        assert len(attempts) == 1
+            malmquist_basis(self.SIGMA)
+        assert asked == [self.LOWER]
 
 
 class TestModelProjection:
@@ -445,7 +504,7 @@ class TestModelProjection:
         """P e_k = e_k on the stored window."""
         rng = np.random.default_rng(7)
         sig = _random_config(rng, 4, 0.6)
-        basis = malmquist_basis_auto(sig)
+        basis = malmquist_basis(sig)
         for k in range(sig.n):
             e = basis.element(k)
             proj = model_projection(e, basis)
@@ -455,7 +514,7 @@ class TestModelProjection:
         """P^2 f = P f and the Hardy norm never grows."""
         rng = np.random.default_rng(19)
         sig = _random_config(rng, 5, 0.7)
-        basis = malmquist_basis_auto(sig)
+        basis = malmquist_basis(sig)
         f = polynomial(rng.normal(size=30) + 1j * rng.normal(size=30))
         pf = model_projection(f, basis)
         ppf = model_projection(pf, basis)
@@ -466,7 +525,7 @@ class TestModelProjection:
         """f = B g lies in the orthogonal complement, so P f vanishes."""
         rng = np.random.default_rng(3)
         sig = _random_config(rng, 3, 0.5)
-        basis = malmquist_basis_auto(sig)
+        basis = malmquist_basis(sig)
         N = basis.trunc_len - 1
         B = np.ones(1, dtype=np.complex128)
         for p in sig.points:
@@ -476,11 +535,26 @@ class TestModelProjection:
         proj = model_projection(f, basis)
         assert norm(proj, NormKind.HARDY) <= 1e-8 * max(1.0, norm(f, NormKind.HARDY))
 
+    def test_window_longer_than_the_basis(self):
+        """A series five times longer than E projects as through the
+        division-recurrence oracle at its own length, and keeps its traces
+        on sigma: the rows past the truncation are continued, not dropped."""
+        rng = np.random.default_rng(29)
+        sig = PoleConfiguration((0.3, -0.2j, 0.3))
+        basis = malmquist_basis(sig)
+        M = 5 * basis.trunc_len + 3
+        f = polynomial(rng.normal(size=M) + 1j * rng.normal(size=M))
+        pf = model_projection(f, basis)
+        F = _recurrence_basis_matrix(sig, M - 1)
+        np.testing.assert_allclose(pf.coeffs, F @ (F.conj().T @ f.coeffs), rtol=0, atol=1e-13)
+        resid = polynomial(f.coeffs - pf.coeffs)
+        assert np.max(np.abs(evaluate(resid, np.array(sig.points[:2])))) <= 1e-13
+
     def test_pythagoras(self):
         """Hardy mass splits between the projection and the residual."""
         rng = np.random.default_rng(23)
         sig = _random_config(rng, 4, 0.6)
-        basis = malmquist_basis_auto(sig)
+        basis = malmquist_basis(sig)
         f = polynomial(rng.normal(size=basis.trunc_len))
         pf = model_projection(f, basis)
         res = np.zeros(basis.trunc_len, dtype=complex)

@@ -15,7 +15,7 @@ import pytest
 
 import mslab
 from mslab import verification
-from mslab.blaschke import PoleConfiguration, malmquist_basis_auto
+from mslab.blaschke import PoleConfiguration, malmquist_basis
 from mslab.cli import build_parser, main
 
 HEADER = "n,r,sigma,quantity,value,lower,upper,trunc,residual"
@@ -205,13 +205,13 @@ class TestBernsteinCommand:
     def test_both_targets_share_one_basis(self, capsys, monkeypatch):
         """--target both builds the basis once per configuration."""
         builds = []
-        build = mslab.blaschke.malmquist_basis
+        build = mslab.cli.malmquist_basis
 
-        def counted(sigma, N):
+        def counted(sigma):
             builds.append(sigma.key())
-            return build(sigma, N)
+            return build(sigma)
 
-        monkeypatch.setattr(mslab.blaschke, "malmquist_basis", counted)
+        monkeypatch.setattr(mslab.cli, "malmquist_basis", counted)
         code, out, _ = _run(
             capsys, ["bernstein", "--sigma", "random:n=3,r=0.5,count=2,seed=4", "--target", "both"]
         )
@@ -220,15 +220,16 @@ class TestBernsteinCommand:
         assert len(builds) == 2 and len(set(builds)) == 2
 
     def test_unallocatable_truncation_exits_three(self, capsys):
-        """A truncation whose matrix numpy cannot even describe is refused
-        as a numerical failure naming the truncation, not as bad input.  Two
-        distinct points keep the basis route (one point would take the
-        banded route, which needs no truncation)."""
+        """A truncation whose matrix numpy cannot allocate is refused as a
+        numerical failure naming the fewest rows that could stop the build,
+        ceil(ln 1e-20 / (2 ln r)), not as bad input.  Two distinct points keep
+        the basis route (one point would take the banded route, which needs
+        no truncation)."""
         code, _, err = _run(
             capsys, ["bernstein", "--sigma", "0.9999999999999999,0;0,0.5"]
         )
         assert code == 3
-        assert "numerical certification failure: truncation 691327357826976320" in err
+        assert "numerical certification failure: truncation 207398427335936864" in err
 
     def test_one_point_at_extreme_radius_solves(self, capsys):
         """The banded route needs no truncation: n = 2 at r = 1 - 2^-53 exits 0
@@ -248,25 +249,27 @@ class TestBernsteinCommand:
         np.testing.assert_allclose(float(rows[0]["value"]) ** 2, closed, rtol=1e-12)
 
     def test_out_of_memory_truncation_exits_three(self):
-        """Under an address-space limit, a truncation of about 5.8e9 whose
-        matrix the allocator refuses exits 3 without a traceback; the limit
-        is set in the child only, so nothing is allocated for real.  The
-        configuration has two distinct points so that it needs a basis."""
+        """Under an address-space limit, a truncation of at least 2.3e9 rows
+        (a 2^32 x 2 buffer, 128 GiB) that the allocator refuses exits 3
+        without a traceback; the limit is set in the child only, so nothing is
+        allocated for real.  The configuration has two distinct points so
+        that it needs a basis."""
         proc = _run_capped(["bernstein", "--sigma", "0.99999999,0;0,0.5"])
         assert proc.returncode == 3, proc.stderr
-        assert "numerical certification failure: truncation 5843663464" in proc.stderr
+        assert "numerical certification failure: truncation 2302585070" in proc.stderr
         assert "Traceback" not in proc.stderr
 
     def test_one_point_builds_no_basis(self, capsys, monkeypatch):
         """One-point configurations take the banded route."""
         builds = []
-        build = mslab.blaschke.malmquist_basis
+        build = mslab.cli.malmquist_basis
 
-        def counted(sigma, N):
-            builds.append(N)
-            return build(sigma, N)
+        def counted(sigma):
+            builds.append(sigma.key())
+            return build(sigma)
 
-        monkeypatch.setattr(mslab.blaschke, "malmquist_basis", counted)
+        for module in (mslab.cli, mslab.bernstein):
+            monkeypatch.setattr(module, "malmquist_basis", counted)
         code, out, _ = _run(capsys, ["bernstein", "--sigma", "one-point:n=4,r=0.9"])
         assert code == 0
         assert builds == []
@@ -316,7 +319,7 @@ class TestInterpCommand:
         code, _, err = _run(capsys, ["interp", "--sigma", spec])
         assert code == 3
         assert "certification failure" in err
-        assert "overflows at truncation 2369" in err
+        assert "overflows at truncation 2432" in err
         assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
 
     def test_formerly_refused_one_point_cells_answer(self, capsys):
@@ -330,7 +333,7 @@ class TestInterpCommand:
             assert code == 0
             (row,) = [row for row in _parse_csv(out) if row["quantity"] == "interp-exact"]
             assert int(row["trunc"]) == n
-            basis = malmquist_basis_auto(PoleConfiguration.one_point(n, r))
+            basis = malmquist_basis(PoleConfiguration.one_point(n, r))
             E = basis.matrix
             G = E.conj().T @ (E / (np.arange(basis.trunc_len) + 1.0)[:, None])
             oracle = 1.0 / math.sqrt(np.linalg.eigvalsh(G)[0])
@@ -555,7 +558,7 @@ class TestOutputPlumbing:
             ],
             "blaschke": [
                 "PoleConfiguration", "MalmquistBasis", "blaschke_factor_eval",
-                "blaschke_product_eval", "malmquist_basis", "malmquist_basis_auto",
+                "blaschke_product_eval", "malmquist_basis",
                 "model_projection", "parse_sigma_spec",
             ],
             "hermitian": ["Eigenpair", "gram_matrix", "max_eigenpair", "min_norm_solve"],
@@ -591,13 +594,13 @@ class TestOutputPlumbing:
             ["bernstein", "--sigma", "one-point:n=100000,r=0.5"],
             ["interp", "--sigma", "one-point:n=100000,r=0.5"],
             ["asymptotics", "--n-list", "100000"],
-            ["audit", "--n-list", "2", "--r-list", "0.999"],
+            ["audit", "--n-list", "2", "--r-list", "0.9995"],
         ),
         ids=("bernstein", "interp", "asymptotics", "audit"),
     )
     def test_out_of_memory_exits_three(self, argv):
         """An allocation the capped child cannot make (the 100000 x 100000
-        banded Gram, the 23453 x 23453 Legendre companion matrix of the audit's
+        banded Gram, the 27010 x 27010 Legendre companion matrix of the audit's
         quadrature rule) exits 3 with a one-line message and no traceback."""
         proc = _run_capped(argv)
         assert proc.returncode == 3, proc.stderr

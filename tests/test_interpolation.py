@@ -25,7 +25,6 @@ from mslab.interpolation import (
 from mslab.blaschke import (
     PoleConfiguration,
     malmquist_basis,
-    malmquist_basis_auto,
     multiplicity_groups,
 )
 from mslab.series import (
@@ -159,7 +158,7 @@ class TestExactConstant:
         """At a double point the interpolant matches value and first derivative.
         A one-point configuration gets witnesses from the basis route."""
         sig = PoleConfiguration((0.3, 0.3))
-        res = interp_from_basis(malmquist_basis(sig, policy_truncation(2, 0.3)))
+        res = interp_from_basis(malmquist_basis(sig))
         f, g = res.witness_f, res.witness_g
         np.testing.assert_allclose(evaluate(g, 0.3), evaluate(f, 0.3), atol=1e-9)
         h = 1e-5
@@ -233,7 +232,7 @@ class TestOnePointInterpRoute:
         for n in (1, 2, 3, 5, 8, 12, 20, 40):
             for r in (0.0, 0.1, 0.3, 0.5, 0.7, 0.9, 0.95, 0.99):
                 sig = PoleConfiguration.one_point(n, r * np.exp(0.7j))
-                basis = malmquist_basis_auto(sig)
+                basis = malmquist_basis(sig)
                 res = one_point_interp(sig)
                 np.testing.assert_allclose(
                     res.exact, self._lambda_min_oracle(basis), rtol=1e-12
@@ -248,7 +247,7 @@ class TestOnePointInterpRoute:
             sig = PoleConfiguration.one_point(n, r)
             banded = interp_exact(sig)
             assert banded.witness_f is None
-            via_basis = interp_from_basis(malmquist_basis(sig, policy_truncation(n, abs(r))))
+            via_basis = interp_from_basis(malmquist_basis(sig))
             np.testing.assert_allclose(banded.exact, via_basis.exact, rtol=1e-10)
 
     def test_single_point_closed_form(self):
@@ -269,11 +268,12 @@ class TestOnePointInterpRoute:
         assert res.witness_f is None and res.witness_g is None
         assert 0.0 <= res.residual <= 1e-10 * (1.0 + res.exact**2)
 
-    def test_explicit_trunc_keeps_basis_route(self):
-        """A basis at a fixed truncation N gives the E route, which reports
-        N + 1 and carries witnesses."""
-        res = interp_from_basis(malmquist_basis(PoleConfiguration.one_point(3, 0.4), 200))
-        assert res.trunc_len == 201
+    def test_basis_route_reports_rows_and_witnesses(self):
+        """A one-point basis gives the E route, which reports the row count
+        of E and carries witnesses."""
+        basis = malmquist_basis(PoleConfiguration.one_point(3, 0.4))
+        res = interp_from_basis(basis)
+        assert res.trunc_len == basis.trunc_len > 3
         assert res.witness_f is not None and res.witness_g is not None
 
     def test_refuses_distinct_points(self):
@@ -306,7 +306,7 @@ class TestBounds:
         for _ in range(8):
             sig = _random_config(rng, int(rng.integers(1, 6)), 0.6)
             res = interp_exact(sig)
-            basis = malmquist_basis_auto(sig)
+            basis = malmquist_basis(sig)
             assert res.exact <= res.upper_projection + 1e-9
             np.testing.assert_allclose(
                 res.upper_projection, _projection_oracle(basis), rtol=1e-12

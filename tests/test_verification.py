@@ -20,7 +20,7 @@ PANEL_STATES = json.loads(
 def _skew_bases(monkeypatch, delta):
     """Make the suite's basis builder add delta times the first column of E
     to the second, so that E^* E is off the identity by delta."""
-    build = verification.malmquist_basis_auto
+    build = verification.malmquist_basis
 
     def skewed(sigma):
         basis = build(sigma)
@@ -30,7 +30,7 @@ def _skew_bases(monkeypatch, delta):
         E[:, 1] += delta * E[:, 0]
         return dataclasses.replace(basis, matrix=E)
 
-    monkeypatch.setattr(verification, "malmquist_basis_auto", skewed)
+    monkeypatch.setattr(verification, "malmquist_basis", skewed)
 
 
 class TestRunAll:
