@@ -14,10 +14,9 @@ imported from its submodule (``mslab.series``, ``mslab.blaschke``,
 ``mslab.quadrature``, ``mslab.verification``).
 """
 
-from .bernstein import bernstein_constant_sigma
 from .blaschke import MalmquistBasis, PoleConfiguration
 from .errors import CertificationError
-from .interpolation import interp_exact, single_point_closed_form
+from .interpolation import ModelSpace, single_point_closed_form
 from .series import NormKind
 
 __version__ = "0.1.0"
@@ -25,10 +24,9 @@ __version__ = "0.1.0"
 __all__ = [
     "CertificationError",
     "MalmquistBasis",
+    "ModelSpace",
     "NormKind",
     "PoleConfiguration",
-    "bernstein_constant_sigma",
-    "interp_exact",
     "single_point_closed_form",
     "__version__",
 ]

@@ -19,11 +19,11 @@ not an estimate.
 On the one-point family sigma = {lam, ..., lam}, where the inequality is
 sharp as n -> infinity and r -> 1, the disc automorphism z = b_r(v) turns
 the basis into the monomials v^k and the same Gram into an n x n banded
-matrix (:func:`one_point_constant`).  That route needs no basis and no
+matrix (:func:`_one_point_constant`).  That route needs no basis and no
 truncation.  Whether sigma is one point is the only thing that picks the
-route (:func:`bernstein_constant_sigma`); :func:`constant_from_basis` reads
-the constant off any built basis, which keeps E the banded route's test
-oracle.
+route, and only :class:`mslab.interpolation.ModelSpace` reads it;
+:func:`constant_from_basis` reads the constant off any built basis, which
+keeps E the banded route's test oracle.
 
 The closed-form envelopes bracketing the one-point family, the growth
 comparison for the Hardy target, the audit of a closed form that fails
@@ -54,9 +54,7 @@ from .series import (
 __all__ = [
     "BernsteinResult",
     "BoundEnvelope",
-    "bernstein_constant_sigma",
     "constant_from_basis",
-    "one_point_constant",
     "eq4_envelope",
     "z2_upper_hardy",
     "EnPrimeAudit",
@@ -114,7 +112,7 @@ def constant_from_basis(basis: MalmquistBasis, target: NormKind) -> BernsteinRes
     return BernsteinResult(constant, vec, basis.trunc_len, pair.residual)
 
 
-def one_point_constant(sigma: PoleConfiguration, target: NormKind) -> BernsteinResult:
+def _one_point_constant(sigma: PoleConfiguration, target: NormKind) -> BernsteinResult:
     """Constant of differentiation on a one-point space from its n x n banded
     operator, with no basis and no truncation.
 
@@ -133,9 +131,6 @@ def one_point_constant(sigma: PoleConfiguration, target: NormKind) -> BernsteinR
     rotation by theta multiplies coordinate k by e^{-i k theta}.  The
     reported ``trunc_len`` is n, since no series is truncated.
     """
-    _check_target(target)
-    if not sigma.is_one_point:
-        raise ValueError("the banded route needs a one-point configuration")
     n, lam = sigma.n, sigma.points[0]
     r = abs(lam)
     q = (1.0 - r) * (1.0 + r)  # stays accurate as r -> 1
@@ -156,21 +151,6 @@ def one_point_constant(sigma: PoleConfiguration, target: NormKind) -> BernsteinR
     vec = pair.vector * np.exp(-1j * math.atan2(lam.imag, lam.real) * k)
     vec.setflags(write=False)
     return BernsteinResult(math.sqrt(max(pair.value, 0.0)), vec, n, pair.residual)
-
-
-def bernstein_constant_sigma(
-    sigma: PoleConfiguration, target: NormKind
-) -> BernsteinResult:
-    """Exact norm of differentiation on the model space of ``sigma``.
-
-    A one-point ``sigma`` takes the banded route of
-    :func:`one_point_constant`; any other builds the Malmquist matrix E at
-    its certified truncation and reads the constant off it.
-    """
-    _check_target(target)
-    if sigma.is_one_point:
-        return one_point_constant(sigma, target)
-    return constant_from_basis(malmquist_basis(sigma), target)
 
 
 def eq4_envelope(n: int, r: float) -> BoundEnvelope:
@@ -383,13 +363,15 @@ def asymptotic_ratio_sweep(
     Bergman target: C / sqrt(n) against sqrt((1+r)/(1-r)).
     Hardy target:   C / n       against (1+r)/(1-r).
     """
+    from .interpolation import ModelSpace
+
     _check_target(target)
     bergman = target is NormKind.BERGMAN
     q = (1.0 + r) / (1.0 - r)
     limit = math.sqrt(q) if bergman else q
     rows = []
     for n in n_list:
-        res = bernstein_constant_sigma(PoleConfiguration.one_point(n, r), target)
+        res = ModelSpace(PoleConfiguration.one_point(n, r)).bernstein(target)
         ratio = res.constant / (math.sqrt(n) if bergman else n)
         rows.append(RatioRow(n, res.constant, ratio, limit, res.residual))
     return rows

@@ -20,11 +20,13 @@ rows.  ``trunc`` is the series length behind a row: the row count L of the
 Malmquist matrix E, the smallest whose dropped Hardy mass ||T^L||_F^2 is at
 most 1e-20 (:mod:`mslab.blaschke`).  One-point ``bernstein``, ``interp`` and
 ``asymptotics`` rows come from the n x n banded operator, have no series
-behind them and carry ``trunc`` = n.  Whether a configuration is one point
-is the only thing that picks the route; no option overrides it.  ``interp``
+behind them and carry ``trunc`` = n.  Each configuration is one
+:class:`mslab.interpolation.ModelSpace`, which alone picks the route from
+whether the configuration is one point; no option overrides it.  ``interp``
 emits every row for every configuration:
-``interp-exact``, ``interp-upper`` (the projection bound sqrt(C_B^2 + 1))
-and, for one point with n >= 2, ``interp-lower-eq9``.  Human-oriented
+``interp-exact``, ``interp-upper`` (the projection bound sqrt(C_B^2 + 1),
+carrying the residual of its C_B eigenpair) and, for one point with n >= 2,
+``interp-lower-eq9``.  Human-oriented
 summaries go to stderr so redirected stdout stays machine-readable.
 
 Exit codes: 0 success, 1 invariant or bracket failure, 2 usage error
@@ -48,16 +50,14 @@ from typing import Sequence
 
 from .bernstein import (
     asymptotic_ratio_sweep,
-    constant_from_basis,
     en_prime_bergman_audit,
     eq4_envelope,
-    one_point_constant,
     z2_upper_hardy,
 )
-from .blaschke import PoleConfiguration, malmquist_basis, parse_sigma_spec
+from .blaschke import PoleConfiguration, parse_sigma_spec
 from .errors import CertificationError
 from .interpolation import (
-    interp_exact,
+    ModelSpace,
     interp_lower_eq9,
     single_point_closed_form,
     theoremB_envelopes,
@@ -220,14 +220,9 @@ def cmd_bernstein(args: argparse.Namespace) -> int:
     rows: list[OutputRow] = []
     strict_failures = []
     for sigma in configs:
-        # A one-point configuration takes the banded route and needs no
-        # basis; otherwise one basis serves every target.
-        basis = None if sigma.is_one_point else malmquist_basis(sigma)
+        space = ModelSpace(sigma)
         for target in _TARGETS[args.target]:
-            if basis is None:
-                res = one_point_constant(sigma, target)
-            else:
-                res = constant_from_basis(basis, target)
+            res = space.bernstein(target)
             if target is NormKind.BERGMAN:
                 quantity = "bernstein-bergman"
                 envelope = eq4_envelope(sigma.n, sigma.radius)
@@ -277,7 +272,8 @@ def cmd_interp(args: argparse.Namespace) -> int:
     configs = parse_sigma_spec(args.sigma)
     rows: list[OutputRow] = []
     for sigma in configs:
-        res = interp_exact(sigma)
+        space = ModelSpace(sigma)
+        res = space.interp()
         one_point = sigma.is_one_point
         eq10 = theoremB_envelopes(sigma.n, sigma.radius)["eq10"] if one_point else None
         eq9 = interp_lower_eq9(sigma.n, sigma.radius) if one_point and sigma.n >= 2 else None
@@ -304,7 +300,8 @@ def cmd_interp(args: argparse.Namespace) -> int:
                 res.exact,
                 eq10.upper if one_point else None,
                 res.trunc_len,
-                0.0,
+                # upper^2 = C_B^2 + 1 carries the absolute error of C_B^2.
+                space.bernstein(NormKind.BERGMAN).residual,
             )
         )
         if eq9 is not None:

@@ -18,7 +18,7 @@ and I(sigma)^2 is the top eigenvalue of its Dirichlet Gram X^* diag(k+1) X.
 
 On the one-point family sigma = {lam, ..., lam}, lam = r e^{i theta}, the
 same constant comes from an n x n tridiagonal matrix with no basis, no
-constraint rows and no min-norm solve (:func:`one_point_interp`):
+constraint rows and no min-norm solve (:func:`_one_point_interp`):
 
 * The Dirichlet quotient norm of a trace is dual to the Bergman norm in the
   Hardy pairing, so I^2 = 1 / lambda_min(G_A) with
@@ -38,24 +38,25 @@ constraint rows and no min-norm solve (:func:`one_point_interp`):
 * Rotating lam by theta multiplies coordinate k by e^{-i k theta}, a
   unitary change that leaves the eigenvalue alone.
 
-Whether sigma is one point is the only thing that picks the route
-(:func:`interp_exact`).  Banded results carry ``trunc_len`` = n and no
-witness functions; :func:`interp_from_basis` takes any built basis, which
-keeps E the banded route's test oracle and gives one-point configurations
-witnesses.
+:class:`ModelSpace` holds one configuration, and only it reads whether sigma
+is one point to pick the route, for the Bernstein constants and I alike.
+Banded results carry ``trunc_len`` = n and no witness functions;
+:func:`interp_from_basis` takes any built basis, which keeps E the banded
+route's test oracle and gives one-point configurations witnesses.
 
 Every result carries the bound from interpolating by the projection itself,
 sqrt(lambda_max(E^* diag(k+1) E)) = sqrt(C_B^2 + 1) since E^* E = I, with
-C_B the Bergman derivative constant from the route's own Bergman operator;
-it equals I iff the projection is the minimizer, observed only at the origin
-configurations.  The closed-form companions: a one-point lower bound from a
-composed test function, two-sided sqrt(n/(1-r)) envelopes for the one-point
-family, and the single-point closed form sqrt(k_Hardy / k_Dirichlet) from
-the reproducing kernels.
+C_B the Bergman derivative constant of the same model space on the same
+route; it equals I iff the projection is the minimizer, observed only at
+the origin configurations.  The closed-form companions: a one-point lower
+bound from a composed test function, two-sided sqrt(n/(1-r)) envelopes for
+the one-point family, and the single-point closed form
+sqrt(k_Hardy / k_Dirichlet) from the reproducing kernels.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -67,16 +68,21 @@ from .blaschke import (
     malmquist_basis,
     multiplicity_groups,
 )
-from .bernstein import BoundEnvelope, constant_from_basis, one_point_constant
+from .bernstein import (
+    BernsteinResult,
+    BoundEnvelope,
+    _check_target,
+    _one_point_constant,
+    constant_from_basis,
+)
 from .errors import CertificationError
-from .hermitian import gram_matrix, max_eigenpair, min_norm_solve
+from .hermitian import Eigenpair, gram_matrix, max_eigenpair, min_norm_solve
 from .series import NormKind, TaylorSeries
 
 __all__ = [
     "InterpResult",
-    "interp_exact",
+    "ModelSpace",
     "interp_from_basis",
-    "one_point_interp",
     "interp_lower_eq9",
     "theoremB_test_function",
     "theoremB_envelopes",
@@ -162,16 +168,14 @@ def _apply_rows(A: np.ndarray, f: TaylorSeries) -> np.ndarray:
     return A[:, :L] @ f.coeffs[:L]
 
 
-def interp_exact(sigma: PoleConfiguration) -> InterpResult:
-    """Exact interpolation constant of a configuration.
-
-    A one-point ``sigma`` takes the banded route of :func:`one_point_interp`,
-    which reports no witnesses; any other goes through
-    :func:`interp_from_basis` on the basis at its certified truncation.
-    """
-    if sigma.is_one_point:
-        return one_point_interp(sigma)
-    return interp_from_basis(malmquist_basis(sigma))
+def _min_norm_interp(basis: MalmquistBasis) -> tuple[Eigenpair, TaylorSeries, TaylorSeries]:
+    """The top eigenpair of :func:`interp_from_basis` and its witnesses."""
+    L = basis.trunc_len
+    A = _constraint_rows(basis.sigma, L)
+    weights = NormKind.DIRICHLET.weights(L)
+    interpolants = min_norm_solve(weights, A, A @ basis.matrix)
+    pair = max_eigenpair(gram_matrix(interpolants, weights))
+    return pair, basis.combine(pair.vector), TaylorSeries(interpolants @ pair.vector)
 
 
 def interp_from_basis(basis: MalmquistBasis) -> InterpResult:
@@ -185,23 +189,10 @@ def interp_from_basis(basis: MalmquistBasis) -> InterpResult:
     closer than 1e-8, derivative functionals that overflow, or
     ill-conditioned trace systems.
     """
-    L = basis.trunc_len
-    A = _constraint_rows(basis.sigma, L)
-    weights = NormKind.DIRICHLET.weights(L)
-    interpolants = min_norm_solve(weights, A, A @ basis.matrix)
-    pair = max_eigenpair(gram_matrix(interpolants, weights))
+    pair, witness_f, witness_g = _min_norm_interp(basis)
     exact = math.sqrt(max(pair.value, 0.0))
-    witness_f = basis.combine(pair.vector)
-    witness_g = TaylorSeries(interpolants @ pair.vector)
-    bergman = constant_from_basis(basis, NormKind.BERGMAN).constant
-    return InterpResult(
-        exact,
-        math.hypot(bergman, 1.0),
-        witness_f,
-        witness_g,
-        L,
-        pair.residual,
-    )
+    upper = math.hypot(constant_from_basis(basis, NormKind.BERGMAN).constant, 1.0)
+    return InterpResult(exact, upper, witness_f, witness_g, basis.trunc_len, pair.residual)
 
 
 _CORNER_CHUNK = 256
@@ -236,32 +227,60 @@ def _corner_sum(n: int, r: float) -> float:
     return (-math.log(q) - head) / r ** (2 * n)
 
 
-def one_point_interp(sigma: PoleConfiguration) -> InterpResult:
-    """Exact interpolation constant of a one-point configuration from its
-    n x n tridiagonal operator (module docstring): I^2 is the top eigenvalue
-    of R diag(1, ..., n-1, 1/sigma_n) R^T / (1 - r^2).
-
-    No basis is built, so ``witness_f`` and ``witness_g`` are ``None``,
-    ``trunc_len`` is n and ``residual`` is the eigen-residual in units of
-    I^2.
+def _one_point_interp(sigma: PoleConfiguration) -> Eigenpair:
+    """Top eigenpair of the n x n tridiagonal operator of a one-point
+    configuration (module docstring): I^2 is the top eigenvalue of
+    R diag(1, ..., n-1, 1/sigma_n) R^T / (1 - r^2), with no basis built.
     """
-    if not sigma.is_one_point:
-        raise ValueError("the banded route needs a one-point configuration")
     n, r = sigma.n, abs(sigma.points[0])
     q = (1.0 - r) * (1.0 + r)
     d = np.arange(1.0, n + 1.0)
     d[-1] = 1.0 / _corner_sum(n, r)
     Rt = np.eye(n) - r * np.eye(n, k=1)
-    pair = max_eigenpair(gram_matrix(Rt, d / q))
-    bergman = one_point_constant(sigma, NormKind.BERGMAN).constant
-    return InterpResult(
-        math.sqrt(max(pair.value, 0.0)),
-        math.hypot(bergman, 1.0),
-        None,
-        None,
-        n,
-        pair.residual,
-    )
+    return max_eigenpair(gram_matrix(Rt, d / q))
+
+
+class ModelSpace:
+    """The model space K_B of one configuration and the constants read off it.
+
+    Only here does whether ``sigma`` is one point pick the route: one point
+    takes the n x n banded operators and builds no basis; any other builds E
+    once, on the first read of :attr:`basis`, and every constant shares it.
+    Each Bernstein result is kept per target, and :meth:`interp` takes its
+    projection bound from the Bergman one.
+    """
+
+    def __init__(self, sigma: PoleConfiguration) -> None:
+        self.sigma = sigma
+        self._bernstein: dict[NormKind, BernsteinResult] = {}
+
+    @functools.cached_property
+    def basis(self) -> MalmquistBasis:
+        """The Malmquist basis at its certified truncation, built on first read."""
+        return malmquist_basis(self.sigma)
+
+    def bernstein(self, target: NormKind) -> BernsteinResult:
+        """Exact norm of differentiation into ``target`` (Bergman or Hardy)."""
+        if target not in self._bernstein:
+            _check_target(target)
+            if self.sigma.is_one_point:
+                res = _one_point_constant(self.sigma, target)
+            else:
+                res = constant_from_basis(self.basis, target)
+            self._bernstein[target] = res
+        return self._bernstein[target]
+
+    def interp(self) -> InterpResult:
+        """Exact interpolation constant; witnesses on the basis route only."""
+        witness_f = witness_g = None
+        if self.sigma.is_one_point:
+            pair, trunc_len = _one_point_interp(self.sigma), self.sigma.n
+        else:
+            pair, witness_f, witness_g = _min_norm_interp(self.basis)
+            trunc_len = self.basis.trunc_len
+        exact = math.sqrt(max(pair.value, 0.0))
+        upper = math.hypot(self.bernstein(NormKind.BERGMAN).constant, 1.0)
+        return InterpResult(exact, upper, witness_f, witness_g, trunc_len, pair.residual)
 
 
 def interp_lower_eq9(n: int, abs_lam: float) -> float:

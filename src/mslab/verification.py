@@ -358,8 +358,9 @@ def _check_bernstein_hand_values(rng: np.random.Generator) -> tuple[bool, str]:
     ]
     for sig, expect in cases:
         # Both routes: the banded one-point operator and the basis matrix E.
-        banded = bn.bernstein_constant_sigma(sig, NormKind.BERGMAN).constant
-        via_e = bn.constant_from_basis(malmquist_basis(sig), NormKind.BERGMAN).constant
+        space = ip.ModelSpace(sig)
+        banded = space.bernstein(NormKind.BERGMAN).constant
+        via_e = bn.constant_from_basis(space.basis, NormKind.BERGMAN).constant
         worst = max(worst, abs(banded - expect), abs(via_e - expect))
     return worst <= 1e-9, f"max deviation {worst:.3e}"
 
@@ -382,10 +383,10 @@ def _check_bernstein_rotation(rng: np.random.Generator) -> tuple[bool, str]:
     worst = 0.0
     for _i in range(3):
         sig = _random_sigma(rng, max_n=5, max_r=0.7)
-        rot = sig.rotated(1.1)
+        space, rot = ip.ModelSpace(sig), ip.ModelSpace(sig.rotated(1.1))
         for target in (NormKind.BERGMAN, NormKind.HARDY):
-            a = bn.bernstein_constant_sigma(sig, target).constant
-            b = bn.bernstein_constant_sigma(rot, target).constant
+            a = space.bernstein(target).constant
+            b = rot.bernstein(target).constant
             worst = max(worst, abs(a - b) / max(a, 1e-300))
     return worst <= 1e-8, f"max relative drift {worst:.3e}"
 
@@ -396,9 +397,8 @@ def _check_bernstein_nesting(rng: np.random.Generator) -> tuple[bool, str]:
     for r in (0.0, 0.5):
         prev = 0.0
         for n in range(1, 9):
-            c = bn.bernstein_constant_sigma(
-                PoleConfiguration.one_point(n, r), NormKind.BERGMAN
-            ).constant
+            sig = PoleConfiguration.one_point(n, r)
+            c = ip.ModelSpace(sig).bernstein(NormKind.BERGMAN).constant
             worst = max(worst, prev - c)
             prev = c
     return worst <= 1e-10, f"max monotonicity violation {worst:.3e}"
@@ -409,8 +409,9 @@ def _check_bernstein_chain(rng: np.random.Generator) -> tuple[bool, str]:
     worst = -math.inf
     for _i in range(8):
         sig = _random_sigma(rng, max_n=6)
-        cb = bn.bernstein_constant_sigma(sig, NormKind.BERGMAN).constant
-        ch = bn.bernstein_constant_sigma(sig, NormKind.HARDY).constant
+        space = ip.ModelSpace(sig)
+        cb = space.bernstein(NormKind.BERGMAN).constant
+        ch = space.bernstein(NormKind.HARDY).constant
         z2 = bn.z2_upper_hardy(sig.n, sig.radius)
         eq4 = bn.eq4_envelope(sig.n, sig.radius)
         worst = max(
@@ -471,11 +472,10 @@ def _check_interp_hand_values(rng: np.random.Generator) -> tuple[bool, str]:
         ((0.5,), ip.single_point_closed_form(0.5)),
         ((0.0, 0.0), math.sqrt(2.0)),
     ):
-        sig = PoleConfiguration(points)
-        basis = malmquist_basis(sig)
-        for res in (ip.interp_exact(sig), ip.interp_from_basis(basis)):
+        space = ip.ModelSpace(PoleConfiguration(points))
+        for res in (space.interp(), ip.interp_from_basis(space.basis)):
             worst = max(worst, abs(res.exact - expect))
-            if sig.n == 2:
+            if space.sigma.n == 2:
                 worst = max(worst, abs(res.exact - res.upper_projection))
     return worst <= 1e-9, f"max deviation {worst:.3e}"
 
@@ -485,7 +485,7 @@ def _check_interp_bracket(rng: np.random.Generator) -> tuple[bool, str]:
     worst = -math.inf
     for n in (2, 3, 4, 6):
         for r in (0.0, 0.5):
-            res = ip.interp_exact(PoleConfiguration.one_point(n, r))
+            res = ip.ModelSpace(PoleConfiguration.one_point(n, r)).interp()
             eq10 = ip.theoremB_envelopes(n, r)["eq10"]
             worst = max(
                 worst,
@@ -500,8 +500,8 @@ def _check_interp_bracket(rng: np.random.Generator) -> tuple[bool, str]:
 @_check("interp.rotation-invariance")
 def _check_interp_rotation(rng: np.random.Generator) -> tuple[bool, str]:
     sig = _random_sigma(rng, max_n=4, max_r=0.6)
-    a = ip.interp_exact(sig).exact
-    b = ip.interp_exact(sig.rotated(0.9)).exact
+    a = ip.ModelSpace(sig).interp().exact
+    b = ip.ModelSpace(sig.rotated(0.9)).interp().exact
     gap = abs(a - b) / max(a, 1e-300)
     return gap <= 1e-8, f"relative drift {gap:.3e}"
 
@@ -524,9 +524,9 @@ def _check_interp_witness(rng: np.random.Generator) -> tuple[bool, str]:
 def _check_interp_reduction(rng: np.random.Generator) -> tuple[bool, str]:
     worst = -math.inf
     sig = _random_sigma(rng, max_n=4, max_r=0.6)
-    res = ip.interp_exact(sig)
-    basis = malmquist_basis(sig)
-    L = basis.trunc_len
+    space = ip.ModelSpace(sig)
+    res = space.interp()
+    L = space.basis.trunc_len
     A = ip._constraint_rows(sig, L)
     w = NormKind.DIRICHLET.weights(L)
     fs = [_random_series(rng, 32) for _i in range(20)]

@@ -10,7 +10,6 @@ import numpy as np
 
 from mslab.bernstein import (
     asymptotic_ratio_sweep,
-    bernstein_constant_sigma,
     en_prime_bergman_audit,
     eq4_envelope,
     step2_expansion_check,
@@ -19,7 +18,7 @@ from mslab.bernstein import (
 from mslab.blaschke import PoleConfiguration, malmquist_basis, model_projection
 from mslab.cli import main
 from mslab.interpolation import (
-    interp_exact,
+    ModelSpace,
     interp_lower_eq9,
     single_point_closed_form,
     theoremB_envelopes,
@@ -93,7 +92,7 @@ class TestAcceptance:
             (PoleConfiguration.one_point(2, 0.5), math.sqrt((7.0 + math.sqrt(41.0)) / 6.0)),
         )
         for sig, expect in cases:
-            got = bernstein_constant_sigma(sig, NormKind.BERGMAN).constant
+            got = ModelSpace(sig).bernstein(NormKind.BERGMAN).constant
             assert abs(got - expect) <= 1e-9
 
     def test_a05_upper_bound_chain_holds_across_panel(self):
@@ -102,8 +101,9 @@ class TestAcceptance:
         panel = [PoleConfiguration.one_point(n, r) for n in (1, 2, 5, 9, 12) for r in (0.0, 0.4, 0.8)]
         panel += [_random_config(rng, 12, 0.8) for _ in range(100)]
         for sig in panel:
-            cb = bernstein_constant_sigma(sig, NormKind.BERGMAN).constant
-            ch = bernstein_constant_sigma(sig, NormKind.HARDY).constant
+            space = ModelSpace(sig)
+            cb = space.bernstein(NormKind.BERGMAN).constant
+            ch = space.bernstein(NormKind.HARDY).constant
             cap = z2_upper_hardy(sig.n, sig.radius)
             assert cb <= math.sqrt(ch) + 1e-9
             assert math.sqrt(ch) <= math.sqrt(cap) + 1e-9
@@ -142,20 +142,20 @@ class TestAcceptance:
         """Lower bound <= exact <= projection bound <= envelope cap, with equality at {0,0}."""
         for n in range(2, 13):
             for r in (0.0, 0.3, 0.5, 0.7):
-                res = interp_exact(PoleConfiguration.one_point(n, r))
+                res = ModelSpace(PoleConfiguration.one_point(n, r)).interp()
                 eq9 = interp_lower_eq9(n, r)
                 cap = theoremB_envelopes(n, r)["eq10"].upper
                 assert eq9 <= res.exact + 1e-9
                 assert res.exact <= res.upper_projection + 1e-9
                 assert res.upper_projection <= cap + 1e-9
-        origin = interp_exact(PoleConfiguration.one_point(2, 0.0))
+        origin = ModelSpace(PoleConfiguration.one_point(2, 0.0)).interp()
         assert abs(origin.exact - math.sqrt(2.0)) <= 1e-9
         assert abs(origin.upper_projection - math.sqrt(2.0)) <= 1e-9
 
     def test_a09_single_point_constant_matches_kernel_quotient(self):
         """Exact single-point constants equal the kernel quotient at 1e-9."""
         for lam in (0.0, 0.25, 0.5, 0.75):
-            res = interp_exact(PoleConfiguration((lam,)))
+            res = ModelSpace(PoleConfiguration((lam,))).interp()
             assert abs(res.exact - single_point_closed_form(lam)) <= 1e-9
         assert abs(single_point_closed_form(0.5) - 1.0764230111) <= 1e-9
 

@@ -8,17 +8,16 @@ import pytest
 from mslab.bernstein import (
     BoundEnvelope,
     asymptotic_ratio_sweep,
-    bernstein_constant_sigma,
     constant_from_basis,
     default_alternation_depth,
     en_prime_bergman_audit,
     eq4_envelope,
-    one_point_constant,
     step2_expansion_check,
     step2_test_function,
     z2_upper_hardy,
 )
 from mslab.blaschke import PoleConfiguration, malmquist_basis
+from mslab.interpolation import ModelSpace
 from mslab.series import NormKind, differentiate, norm, norm_sq
 
 
@@ -55,17 +54,17 @@ class TestHandValues:
 
     def test_two_zeros_bergman(self):
         """sigma = {0, 0}: the only derivative is constant, so the norm is 1."""
-        res = bernstein_constant_sigma(PoleConfiguration.one_point(2, 0.0), NormKind.BERGMAN)
+        res = ModelSpace(PoleConfiguration.one_point(2, 0.0)).bernstein(NormKind.BERGMAN)
         np.testing.assert_allclose(res.constant, 1.0, atol=1e-12)
 
     def test_three_zeros_bergman(self):
         """sigma = {0, 0, 0}: top eigenvalue of diag(1, 2) gives sqrt(2)."""
-        res = bernstein_constant_sigma(PoleConfiguration.one_point(3, 0.0), NormKind.BERGMAN)
+        res = ModelSpace(PoleConfiguration.one_point(3, 0.0)).bernstein(NormKind.BERGMAN)
         np.testing.assert_allclose(res.constant, math.sqrt(2.0), rtol=1e-12)
 
     def test_double_half_bergman(self):
         """sigma = {1/2, 1/2}: 2x2 Gram eigenvalue gives sqrt((7 + sqrt(41))/6)."""
-        res = bernstein_constant_sigma(PoleConfiguration.one_point(2, 0.5), NormKind.BERGMAN)
+        res = ModelSpace(PoleConfiguration.one_point(2, 0.5)).bernstein(NormKind.BERGMAN)
         np.testing.assert_allclose(
             res.constant, math.sqrt((7.0 + math.sqrt(41.0)) / 6.0), rtol=1e-10
         )
@@ -73,14 +72,14 @@ class TestHandValues:
     def test_origin_laws_both_targets(self):
         """At r = 0 the constants are sqrt(n-1) (Bergman) and n-1 (Hardy)."""
         for n in (2, 3, 5, 9, 14):
-            sig = PoleConfiguration.one_point(n, 0.0)
+            space = ModelSpace(PoleConfiguration.one_point(n, 0.0))
             np.testing.assert_allclose(
-                bernstein_constant_sigma(sig, NormKind.BERGMAN).constant,
+                space.bernstein(NormKind.BERGMAN).constant,
                 math.sqrt(n - 1.0),
                 rtol=1e-11,
             )
             np.testing.assert_allclose(
-                bernstein_constant_sigma(sig, NormKind.HARDY).constant,
+                space.bernstein(NormKind.HARDY).constant,
                 float(n - 1),
                 rtol=1e-11,
             )
@@ -88,7 +87,7 @@ class TestHandValues:
     def test_single_kernel_has_explicit_constant(self):
         """n = 1: the lone normalized kernel gives a directly summable norm."""
         lam = 0.5
-        res = bernstein_constant_sigma(PoleConfiguration((lam,)), NormKind.BERGMAN)
+        res = ModelSpace(PoleConfiguration((lam,))).bernstein(NormKind.BERGMAN)
         e = malmquist_basis(PoleConfiguration((lam,))).element(0)
         np.testing.assert_allclose(
             res.constant, norm(differentiate(e), NormKind.BERGMAN), rtol=1e-12
@@ -115,15 +114,15 @@ class TestConstantProperties:
     def test_dirichlet_target_rejected(self):
         """Only Bergman and Hardy targets make sense here."""
         with pytest.raises(ValueError):
-            bernstein_constant_sigma(PoleConfiguration((0.3,)), NormKind.DIRICHLET)
+            ModelSpace(PoleConfiguration((0.3,))).bernstein(NormKind.DIRICHLET)
 
     def test_rotation_invariance(self):
         """Rotating the configuration leaves the constant unchanged."""
         rng = np.random.default_rng(14)
         sig = _random_config(rng, 4, 0.6)
-        base = bernstein_constant_sigma(sig, NormKind.BERGMAN).constant
+        base = ModelSpace(sig).bernstein(NormKind.BERGMAN).constant
         for theta in (0.7, 2.1):
-            rot = bernstein_constant_sigma(sig.rotated(theta), NormKind.BERGMAN).constant
+            rot = ModelSpace(sig.rotated(theta)).bernstein(NormKind.BERGMAN).constant
             np.testing.assert_allclose(rot, base, rtol=1e-9)
 
     def test_extremal_witness_attains_constant(self):
@@ -143,9 +142,8 @@ class TestConstantProperties:
         for target in (NormKind.BERGMAN, NormKind.HARDY):
             prev = 0.0
             for n in range(1, 7):
-                c = bernstein_constant_sigma(
-                    PoleConfiguration.one_point(n, 0.4), target
-                ).constant
+                sig = PoleConfiguration.one_point(n, 0.4)
+                c = ModelSpace(sig).bernstein(target).constant
                 assert c >= prev - 1e-12
                 prev = c
 
@@ -153,9 +151,8 @@ class TestConstantProperties:
         """Any unit member bounds the constant from below; take the last element."""
         for n, r in ((2, 0.5), (5, 0.3), (8, 0.6)):
             audit = en_prime_bergman_audit(n, r)
-            c = bernstein_constant_sigma(
-                PoleConfiguration.one_point(n, r), NormKind.BERGMAN
-            ).constant
+            sig = PoleConfiguration.one_point(n, r)
+            c = ModelSpace(sig).bernstein(NormKind.BERGMAN).constant
             assert c**2 >= audit.numeric_sq - 1e-9
 
 
@@ -176,7 +173,7 @@ class TestOnePointBandedRoute:
         """Banded and E routes agree to 1e-12 relative over the radius panel."""
         for r in _BANDED_R:
             sig = PoleConfiguration.one_point(n, r)
-            banded = bernstein_constant_sigma(sig, target)
+            banded = ModelSpace(sig).bernstein(target)
             assert banded.trunc_len == n
             oracle = constant_from_basis(malmquist_basis(sig), target)
             np.testing.assert_allclose(
@@ -187,9 +184,9 @@ class TestOnePointBandedRoute:
     def test_complex_centre_extremal_attains_constant(self, target):
         """For lam = |lam| e^{i theta} the rotated banded eigenvector, combined
         over the Malmquist basis of lam, is a unit function attaining C."""
-        sig = PoleConfiguration.one_point(6, 0.6 * np.exp(1.1j))
-        basis = malmquist_basis(sig)
-        res = one_point_constant(sig, target)
+        space = ModelSpace(PoleConfiguration.one_point(6, 0.6 * np.exp(1.1j)))
+        basis = space.basis
+        res = space.bernstein(target)
         f = basis.combine(res.extremal)
         np.testing.assert_allclose(norm(f, NormKind.HARDY), 1.0, atol=1e-9)
         np.testing.assert_allclose(
@@ -199,11 +196,6 @@ class TestOnePointBandedRoute:
             res.constant, constant_from_basis(basis, target).constant, rtol=1e-12
         )
 
-    def test_rejects_distinct_points(self):
-        """The banded route is only defined for one repeated point."""
-        with pytest.raises(ValueError):
-            one_point_constant(PoleConfiguration((0.1, 0.2)), NormKind.BERGMAN)
-
 
 class TestEnvelopes:
     """Closed-form brackets and the growth-rate upper bound."""
@@ -212,17 +204,15 @@ class TestEnvelopes:
         """The upper end of the envelope holds for the one-point family."""
         for n in (1, 2, 4, 8, 16):
             for r in (0.0, 0.3, 0.5, 0.7):
-                c = bernstein_constant_sigma(
-                    PoleConfiguration.one_point(n, r), NormKind.BERGMAN
-                ).constant
+                sig = PoleConfiguration.one_point(n, r)
+                c = ModelSpace(sig).bernstein(NormKind.BERGMAN).constant
                 assert c <= eq4_envelope(n, r).upper + 1e-9
 
     def test_eq4_lower_is_informational_only(self):
         """The lower end fails as a finite-n bound; the audit documents why."""
         env = eq4_envelope(2, 0.5)
-        c = bernstein_constant_sigma(
-            PoleConfiguration.one_point(2, 0.5), NormKind.BERGMAN
-        ).constant
+        sig = PoleConfiguration.one_point(2, 0.5)
+        c = ModelSpace(sig).bernstein(NormKind.BERGMAN).constant
         assert env.lower > c
         np.testing.assert_allclose(
             env.lower**2, en_prime_bergman_audit(2, 0.5).closed_form_sq, rtol=1e-12
@@ -234,7 +224,7 @@ class TestEnvelopes:
         for _ in range(15):
             n = int(rng.integers(1, 8))
             sig = _random_config(rng, n, 0.7)
-            c = bernstein_constant_sigma(sig, NormKind.HARDY).constant
+            c = ModelSpace(sig).bernstein(NormKind.HARDY).constant
             assert c <= z2_upper_hardy(n, sig.radius) + 1e-9
 
     def test_bergman_hardy_chain(self):
@@ -242,8 +232,9 @@ class TestEnvelopes:
         rng = np.random.default_rng(41)
         for _ in range(10):
             sig = _random_config(rng, int(rng.integers(2, 7)), 0.6)
-            cb = bernstein_constant_sigma(sig, NormKind.BERGMAN).constant
-            ch = bernstein_constant_sigma(sig, NormKind.HARDY).constant
+            space = ModelSpace(sig)
+            cb = space.bernstein(NormKind.BERGMAN).constant
+            ch = space.bernstein(NormKind.HARDY).constant
             assert cb <= math.sqrt(ch) + 1e-9
 
     def test_envelope_validation(self):
@@ -370,12 +361,12 @@ class TestOnePointDominanceFinding:
         excess = []
         for n in (2, 3, 5, 8):
             for r in (0.3, 0.6, 0.9):
-                best = one_point_constant(PoleConfiguration.one_point(n, r), target)
+                best = ModelSpace(PoleConfiguration.one_point(n, r)).bernstein(target)
                 for seed in (0, 1):
                     rng = np.random.default_rng(seed)
                     for _ in range(10):
                         sig = _random_config(rng, n, r)
-                        value = bernstein_constant_sigma(sig, target).constant
+                        value = ModelSpace(sig).bernstein(target).constant
                         excess.append((value - best.constant, n, r, seed))
         assert len(excess) == 240
         assert max(excess)[0] <= 1e-12, max(excess)

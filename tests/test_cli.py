@@ -205,13 +205,12 @@ class TestBernsteinCommand:
     def test_both_targets_share_one_basis(self, capsys, monkeypatch):
         """--target both builds the basis once per configuration."""
         builds = []
-        build = mslab.cli.malmquist_basis
 
         def counted(sigma):
             builds.append(sigma.key())
-            return build(sigma)
+            return malmquist_basis(sigma)
 
-        monkeypatch.setattr(mslab.cli, "malmquist_basis", counted)
+        monkeypatch.setattr(mslab.interpolation, "malmquist_basis", counted)
         code, out, _ = _run(
             capsys, ["bernstein", "--sigma", "random:n=3,r=0.5,count=2,seed=4", "--target", "both"]
         )
@@ -262,14 +261,12 @@ class TestBernsteinCommand:
     def test_one_point_builds_no_basis(self, capsys, monkeypatch):
         """One-point configurations take the banded route."""
         builds = []
-        build = mslab.cli.malmquist_basis
 
         def counted(sigma):
             builds.append(sigma.key())
-            return build(sigma)
+            return malmquist_basis(sigma)
 
-        for module in (mslab.cli, mslab.bernstein):
-            monkeypatch.setattr(module, "malmquist_basis", counted)
+        monkeypatch.setattr(mslab.interpolation, "malmquist_basis", counted)
         code, out, _ = _run(capsys, ["bernstein", "--sigma", "one-point:n=4,r=0.9"])
         assert code == 0
         assert builds == []
@@ -363,6 +360,22 @@ class TestInterpCommand:
             float(upper["value"]), math.hypot(float(bergman["value"]), 1.0), rtol=1e-12
         )
         assert upper["lower"] == by_q["interp-exact"]["value"]
+
+
+    @pytest.mark.parametrize(
+        "sigma", ("one-point:n=6,r=0.7", "0.3,0;0.3,0;-0.2,0.4"), ids=("banded", "basis")
+    )
+    def test_upper_residual_is_the_bergman_residual(self, capsys, sigma):
+        """interp-upper comes from the C_B eigen-solve, and upper^2 = C_B^2 + 1
+        has the absolute error of C_B^2, so its residual is the
+        bernstein-bergman residual of the same configuration, on either route."""
+        code, out, _ = _run(capsys, ["interp", "--sigma", sigma])
+        assert code == 0
+        (upper,) = [row for row in _parse_csv(out) if row["quantity"] == "interp-upper"]
+        code, out, _ = _run(capsys, ["bernstein", "--sigma", sigma, "--target", "bergman"])
+        assert code == 0
+        (bergman,) = _parse_csv(out)
+        assert upper["residual"] == bergman["residual"]
 
 
 class TestAsymptoticsCommand:
@@ -563,15 +576,14 @@ class TestOutputPlumbing:
             ],
             "hermitian": ["Eigenpair", "gram_matrix", "max_eigenpair", "min_norm_solve"],
             "bernstein": [
-                "BernsteinResult", "BoundEnvelope", "bernstein_constant_sigma",
-                "constant_from_basis", "one_point_constant", "eq4_envelope",
-                "z2_upper_hardy", "EnPrimeAudit", "en_prime_bergman_audit",
+                "BernsteinResult", "BoundEnvelope", "constant_from_basis",
+                "eq4_envelope", "z2_upper_hardy", "EnPrimeAudit", "en_prime_bergman_audit",
                 "step2_test_function", "default_alternation_depth", "Step2Report",
                 "step2_expansion_check", "RatioRow", "asymptotic_ratio_sweep",
             ],
             "interpolation": [
-                "InterpResult", "interp_exact", "interp_from_basis",
-                "one_point_interp", "interp_lower_eq9",
+                "InterpResult", "ModelSpace", "interp_from_basis",
+                "interp_lower_eq9",
                 "theoremB_test_function", "theoremB_envelopes",
                 "dirichlet_kernel_diag", "single_point_closed_form",
             ],

@@ -5,16 +5,16 @@ import math
 import numpy as np
 import pytest
 
-from mslab import interpolation
+from mslab import bernstein, interpolation
 from mslab.bernstein import constant_from_basis
+from mslab.cli import main
 from mslab.errors import CertificationError
 from mslab.hermitian import min_norm_solve
 from mslab.interpolation import (
+    ModelSpace,
     dirichlet_kernel_diag,
-    interp_exact,
     interp_from_basis,
     interp_lower_eq9,
-    one_point_interp,
     single_point_closed_form,
     theoremB_envelopes,
     theoremB_test_function,
@@ -66,13 +66,13 @@ class TestSinglePoint:
     def test_origin_constant_is_one(self):
         """Interpolating a single value at 0 costs exactly the value."""
         np.testing.assert_allclose(single_point_closed_form(0.0), 1.0, rtol=0)
-        res = interp_exact(PoleConfiguration((0.0,)))
+        res = ModelSpace(PoleConfiguration((0.0,))).interp()
         np.testing.assert_allclose(res.exact, 1.0, atol=1e-12)
 
     def test_exact_matches_closed_form(self):
         """The Gram pipeline reproduces the kernel quotient at single points."""
         for lam in (0.25, 0.5, 0.6 + 0.2j):
-            res = interp_exact(PoleConfiguration((lam,)))
+            res = ModelSpace(PoleConfiguration((lam,))).interp()
             np.testing.assert_allclose(
                 res.exact, single_point_closed_form(abs(lam)), rtol=1e-10
             )
@@ -138,7 +138,7 @@ class TestExactConstant:
 
     def test_double_origin_equals_sqrt_two(self):
         """sigma = {0, 0}: the projection bound is attained, I = sqrt(2)."""
-        res = interp_exact(PoleConfiguration.one_point(2, 0.0))
+        res = ModelSpace(PoleConfiguration.one_point(2, 0.0)).interp()
         np.testing.assert_allclose(res.exact, math.sqrt(2.0), rtol=1e-12)
         np.testing.assert_allclose(res.upper_projection, res.exact, rtol=1e-12)
 
@@ -146,7 +146,7 @@ class TestExactConstant:
         """witness_f has unit Hardy norm and witness_g interpolates it at cost I."""
         rng = np.random.default_rng(18)
         sig = _random_config(rng, 4, 0.6)
-        res = interp_exact(sig)
+        res = ModelSpace(sig).interp()
         np.testing.assert_allclose(norm(res.witness_f, NormKind.HARDY), 1.0, atol=1e-9)
         np.testing.assert_allclose(norm(res.witness_g, NormKind.DIRICHLET), res.exact, rtol=1e-9)
         for p in sig.points:
@@ -170,7 +170,7 @@ class TestExactConstant:
         """Re-solving the min-norm problem for witness_f recovers the same cost."""
         rng = np.random.default_rng(28)
         sig = _random_config(rng, 3, 0.5)
-        res = interp_exact(sig)
+        res = ModelSpace(sig).interp()
         A = _constraint_rows(sig, res.trunc_len)
         w = NormKind.DIRICHLET.weights(res.trunc_len)
         g = min_norm_solve(w, A, _apply_rows(A, res.witness_f))
@@ -182,7 +182,7 @@ class TestExactConstant:
         """No unit-ball competitor needs more Dirichlet norm than the constant."""
         rng = np.random.default_rng(36)
         sig = _random_config(rng, 3, 0.5)
-        res = interp_exact(sig)
+        res = ModelSpace(sig).interp()
         A = _constraint_rows(sig, res.trunc_len)
         weights = NormKind.DIRICHLET.weights(res.trunc_len)
         for _ in range(10):
@@ -195,13 +195,13 @@ class TestExactConstant:
         """Rotating the configuration leaves the constant unchanged."""
         rng = np.random.default_rng(44)
         sig = _random_config(rng, 3, 0.6)
-        base = interp_exact(sig).exact
-        np.testing.assert_allclose(interp_exact(sig.rotated(1.3)).exact, base, rtol=1e-9)
+        base = ModelSpace(sig).interp().exact
+        np.testing.assert_allclose(ModelSpace(sig.rotated(1.3)).interp().exact, base, rtol=1e-9)
 
     def test_near_collision_rejected(self):
         """Distinct points inside the resolution limit raise the certification error."""
         with pytest.raises(CertificationError):
-            interp_exact(PoleConfiguration((0.5, 0.5 + 1e-9)))
+            ModelSpace(PoleConfiguration((0.5, 0.5 + 1e-9))).interp()
 
     def test_one_dual_gram_solve_per_configuration(self, monkeypatch):
         """All n basis traces share one min-norm solve."""
@@ -213,8 +213,76 @@ class TestExactConstant:
             return solve(weights, A, B)
 
         monkeypatch.setattr(interpolation, "min_norm_solve", counted)
-        interp_exact(PoleConfiguration((0.3, 0.3, -0.5j, 0.6)))
+        ModelSpace(PoleConfiguration((0.3, 0.3, -0.5j, 0.6))).interp()
         assert calls == [(4, 4)]  # 4 trace functionals, 4 basis elements
+
+
+class TestModelSpace:
+    """One configuration, one route, one basis: the work each constant of a
+    ModelSpace costs."""
+
+    @staticmethod
+    def _count_work(monkeypatch):
+        """Count basis builds and top-eigenpair solves made by either route."""
+        counts = {"builds": 0, "solves": 0}
+
+        def counted(fn, key):
+            def wrapper(*args):
+                counts[key] += 1
+                return fn(*args)
+
+            return wrapper
+
+        monkeypatch.setattr(interpolation, "malmquist_basis", counted(malmquist_basis, "builds"))
+        for module in (bernstein, interpolation):
+            monkeypatch.setattr(module, "max_eigenpair", counted(module.max_eigenpair, "solves"))
+        return counts
+
+    def test_basis_route_builds_once_for_every_constant(self, monkeypatch):
+        """C_B, C_H and I of a configuration with distinct points share one
+        basis and make three eigen-solves: I's projection bound reuses C_B."""
+        counts = self._count_work(monkeypatch)
+        space = ModelSpace(PoleConfiguration((0.3, 0.3, -0.2 + 0.4j)))
+        bergman = space.bernstein(NormKind.BERGMAN)
+        space.bernstein(NormKind.HARDY)
+        res = space.interp()
+        assert counts == {"builds": 1, "solves": 3}
+        assert space.bernstein(NormKind.BERGMAN) is bergman
+        assert res.upper_projection == math.hypot(bergman.constant, 1.0)
+        assert res.trunc_len == space.basis.trunc_len
+        assert counts["builds"] == 1
+
+    def test_one_point_builds_only_when_basis_is_read(self, monkeypatch):
+        """The banded route builds no basis; reading ``basis`` builds it once."""
+        counts = self._count_work(monkeypatch)
+        space = ModelSpace(PoleConfiguration.one_point(5, 0.6))
+        space.bernstein(NormKind.BERGMAN)
+        space.bernstein(NormKind.HARDY)
+        assert space.interp().trunc_len == 5
+        assert counts == {"builds": 0, "solves": 3}
+        assert space.basis is space.basis
+        assert counts["builds"] == 1
+
+    @pytest.mark.parametrize("command", ("bernstein", "interp"))
+    @pytest.mark.parametrize(
+        ("sigma", "builds"),
+        (("one-point:n=6,r=0.7", 0), ("0.3,0;0.3,0;-0.2,0.4", 1)),
+        ids=("banded", "basis"),
+    )
+    def test_cli_work_per_configuration(self, capsys, monkeypatch, command, sigma, builds):
+        """``bernstein --target both`` and ``interp`` each make two eigen-solves
+        per configuration, and one basis build off the banded route."""
+        counts = self._count_work(monkeypatch)
+        assert main([command, "--sigma", sigma]) == 0
+        capsys.readouterr()
+        assert counts == {"builds": builds, "solves": 2}
+
+    def test_invalid_target_builds_nothing(self, monkeypatch):
+        """A target other than Bergman or Hardy is refused before any build."""
+        counts = self._count_work(monkeypatch)
+        with pytest.raises(ValueError):
+            ModelSpace(PoleConfiguration((0.1, 0.2))).bernstein(NormKind.DIRICHLET)
+        assert counts == {"builds": 0, "solves": 0}
 
 
 class TestOnePointInterpRoute:
@@ -233,7 +301,7 @@ class TestOnePointInterpRoute:
             for r in (0.0, 0.1, 0.3, 0.5, 0.7, 0.9, 0.95, 0.99):
                 sig = PoleConfiguration.one_point(n, r * np.exp(0.7j))
                 basis = malmquist_basis(sig)
-                res = one_point_interp(sig)
+                res = ModelSpace(sig).interp()
                 np.testing.assert_allclose(
                     res.exact, self._lambda_min_oracle(basis), rtol=1e-12
                 )
@@ -242,10 +310,11 @@ class TestOnePointInterpRoute:
                 )
 
     def test_matches_min_norm_route(self):
-        """The dispatch takes the banded route and agrees with the E route."""
+        """A one-point ModelSpace takes the banded route and agrees with the
+        E route."""
         for n, r in ((2, 0.5), (6, 0.3 - 0.4j), (12, 0.66)):
             sig = PoleConfiguration.one_point(n, r)
-            banded = interp_exact(sig)
+            banded = ModelSpace(sig).interp()
             assert banded.witness_f is None
             via_basis = interp_from_basis(malmquist_basis(sig))
             np.testing.assert_allclose(banded.exact, via_basis.exact, rtol=1e-10)
@@ -255,7 +324,7 @@ class TestOnePointInterpRoute:
         projection bound, small radii included."""
         radii = (0.0, 1e-9, 2e-8, 1e-7, 1e-6, 1e-4, 1e-3, 0.25, 0.5, 0.9, 0.999)
         for r in radii:
-            res = one_point_interp(PoleConfiguration((r * 1j,)))
+            res = ModelSpace(PoleConfiguration((r * 1j,))).interp()
             np.testing.assert_allclose(
                 res.exact, single_point_closed_form(r), rtol=1e-13
             )
@@ -263,7 +332,7 @@ class TestOnePointInterpRoute:
 
     def test_reports_operator_size_and_no_witnesses(self):
         """trunc_len is n, witnesses are None, the residual is certified."""
-        res = interp_exact(PoleConfiguration.one_point(7, 0.6))
+        res = ModelSpace(PoleConfiguration.one_point(7, 0.6)).interp()
         assert res.trunc_len == 7
         assert res.witness_f is None and res.witness_g is None
         assert 0.0 <= res.residual <= 1e-10 * (1.0 + res.exact**2)
@@ -275,11 +344,6 @@ class TestOnePointInterpRoute:
         res = interp_from_basis(basis)
         assert res.trunc_len == basis.trunc_len > 3
         assert res.witness_f is not None and res.witness_g is not None
-
-    def test_refuses_distinct_points(self):
-        """The banded route is for one-point configurations only."""
-        with pytest.raises(ValueError, match="one-point"):
-            one_point_interp(PoleConfiguration((0.1, 0.2)))
 
     def test_corner_sum_matches_lerch_phi(self):
         """sigma_n = Phi(r^2, 1, n) to 1e-13 relative in both regimes, up to
@@ -305,8 +369,8 @@ class TestBounds:
         rng = np.random.default_rng(52)
         for _ in range(8):
             sig = _random_config(rng, int(rng.integers(1, 6)), 0.6)
-            res = interp_exact(sig)
-            basis = malmquist_basis(sig)
+            space = ModelSpace(sig)
+            res, basis = space.interp(), space.basis
             assert res.exact <= res.upper_projection + 1e-9
             np.testing.assert_allclose(
                 res.upper_projection, _projection_oracle(basis), rtol=1e-12
@@ -320,7 +384,7 @@ class TestBounds:
         """eq9 and the proof-step bound sit below exact, which sits below eq10's cap."""
         for n in (2, 4, 8):
             for r in (0.0, 0.3, 0.5, 0.7):
-                res = interp_exact(PoleConfiguration.one_point(n, r))
+                res = ModelSpace(PoleConfiguration.one_point(n, r)).interp()
                 eq9 = interp_lower_eq9(n, r)
                 env = theoremB_envelopes(n, r)["eq10"]
                 assert eq9 <= env.lower + 1e-12
@@ -358,7 +422,7 @@ class TestBounds:
     def test_normalized_constant_in_uniform_bracket(self):
         """I sqrt((1-r)/n) stays inside the eq12 rails on a small panel."""
         for n, r in ((2, 0.0), (2, 0.5), (5, 0.3), (8, 0.6)):
-            res = interp_exact(PoleConfiguration.one_point(n, r))
+            res = ModelSpace(PoleConfiguration.one_point(n, r)).interp()
             normalized = res.exact * math.sqrt((1.0 - r) / n)
             env = theoremB_envelopes(n, r)["eq12"]
             assert env.lower - 1e-9 <= normalized <= env.upper + 1e-9

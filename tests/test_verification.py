@@ -2,12 +2,14 @@
 
 import dataclasses
 import json
+import sys
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from mslab import verification
+from mslab import blaschke, verification
 from mslab.verification import CHECK_NAMES, CheckResult, run_all
 
 # For seeds 0-3, the generator state each check leaves behind, recorded from
@@ -66,6 +68,37 @@ class TestRunAll:
         monkeypatch.setattr(verification, "_CHECKS", checks)
         run_all(seed=seed)
         assert states == PANEL_STATES[str(seed)]
+
+    def test_each_configuration_is_built_once_per_check(self, monkeypatch):
+        """Over seeds 0-3 no check builds the basis of one configuration
+        twice: every constant of a configuration comes from one ModelSpace.
+        The 30 checks make 355 builds in all."""
+        build = blaschke.malmquist_basis
+        builds = []
+        where = {}
+
+        def counted(sigma):
+            builds.append((where["seed"], where["check"], sigma.key()))
+            return build(sigma)
+
+        for name, module in list(sys.modules.items()):
+            if name.startswith("mslab") and getattr(module, "malmquist_basis", None) is build:
+                monkeypatch.setattr(module, "malmquist_basis", counted)
+
+        def labelled(name, check):
+            def wrapped(rng):
+                where["check"] = name
+                return check(rng)
+
+            return wrapped
+
+        checks = {name: labelled(name, check) for name, check in verification._CHECKS.items()}
+        monkeypatch.setattr(verification, "_CHECKS", checks)
+        for seed in range(4):
+            where["seed"] = seed
+            run_all(seed=seed)
+        assert [key for key, count in Counter(builds).items() if count > 1] == []
+        assert len(builds) == 355
 
     def test_registry_matches_published_names(self):
         """Result order and names agree with CHECK_NAMES."""
