@@ -63,7 +63,6 @@ from .interpolation import (
     theoremB_envelopes,
 )
 from .series import NormKind
-from .verification import run_all
 
 __all__ = ["main"]
 
@@ -190,6 +189,10 @@ def _radius(text: str) -> float:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
+    # Imported here so that the other commands never load the suite and the
+    # quadrature oracle it pulls in.
+    from .verification import run_all
+
     results = run_all(seed=args.seed)
     if args.format == "json":
         lines = [

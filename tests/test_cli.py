@@ -477,6 +477,15 @@ class TestAuditCommand:
         assert code == 1
         assert "contradict the closed form" in err
 
+    def test_out_of_memory_truncation_exits_three(self):
+        """Under the address-space cap, an audit whose basis needs a
+        truncation of at least 2.3e9 rows exits 3 with one line and no
+        traceback, as the bernstein command does."""
+        proc = _run_capped(["audit", "--n-list", "2", "--r-list", "0.99999999"])
+        assert proc.returncode == 3, proc.stderr
+        (line,) = proc.stderr.splitlines()
+        assert line.startswith("numerical certification failure: truncation 2302585070")
+
 
 class TestOutputPlumbing:
     """Shared output options."""
@@ -606,18 +615,34 @@ class TestOutputPlumbing:
             ["bernstein", "--sigma", "one-point:n=100000,r=0.5"],
             ["interp", "--sigma", "one-point:n=100000,r=0.5"],
             ["asymptotics", "--n-list", "100000"],
-            ["audit", "--n-list", "2", "--r-list", "0.9995"],
         ),
-        ids=("bernstein", "interp", "asymptotics", "audit"),
+        ids=("bernstein", "interp", "asymptotics"),
     )
     def test_out_of_memory_exits_three(self, argv):
         """An allocation the capped child cannot make (the 100000 x 100000
-        banded Gram, the 27010 x 27010 Legendre companion matrix of the audit's
-        quadrature rule) exits 3 with a one-line message and no traceback."""
+        banded Gram) exits 3 with a one-line message and no traceback."""
         proc = _run_capped(argv)
         assert proc.returncode == 3, proc.stderr
         assert proc.stderr.splitlines()[-1].startswith("out of memory: ")
         assert "Traceback" not in proc.stderr
+
+    def test_import_leaves_the_suite_unloaded(self):
+        """Importing the CLI loads neither the invariant suite nor the
+        quadrature oracle; only ``verify`` needs them."""
+        proc = subprocess.run(
+            [
+                sys.executable,
+                "-c",
+                "import sys, mslab.cli; "
+                "print(sorted({'mslab.verification', 'mslab.quadrature'} & set(sys.modules)))",
+            ],
+            capture_output=True,
+            text=True,
+            timeout=60,
+            env=_module_env(),
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[]"
 
     def test_module_entry_point(self):
         """python -m mslab verify runs the suite in a fresh interpreter."""

@@ -38,20 +38,83 @@ class TestDiscQuadrature:
             assert np.all(nodes >= 0.0) and np.all(nodes <= 1.0)
             np.testing.assert_allclose(np.sum(weights), 1.0, rtol=1e-14)
 
-    def test_cached_rule_is_bit_identical_and_read_only(self):
-        """Repeated calls reuse one Gauss-Legendre rule, equal bit for bit to
-        a fresh leggauss, and nothing can write into the shared copy."""
+    def test_cached_rule_is_shared_and_read_only(self):
+        """Repeated calls reuse one Gauss-Legendre rule, which matches numpy's
+        leggauss where that is cheap, and nothing can write into the shared
+        copy."""
         from numpy.polynomial.legendre import leggauss
 
-        for K in (2, 5, 34):
+        for K in (2, 5, 34, 100):
             nodes, weights = quadrature._gauss_legendre(K)
             x, w = leggauss(K)
-            assert np.array_equal(nodes, (x + 1.0) / 2.0)
-            assert np.array_equal(weights, w / 2.0)
+            np.testing.assert_allclose(nodes, (x + 1.0) / 2.0, rtol=0, atol=1e-15)
+            np.testing.assert_allclose(weights, w / 2.0, rtol=1e-11)
             assert quadrature._gauss_legendre(K)[0] is nodes
             assert not nodes.flags.writeable and not weights.flags.writeable
             with pytest.raises(ValueError):
                 nodes[0] = 0.0
+
+    @pytest.mark.parametrize("K", (2, 34, 300, 2000))
+    def test_rule_is_exact_on_even_powers(self, K):
+        """The moved K-point rule integrates x^(2j) over [-1, 1], x = 2s - 1,
+        to 1/(2j + 1) for every j < K; numpy's leggauss misses this bound by
+        3.8e-12 at K = 300."""
+        nodes, weights = quadrature._gauss_legendre(K)
+        j = np.arange(K)
+        moments = weights @ (2.0 * nodes[:, None] - 1.0) ** (2 * j)
+        assert np.max(np.abs(moments * (2 * j + 1) - 1.0)) <= 1e-12
+
+    def test_large_rule_builds_without_a_companion_matrix(self):
+        """K = 13502, the rule of audit n = 2, r = 0.999, builds in seconds
+        (a dense K x K companion matrix would be 1.4 GiB) and averages."""
+        nodes, weights = quadrature._gauss_legendre(13502)
+        assert np.all(np.diff(nodes) > 0.0) and 0.0 < nodes[0] and nodes[-1] < 1.0
+        np.testing.assert_allclose(np.sum(weights), 1.0, rtol=1e-13)
+
+    def test_angle_count_is_the_next_five_smooth_length(self):
+        """The angle count is the smallest 2^a 3^b 5^c at least twice the
+        stored length."""
+
+        def smooth(m):
+            for p in (2, 3, 5):
+                while m % p == 0:
+                    m //= p
+            return m == 1
+
+        for L in range(1, 3000):
+            M = quadrature._angle_count(L)
+            assert M >= 2 * L and smooth(M)
+            assert not any(smooth(m) for m in range(2 * L, M))
+
+    def test_grid_memory_stays_bounded(self):
+        """A degree-4000 series is measured through chunks of the radial grid:
+        the traced peak stays under 64 MB, where the whole 2002 x 8002 grid
+        with its power table and products took over 400 MB."""
+        import tracemalloc
+
+        rng = np.random.default_rng(3)
+        f = polynomial(rng.normal(size=4001) + 1j * rng.normal(size=4001))
+        quadrature._gauss_legendre(2002)
+        tracemalloc.start()
+        try:
+            value = bergman_norm_quadrature(f)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64e6
+        np.testing.assert_allclose(value, norm_sq(f, NormKind.BERGMAN), rtol=1e-12)
+
+    def test_stacked_kernels_match_one_series_at_a_time(self):
+        """The private kernels measure a stack of equal-length series as the
+        public oracles measure each one."""
+        rng = np.random.default_rng(41)
+        stack = rng.normal(size=(5, 23)) + 1j * rng.normal(size=(5, 23))
+        disc = quadrature._disc_sq(stack)
+        circle = quadrature._circle_sq(stack, 46)
+        for i, row in enumerate(stack):
+            f = polynomial(row)
+            np.testing.assert_allclose(disc[i], bergman_norm_quadrature(f), rtol=1e-14)
+            np.testing.assert_allclose(circle[i], hardy_norm_circle(f, 46), rtol=1e-14)
 
 
 class TestBergmanQuadrature:
