@@ -19,11 +19,22 @@ not an estimate.
 On the one-point family sigma = {lam, ..., lam}, where the inequality is
 sharp as n -> infinity and r -> 1, the disc automorphism z = b_r(v) turns
 the basis into the monomials v^k and the same Gram into an n x n banded
-matrix (:func:`_one_point_constant`).  That route needs no basis and no
-truncation.  Whether sigma is one point is the only thing that picks the
-route, and only :class:`mslab.interpolation.ModelSpace` reads it;
-:func:`constant_from_basis` reads the constant off any built basis, which
-keeps E the banded route's test oracle.
+matrix (:func:`_one_point_constant`), written straight from its bands
+(:func:`_one_point_gram`).  With q = (1 - r)(1 + r), j = 0, ..., n-1 and
+w_{-1} = 0:
+
+    Bergman, w_j = (j+1)/q:  G[j, j]   = r^2 w_j + w_{j-1},
+                             G[j, j+1] = -r w_j;
+    Hardy, all over q^2:     G[j, j]   = j^2 + r^2 (2j+1)^2 + r^4 (j+1)^2,
+                             G[j, j+1] = -r (j+1)(2j+1) - r^3 (j+1)(2j+3),
+                             G[j, j+2] = r^2 (j+1)(j+2).
+
+That route needs no basis, no truncation and no dense product: O(n) band
+entries go to the eigensolver.  Whether sigma is one point is the only
+thing that picks the route, and only
+:class:`mslab.interpolation.ModelSpace` reads it; :func:`constant_from_basis`
+reads the constant off any built basis, which keeps E the banded route's
+test oracle.
 
 The closed-form envelopes bracketing the one-point family, the growth
 comparison for the Hardy target, the audit of a closed form that fails
@@ -41,7 +52,7 @@ from typing import Sequence
 import numpy as np
 
 from .blaschke import MalmquistBasis, PoleConfiguration, malmquist_basis
-from .hermitian import gram_matrix, max_eigenpair
+from .hermitian import _from_bands, gram_matrix, max_eigenpair
 from .series import (
     NormKind,
     TaylorSeries,
@@ -112,6 +123,24 @@ def constant_from_basis(basis: MalmquistBasis, target: NormKind) -> BernsteinRes
     return BernsteinResult(constant, vec, basis.trunc_len, pair.residual)
 
 
+def _one_point_gram(n: int, r: float, target: NormKind) -> np.ndarray:
+    """The n x n Gram D^T diag(w) D of :func:`_one_point_constant`, written
+    from its closed-form bands (module docstring), with q = (1 - r)(1 + r)."""
+    q = (1.0 - r) * (1.0 + r)  # stays accurate as r -> 1
+    j = np.arange(n, dtype=np.float64)
+    if target is NormKind.BERGMAN:
+        w = (j + 1.0) / q
+        main = r * r * w
+        main[1:] += w[:-1]
+        return _from_bands(main, -r * w[:-1])
+    rr = r * r
+    main = j * j + rr * (2.0 * j + 1.0) ** 2 + (rr * (j + 1.0)) ** 2
+    j1 = j[:-1] + 1.0
+    off1 = -r * j1 * ((2.0 * j1 - 1.0) + rr * (2.0 * j1 + 1.0))
+    off2 = rr * j1[:-1] * (j1[:-1] + 1.0)
+    return _from_bands(main / (q * q), off1 / (q * q), off2 / (q * q))
+
+
 def _one_point_constant(sigma: PoleConfiguration, target: NormKind) -> BernsteinResult:
     """Constant of differentiation on a one-point space from its n x n banded
     operator, with no basis and no truncation.
@@ -127,28 +156,14 @@ def _one_point_constant(sigma: PoleConfiguration, target: NormKind) -> Bernstein
 
     Each is the squared norm of a banded map D x with weights w, so the
     square of the constant is the top eigenvalue of the n x n Gram
-    D^T diag(w) D (tridiagonal for Bergman, pentadiagonal for Hardy).  The
-    rotation by theta multiplies coordinate k by e^{-i k theta}.  The
-    reported ``trunc_len`` is n, since no series is truncated.
+    D^T diag(w) D (tridiagonal for Bergman, pentadiagonal for Hardy), whose
+    bands :func:`_one_point_gram` writes down directly.  The rotation by
+    theta multiplies coordinate k by e^{-i k theta}.  The reported
+    ``trunc_len`` is n, since no series is truncated.
     """
     n, lam = sigma.n, sigma.points[0]
-    r = abs(lam)
-    q = (1.0 - r) * (1.0 + r)  # stays accurate as r -> 1
-    k = np.arange(n)
-    if target is NormKind.BERGMAN:
-        D = np.zeros((n, n))
-        D[k, k] = -r
-        D[k[:-1], k[1:]] = 1.0
-        w = (k + 1.0) / q
-    else:
-        # Column k: (1 - rv)^2 k v^(k-1) - r (1 - rv) v^k.
-        D = np.zeros((n + 1, n))
-        D[k[1:] - 1, k[1:]] = k[1:]
-        D[k, k] = -r * (2.0 * k + 1.0)
-        D[k + 1, k] = r * r * (k + 1.0)
-        w = np.full(n + 1, 1.0 / (q * q))
-    pair = max_eigenpair(gram_matrix(D, w))
-    vec = pair.vector * np.exp(-1j * math.atan2(lam.imag, lam.real) * k)
+    pair = max_eigenpair(_one_point_gram(n, abs(lam), target))
+    vec = pair.vector * np.exp(-1j * math.atan2(lam.imag, lam.real) * np.arange(n))
     vec.setflags(write=False)
     return BernsteinResult(math.sqrt(max(pair.value, 0.0)), vec, n, pair.residual)
 

@@ -57,6 +57,7 @@ constants never see.
 
 from __future__ import annotations
 
+import functools
 import math
 import re
 from dataclasses import dataclass
@@ -106,11 +107,13 @@ class PoleConfiguration:
     def n(self) -> int:
         return len(self.points)
 
-    @property
+    # Cached on first read: the points never change, and the route choice,
+    # the basis build and the output rows of a configuration all read them.
+    @functools.cached_property
     def radius(self) -> float:
         return max(abs(p) for p in self.points)
 
-    @property
+    @functools.cached_property
     def is_one_point(self) -> bool:
         """All points coincide: sigma = {lam, ..., lam}."""
         return len(set(self.points)) == 1

@@ -223,12 +223,13 @@ def cmd_bernstein(args: argparse.Namespace) -> int:
     rows: list[OutputRow] = []
     strict_failures = []
     for sigma in configs:
+        n, r, key = sigma.n, sigma.radius, sigma.key()
         space = ModelSpace(sigma)
         for target in _TARGETS[args.target]:
             res = space.bernstein(target)
             if target is NormKind.BERGMAN:
                 quantity = "bernstein-bergman"
-                envelope = eq4_envelope(sigma.n, sigma.radius)
+                envelope = eq4_envelope(n, r)
                 upper = envelope.upper
                 note = ""
                 if sigma.is_one_point:
@@ -237,29 +238,19 @@ def cmd_bernstein(args: argparse.Namespace) -> int:
                     note = f" (asymptotic lower {envelope.lower:.12g}, informational)"
                     if res.constant < envelope.lower - BRACKET_SLACK:
                         strict_failures.append(
-                            f"n={sigma.n} r={sigma.radius:.6g}: value "
+                            f"n={n} r={r:.6g}: value "
                             f"{res.constant:.12g} below asymptotic lower "
                             f"{envelope.lower:.12g}"
                         )
             else:
                 quantity = "bernstein-hardy"
-                upper = z2_upper_hardy(sigma.n, sigma.radius)
+                upper = z2_upper_hardy(n, r)
                 note = ""
             rows.append(
-                OutputRow(
-                    sigma.n,
-                    sigma.radius,
-                    sigma.key(),
-                    quantity,
-                    res.constant,
-                    None,
-                    upper,
-                    res.trunc_len,
-                    res.residual,
-                )
+                OutputRow(n, r, key, quantity, res.constant, None, upper, res.trunc_len, res.residual)
             )
             print(
-                f"{quantity} n={sigma.n} r={sigma.radius:.6g}: "
+                f"{quantity} n={n} r={r:.6g}: "
                 f"{res.constant:.12g} <= {upper:.12g}{note}",
                 file=sys.stderr,
             )
@@ -275,32 +266,21 @@ def cmd_interp(args: argparse.Namespace) -> int:
     configs = parse_sigma_spec(args.sigma)
     rows: list[OutputRow] = []
     for sigma in configs:
+        n, r, key = sigma.n, sigma.radius, sigma.key()
         space = ModelSpace(sigma)
         res = space.interp()
         one_point = sigma.is_one_point
-        eq10 = theoremB_envelopes(sigma.n, sigma.radius)["eq10"] if one_point else None
-        eq9 = interp_lower_eq9(sigma.n, sigma.radius) if one_point and sigma.n >= 2 else None
+        eq10 = theoremB_envelopes(n, r)["eq10"] if one_point else None
+        eq9 = interp_lower_eq9(n, r) if one_point and n >= 2 else None
         rows.append(
             OutputRow(
-                sigma.n,
-                sigma.radius,
-                sigma.key(),
-                "interp-exact",
-                res.exact,
-                eq9,
-                res.upper_projection,
-                res.trunc_len,
-                res.residual,
+                n, r, key, "interp-exact", res.exact, eq9, res.upper_projection,
+                res.trunc_len, res.residual,
             )
         )
         rows.append(
             OutputRow(
-                sigma.n,
-                sigma.radius,
-                sigma.key(),
-                "interp-upper",
-                res.upper_projection,
-                res.exact,
+                n, r, key, "interp-upper", res.upper_projection, res.exact,
                 eq10.upper if one_point else None,
                 res.trunc_len,
                 # upper^2 = C_B^2 + 1 carries the absolute error of C_B^2.
@@ -309,32 +289,22 @@ def cmd_interp(args: argparse.Namespace) -> int:
         )
         if eq9 is not None:
             rows.append(
-                OutputRow(
-                    sigma.n,
-                    sigma.radius,
-                    sigma.key(),
-                    "interp-lower-eq9",
-                    eq9,
-                    None,
-                    res.exact,
-                    res.trunc_len,
-                    0.0,
-                )
+                OutputRow(n, r, key, "interp-lower-eq9", eq9, None, res.exact, res.trunc_len, 0.0)
             )
             print(
-                f"interp n={sigma.n} r={sigma.radius:.6g}: {eq9:.12g} <= "
+                f"interp n={n} r={r:.6g}: {eq9:.12g} <= "
                 f"{res.exact:.12g} <= {res.upper_projection:.12g} "
                 f"(one-sided refinement {eq10.lower:.12g}, informational)",
                 file=sys.stderr,
             )
         else:
             print(
-                f"interp n={sigma.n} r={sigma.radius:.6g}: "
+                f"interp n={n} r={r:.6g}: "
                 f"{res.exact:.12g} <= {res.upper_projection:.12g}",
                 file=sys.stderr,
             )
-        if sigma.n == 1:
-            closed = single_point_closed_form(sigma.radius)
+        if n == 1:
+            closed = single_point_closed_form(r)
             print(
                 f"  single-point closed form {closed:.12g} "
                 f"(deviation {abs(res.exact - closed):.3e})",

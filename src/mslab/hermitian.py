@@ -21,6 +21,7 @@ sides in one solve.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -76,20 +77,23 @@ def gram_matrix(coeffs: np.ndarray, weights: np.ndarray) -> np.ndarray:
     return (G + G.conj().T) / 2.0
 
 
-def _phase_normalize(v: np.ndarray) -> np.ndarray:
-    i = int(np.argmax(np.abs(v)))
-    piv = v[i]
-    if abs(piv) == 0.0:
-        return v
-    return v * (np.conj(piv) / abs(piv))
+def _from_bands(*bands: np.ndarray) -> np.ndarray:
+    """Dense real symmetric n x n matrix whose d-th diagonal above and below
+    the main one is ``bands[d]`` (``bands[0]`` the main diagonal, of length
+    n; band d has n - d entries); every other entry is zero.
 
-
-def _lex_key(v: np.ndarray) -> tuple[float, ...]:
-    out: list[float] = []
-    for c in v:
-        out.append(float(np.real(c)))
-        out.append(float(np.imag(c)))
-    return tuple(out)
+    The band entries are written straight into the flat view of the array:
+    the (j, j+d) entries sit at flat index j (n+1) + d and their mirror
+    images at j (n+1) + d n.
+    """
+    n = bands[0].size
+    out = np.zeros((n, n))
+    flat = out.reshape(-1)
+    flat[:: n + 1] = bands[0]
+    for d, band in enumerate(bands[1:], start=1):
+        flat[d : (n - d) * n : n + 1] = band
+        flat[d * n :: n + 1] = band
+    return out
 
 
 def max_eigenpair(matrix: np.ndarray) -> Eigenpair:
@@ -97,29 +101,48 @@ def max_eigenpair(matrix: np.ndarray) -> Eigenpair:
     near-degeneracy window are broken by the lexicographically largest
     phase-normalized vector.
 
+    Only the members of the top cluster are normalized, all at once: each
+    column is scaled by conj(p)/|p| for its largest-modulus entry p (a sign
+    flip for a real vector), and the tie-break compares the normalized
+    columns entry by entry, real part before imaginary part.  |p| is taken
+    as hypot(Re p, Im p), the scalar ``abs`` of a complex number, so the
+    vector agrees bit for bit with normalizing one column at a time.
+
     Raises :class:`CertificationError` when the matrix holds a non-finite
     entry, or when the residual exceeds the near-degeneracy window, i.e. when
     the pair is not certified to that accuracy.
     """
-    if not np.all(np.isfinite(matrix)):
+    if not np.isfinite(matrix).all():
         raise CertificationError("Hermitian matrix has non-finite entries (overflow)")
     values, vectors = np.linalg.eigh(matrix)
     top = float(values[-1])
     window = CLUSTER_TOL * (1.0 + abs(top))
-    members = [i for i, val in enumerate(values) if top - float(val) <= window]
-    candidates = [_phase_normalize(vectors[:, i]) for i in members]
+    # The values ascend, so the cluster is a suffix of them.
+    size = int(np.count_nonzero(top - values <= window))
+    cluster, candidates = values[-size:], vectors[:, -size:]
+    # Row j of candidates[rows] is the row of column j's largest-modulus
+    # entry, so its diagonal holds those entries.
+    piv = candidates[np.abs(candidates).argmax(axis=0)].diagonal()
+    if np.iscomplexobj(candidates):
+        candidates = candidates * (piv.conj() / np.hypot(piv.real, piv.imag))
+    else:
+        candidates = candidates * np.copysign(1.0, piv)
     best = 0
-    if len(candidates) > 1:
-        best = max(range(len(candidates)), key=lambda i: _lex_key(candidates[i]))
-    vec = candidates[best]
-    chosen = float(values[members[best]])
-    residual = float(np.linalg.norm(matrix @ vec - chosen * vec))
+    if size > 1:
+        # Rows re(v_0), im(v_0), re(v_1), ...; lexsort keys on its last row first.
+        keys = np.stack([candidates.real, candidates.imag], axis=1).reshape(-1, size)
+        best = int(np.lexsort(keys[::-1])[-1])
+    vec = np.ascontiguousarray(candidates[:, best])
+    chosen = float(cluster[best])
+    d = matrix @ vec - chosen * vec
+    # The 2-norm summed as numpy.linalg.norm sums it, without its dispatch.
+    sq = d.real.dot(d.real) + d.imag.dot(d.imag) if np.iscomplexobj(d) else d.dot(d)
+    residual = math.sqrt(sq)
     if residual > window:
         raise CertificationError(
             f"eigen-residual {residual:.3e} exceeds the certification window {window:.3e}"
         )
-    cluster = tuple(float(values[i]) for i in reversed(members))
-    return Eigenpair(chosen, vec, residual, cluster)
+    return Eigenpair(chosen, vec, residual, tuple(cluster[::-1].tolist()))
 
 
 def min_norm_solve(

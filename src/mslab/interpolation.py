@@ -18,7 +18,7 @@ and I(sigma)^2 is the top eigenvalue of its Dirichlet Gram X^* diag(k+1) X.
 
 On the one-point family sigma = {lam, ..., lam}, lam = r e^{i theta}, the
 same constant comes from an n x n tridiagonal matrix with no basis, no
-constraint rows and no min-norm solve (:func:`_one_point_interp`):
+constraint rows and no min-norm solve (:func:`_interp_gram`):
 
 * The Dirichlet quotient norm of a trace is dual to the Bergman norm in the
   Hardy pairing, so I^2 = 1 / lambda_min(G_A) with
@@ -33,8 +33,10 @@ constraint rows and no min-norm solve (:func:`_one_point_interp`):
   sigma_n = sum_{m>=0} r^{2m}/(n+m), the whole geometric tail folded into
   the last entry.
 * Therefore I^2 = lambda_max(R Delta^{-1} R^T) / (1 - r^2): the top
-  eigenvalue of the tridiagonal Gram of R^T with weights d/q,
-  q = (1 - r)(1 + r) and d = (1, 2, ..., n-1, 1/sigma_n).
+  eigenvalue of the tridiagonal Gram of R^T with weights w = d/q,
+  q = (1 - r)(1 + r) and d = (1, 2, ..., n-1, 1/sigma_n).  Its bands are
+  w_j + r^2 w_{j-1} on the diagonal (w_{-1} = 0) and -r w_j beside it,
+  j = 0, ..., n-1, and they are written down directly.
 * Rotating lam by theta multiplies coordinate k by e^{-i k theta}, a
   unitary change that leaves the eigenvalue alone.
 
@@ -76,7 +78,7 @@ from .bernstein import (
     constant_from_basis,
 )
 from .errors import CertificationError
-from .hermitian import Eigenpair, gram_matrix, max_eigenpair, min_norm_solve
+from .hermitian import Eigenpair, _from_bands, gram_matrix, max_eigenpair, min_norm_solve
 from .series import NormKind, TaylorSeries
 
 __all__ = [
@@ -227,17 +229,17 @@ def _corner_sum(n: int, r: float) -> float:
     return (-math.log(q) - head) / r ** (2 * n)
 
 
-def _one_point_interp(sigma: PoleConfiguration) -> Eigenpair:
-    """Top eigenpair of the n x n tridiagonal operator of a one-point
-    configuration (module docstring): I^2 is the top eigenvalue of
-    R diag(1, ..., n-1, 1/sigma_n) R^T / (1 - r^2), with no basis built.
-    """
-    n, r = sigma.n, abs(sigma.points[0])
+def _interp_gram(n: int, r: float) -> np.ndarray:
+    """The n x n tridiagonal Gram R diag(w) R^T, w = d/q, of the module
+    docstring, written from its bands: w_j + r^2 w_{j-1} on the diagonal and
+    -r w_j beside it."""
     q = (1.0 - r) * (1.0 + r)
-    d = np.arange(1.0, n + 1.0)
-    d[-1] = 1.0 / _corner_sum(n, r)
-    Rt = np.eye(n) - r * np.eye(n, k=1)
-    return max_eigenpair(gram_matrix(Rt, d / q))
+    w = np.arange(1.0, n + 1.0)
+    w[-1] = 1.0 / _corner_sum(n, r)
+    w /= q
+    main = w.copy()
+    main[1:] += r * r * w[:-1]
+    return _from_bands(main, -r * w[:-1])
 
 
 class ModelSpace:
@@ -274,7 +276,8 @@ class ModelSpace:
         """Exact interpolation constant; witnesses on the basis route only."""
         witness_f = witness_g = None
         if self.sigma.is_one_point:
-            pair, trunc_len = _one_point_interp(self.sigma), self.sigma.n
+            pair = max_eigenpair(_interp_gram(self.sigma.n, self.sigma.radius))
+            trunc_len = self.sigma.n
         else:
             pair, witness_f, witness_g = _min_norm_interp(self.basis)
             trunc_len = self.basis.trunc_len

@@ -10,18 +10,21 @@ plain integral over [0, 1],
     (1/pi) int_D |f|^2 dA = int_0^1 (mean over angles of |f(sqrt(s) e^{i t})|^2) ds,
 
 and after angular averaging the integrand is a polynomial in s of degree
-deg f, so Gauss-Legendre in s with K nodes is exact once 2K-1 >= deg f and a
-uniform M-point angular rule is exact once M > 2 deg f.  No Parseval-type
-shortcut is taken anywhere here: values of f on the grid are computed by
-polynomial evaluation (an FFT over the angular grid, which is the same
-evaluation arranged efficiently) and squared pointwise.
+deg f, so Gauss-Legendre in s with K nodes is exact once 2K-1 >= deg f.  On
+a circle |f|^2 = sum_{j,k} c_j conj(c_k) e^{i (j-k) t} only has frequencies
+in [-deg f, deg f], and the uniform M-point average keeps exactly the
+frequencies that are multiples of M, so it is exact once M > deg f.  No
+Parseval-type shortcut is taken anywhere here: values of f on the grid are
+computed by polynomial evaluation (an FFT over the angular grid, which is
+the same evaluation arranged efficiently) and squared pointwise.
 
 The area rule is read off the stored degree of f, so it is exact by
 construction; only the circle rule takes its angle count from the caller,
 which lets the aliasing control ask for too few.  For a series of stored
 length L the area rule has ceil(L/2) + 1 Gauss-Legendre nodes, found by
 Newton's method on the Legendre recurrence in O(L) memory, and the smallest
-2^a 3^b 5^c angle count at least 2L, where the FFT is fast.  The radial grid
+2^a 3^b 5^c angle count at least L, where the FFT is fast; its FFT
+evaluates f without folding, which needs those L angles.  The radial grid
 is evaluated a chunk of radii at a time under a fixed byte budget, so
 memory stays O(L) however many radii the rule has.
 
@@ -112,15 +115,15 @@ def _gauss_legendre(K: int) -> tuple[np.ndarray, np.ndarray]:
 
 @functools.lru_cache(maxsize=256)
 def _angle_count(length: int) -> int:
-    """Smallest 2^a 3^b 5^c >= 2 * length.  Any count above twice the degree
-    is exact; 2 deg + 2 itself is often twice a prime, a length the FFT
-    handles several times slower than a 5-smooth one."""
-    best = 1 << (2 * length - 1).bit_length()
+    """Smallest 2^a 3^b 5^c >= length.  Any count above the degree, length - 1,
+    is exact (module docstring); the length itself is often prime, a size
+    the FFT handles several times slower than a 5-smooth one."""
+    best = 1 << (length - 1).bit_length()
     odd5 = 1
     while odd5 < best:
         odd = odd5
         while odd < best:
-            best = min(best, odd << (-(-2 * length // odd) - 1).bit_length())
+            best = min(best, odd << (-(-length // odd) - 1).bit_length())
             odd *= 3
         odd5 *= 5
     return best
@@ -176,16 +179,17 @@ def bergman_norm_quadrature(f: TaylorSeries) -> float:
     tensor rule of the module docstring exact for the stored degree:
     ceil((deg + 1)/2) + 1 Gauss-Legendre nodes in s = rho^2, built by
     Newton's method, times the smallest 2^a 3^b 5^c angle count at least
-    2 deg + 2, with the radial grid evaluated in chunks of bounded size."""
+    deg + 1, with the radial grid evaluated in chunks of bounded size."""
     return float(_disc_sq(f.coeffs))
 
 
 def hardy_norm_circle(f: TaylorSeries, M: int, allow_inexact: bool = False) -> float:
-    """Uniform M-point average of |f|^2 on the unit circle (squared Hardy norm)."""
+    """Uniform M-point average of |f|^2 on the unit circle (squared Hardy norm),
+    exact once M > deg f; fewer angles raise unless ``allow_inexact``."""
     degree = f.trunc_len - 1
     if M < 1:
         raise ValueError("need at least one angle")
-    if not allow_inexact and (M - 1) // 2 < degree:
+    if not allow_inexact and M <= degree:
         raise CertificationError(
             f"{M}-point circle rule aliases degree {degree}"
         )
@@ -213,8 +217,14 @@ def moebius_invariance_check(g: TaylorSeries, lam: complex) -> MoebiusReport:
     lam = complex(lam)
     if abs(lam) >= 1.0:
         raise ValueError("automorphism parameter must lie inside the open disc")
-    lhs = bergman_norm_quadrature(differentiate(g))
     comp = compose_with_blaschke_factor(g, lam, policy_truncation(g.trunc_len, abs(lam)))
+    return _moebius_report(g, comp)
+
+
+def _moebius_report(g: TaylorSeries, comp: TaylorSeries) -> MoebiusReport:
+    """Area-oracle Dirichlet seminorms of g and of ``comp``, its composition
+    with a disc automorphism, however that was computed."""
+    lhs = bergman_norm_quadrature(differentiate(g))
     rhs = bergman_norm_quadrature(differentiate(comp))
     scale = max(abs(lhs), abs(rhs), 1e-300)
     return MoebiusReport(lhs, rhs, abs(lhs - rhs) / scale)

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from mslab import bernstein, hermitian, interpolation
 from mslab.bernstein import (
     BoundEnvelope,
     asymptotic_ratio_sweep,
@@ -17,6 +18,7 @@ from mslab.bernstein import (
     z2_upper_hardy,
 )
 from mslab.blaschke import PoleConfiguration, malmquist_basis
+from mslab.hermitian import gram_matrix
 from mslab.interpolation import ModelSpace
 from mslab.series import NormKind, differentiate, norm, norm_sq
 
@@ -195,6 +197,69 @@ class TestOnePointBandedRoute:
         np.testing.assert_allclose(
             res.constant, constant_from_basis(basis, target).constant, rtol=1e-12
         )
+
+
+def _dense_one_point_gram(n, r, target):
+    """The banded Gram as the one-point route first built it: the dense map D
+    of ``_one_point_constant`` and its weights, through ``gram_matrix``."""
+    q = (1.0 - r) * (1.0 + r)
+    k = np.arange(n)
+    if target is NormKind.BERGMAN:
+        D = np.zeros((n, n))
+        D[k, k] = -r
+        D[k[:-1], k[1:]] = 1.0
+        w = (k + 1.0) / q
+    else:
+        D = np.zeros((n + 1, n))
+        D[k[1:] - 1, k[1:]] = k[1:]
+        D[k, k] = -r * (2.0 * k + 1.0)
+        D[k + 1, k] = r * r * (k + 1.0)
+        w = np.full(n + 1, 1.0 / (q * q))
+    return gram_matrix(D, w)
+
+
+_BAND_N = (1, 2, 3, 6, 30, 100)
+_BAND_R = (0.0, 0.3, 0.97, 0.999)
+
+
+class TestOnePointBands:
+    """The closed-form bands against the dense construction they replace."""
+
+    @_TARGETS
+    @pytest.mark.parametrize("n", _BAND_N)
+    def test_bands_match_dense_construction(self, n, target):
+        """Every entry agrees to 1e-15 relative, zeros included, and so does
+        the constant for a real and a complex centre; the complex centre's
+        extremal vector is the real one's rotated by e^{-i k theta}."""
+        for r in _BAND_R:
+            dense = _dense_one_point_gram(n, r, target)
+            bands = bernstein._one_point_gram(n, r, target)
+            assert bands.shape == dense.shape and bands.dtype == np.float64
+            np.testing.assert_allclose(bands, dense, rtol=1e-15, atol=0.0)
+            want = math.sqrt(max(np.linalg.eigvalsh(dense)[-1], 0.0))
+            real = bernstein._one_point_constant(PoleConfiguration.one_point(n, r), target)
+            for theta in (0.0, 1.1):
+                sig = PoleConfiguration.one_point(n, r * np.exp(1j * theta))
+                res = bernstein._one_point_constant(sig, target)
+                np.testing.assert_allclose(res.constant, want, rtol=1e-15, atol=0.0)
+                lam = sig.points[0]  # theta is lost at r = 0
+                phase = math.atan2(lam.imag, lam.real)
+                rotated = real.extremal * np.exp(-1j * phase * np.arange(n))
+                np.testing.assert_array_equal(res.extremal, rotated)
+
+    def test_one_point_route_calls_no_gram_builder(self, monkeypatch):
+        """Both one-point constants and I come from their bands alone."""
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("gram_matrix called on the one-point route")
+
+        for module in (hermitian, bernstein, interpolation):
+            monkeypatch.setattr(module, "gram_matrix", refuse)
+        for sig in (PoleConfiguration.one_point(7, 0.6), PoleConfiguration.one_point(3, 0.4j)):
+            space = ModelSpace(sig)
+            for target in (NormKind.BERGMAN, NormKind.HARDY):
+                assert space.bernstein(target).trunc_len == sig.n
+            assert space.interp().trunc_len == sig.n
 
 
 class TestEnvelopes:

@@ -108,6 +108,103 @@ class TestMaxEigenpair:
                 max_eigenpair(M)
 
 
+def _loop_top_pair(M):
+    """The top cluster, chosen vector and value by one Python step per
+    eigenvalue, as ``max_eigenpair`` first computed them: the reference its
+    vectorized form must reproduce bit for bit."""
+    values, vectors = np.linalg.eigh(M)
+    top = float(values[-1])
+    window = hermitian.CLUSTER_TOL * (1.0 + abs(top))
+    members = [i for i, val in enumerate(values) if top - float(val) <= window]
+    candidates = []
+    for i in members:
+        v = vectors[:, i]
+        piv = v[int(np.argmax(np.abs(v)))]
+        candidates.append(v * (np.conj(piv) / abs(piv)))
+
+    def lex_key(j):
+        return tuple(x for c in candidates[j] for x in (float(np.real(c)), float(np.imag(c))))
+
+    best = max(range(len(candidates)), key=lex_key)
+    cluster = tuple(float(values[i]) for i in reversed(members))
+    return float(values[members[best]]), candidates[best], cluster
+
+
+def _assert_same_pair(pair, M):
+    value, vector, cluster = _loop_top_pair(M)
+    assert pair.value == value and pair.cluster == cluster
+    assert pair.vector.dtype == vector.dtype
+    assert np.array_equal(pair.vector, vector)
+
+
+class TestEigenpairSelection:
+    """The vectorized cluster, phase and tie-break pinned to the per-eigenvalue
+    loop they replace."""
+
+    def test_window_edge_membership(self):
+        """An eigenvalue at, just inside and just outside the window edge is a
+        member exactly when top - value <= window.  At top = 0 the gap meets
+        the window to the last bit; at the other tops some value sits where
+        value >= top - window, rounded the other way, would disagree."""
+        seen = set()
+        for top in (0.0, 1.0, 3.7, 100.0):
+            window = hermitian.CLUSTER_TOL * (1.0 + top)
+            for steps in range(-3, 4):
+                val = top - window
+                for _ in range(abs(steps)):
+                    val = np.nextafter(val, np.inf if steps > 0 else -np.inf)
+                M = np.diag([top - 1.0, val, top])
+                gap = top - np.linalg.eigh(M)[0][1]
+                inside = bool(gap <= window)
+                seen.add(("inside" if inside else "outside", gap == window))
+                if inside != bool(val >= top - window):
+                    seen.add("rounding")
+                pair = max_eigenpair(M)
+                assert len(pair.cluster) == (2 if inside else 1)
+                _assert_same_pair(pair, M)
+        assert {("inside", True), ("inside", False), ("outside", False), "rounding"} <= seen
+
+    def test_two_member_cluster_keeps_tie_break_and_order(self):
+        """Two eigenvalues within the window: the lexicographically largest
+        phase-normalized vector wins and the cluster is listed descending."""
+        rng = np.random.default_rng(21)
+        Q, _ = np.linalg.qr(rng.normal(size=(5, 5)) + 1j * rng.normal(size=(5, 5)))
+        M = (Q * np.array([0.1, 0.4, 0.7, 2.0, 2.0 + 3e-11])) @ Q.conj().T
+        M = (M + M.conj().T) / 2.0
+        pair = max_eigenpair(M)
+        assert len(pair.cluster) == 2 and pair.cluster[0] >= pair.cluster[1]
+        _assert_same_pair(pair, M)
+
+    def test_real_input_gives_real_vector_with_positive_pivot(self):
+        """A real symmetric matrix returns a float64 vector whose largest
+        entry is positive, equal to the one-column-at-a-time normalization."""
+        rng = np.random.default_rng(8)
+        for d in (1, 2, 5, 12):
+            A = rng.normal(size=(d, d))
+            M = (A + A.T) / 2.0
+            pair = max_eigenpair(M)
+            assert pair.vector.dtype == np.float64
+            assert pair.vector[int(np.argmax(np.abs(pair.vector)))] > 0.0
+            _assert_same_pair(pair, M)
+
+    def test_random_panel_matches_loop(self):
+        """Random real and complex matrices, with and without a repeated top
+        eigenvalue, agree bit for bit with the loop."""
+        rng = np.random.default_rng(3)
+        for trial in range(60):
+            d = int(rng.integers(1, 9))
+            A = rng.normal(size=(d, d))
+            if trial % 2:
+                A = A + 1j * rng.normal(size=(d, d))
+            if trial % 3 == 0:
+                Q, _ = np.linalg.qr(A)
+                spectrum = rng.uniform(size=d)
+                spectrum[: min(d, 3)] = 1.5
+                A = (Q * spectrum) @ Q.conj().T
+            M = (A + A.conj().T) / 2.0
+            _assert_same_pair(max_eigenpair(M), M)
+
+
 class TestGramMatrix:
     """Weighted Grams of coefficient families."""
 

@@ -9,7 +9,7 @@ from mslab import bernstein, interpolation
 from mslab.bernstein import constant_from_basis
 from mslab.cli import main
 from mslab.errors import CertificationError
-from mslab.hermitian import min_norm_solve
+from mslab.hermitian import gram_matrix, min_norm_solve
 from mslab.interpolation import (
     ModelSpace,
     dirichlet_kernel_diag,
@@ -344,6 +344,24 @@ class TestOnePointInterpRoute:
         res = interp_from_basis(basis)
         assert res.trunc_len == basis.trunc_len > 3
         assert res.witness_f is not None and res.witness_g is not None
+
+    @pytest.mark.parametrize("n", (1, 2, 3, 6, 30, 100))
+    def test_bands_match_dense_construction(self, n):
+        """The tridiagonal bands agree entry by entry to 1e-15 relative with
+        R^T diag(d/q) R^T built densely through gram_matrix, and I with the
+        dense Gram's top eigenvalue, for a real and a complex centre."""
+        for r in (0.0, 0.3, 0.97, 0.999):
+            d = np.arange(1.0, n + 1.0)
+            d[-1] = 1.0 / _corner_sum(n, r)
+            Rt = np.eye(n) - r * np.eye(n, k=1)
+            dense = gram_matrix(Rt, d / ((1.0 - r) * (1.0 + r)))
+            bands = interpolation._interp_gram(n, r)
+            assert bands.shape == dense.shape and bands.dtype == np.float64
+            np.testing.assert_allclose(bands, dense, rtol=1e-15, atol=0.0)
+            want = math.sqrt(np.linalg.eigvalsh(dense)[-1])
+            for theta in (0.0, 1.1):
+                res = ModelSpace(PoleConfiguration.one_point(n, r * np.exp(1j * theta))).interp()
+                np.testing.assert_allclose(res.exact, want, rtol=1e-15, atol=0.0)
 
     def test_corner_sum_matches_lerch_phi(self):
         """sigma_n = Phi(r^2, 1, n) to 1e-13 relative in both regimes, up to

@@ -72,8 +72,8 @@ class TestDiscQuadrature:
         np.testing.assert_allclose(np.sum(weights), 1.0, rtol=1e-13)
 
     def test_angle_count_is_the_next_five_smooth_length(self):
-        """The angle count is the smallest 2^a 3^b 5^c at least twice the
-        stored length."""
+        """The angle count is the smallest 2^a 3^b 5^c at least the stored
+        length, the fewest angles the area rule's unfolded FFT takes."""
 
         def smooth(m):
             for p in (2, 3, 5):
@@ -83,8 +83,8 @@ class TestDiscQuadrature:
 
         for L in range(1, 3000):
             M = quadrature._angle_count(L)
-            assert M >= 2 * L and smooth(M)
-            assert not any(smooth(m) for m in range(2 * L, M))
+            assert M >= L and smooth(M)
+            assert not any(smooth(m) for m in range(L, M))
 
     def test_grid_memory_stays_bounded(self):
         """A degree-4000 series is measured through chunks of the radial grid:
@@ -159,6 +159,20 @@ class TestHardyCircle:
                 norm_sq(f, NormKind.HARDY),
                 rtol=1e-12,
             )
+
+    def test_one_angle_above_the_degree_is_exact(self):
+        """|f|^2 on the circle has frequencies up to deg only, so M = deg + 1
+        angles reproduce the coefficient norm to 1e-14, and every M <= deg
+        is refused."""
+        rng = np.random.default_rng(41)
+        for deg in (0, 1, 2, 7, 8, 31, 64, 99):
+            f = polynomial(rng.normal(size=deg + 1) + 1j * rng.normal(size=deg + 1))
+            np.testing.assert_allclose(
+                hardy_norm_circle(f, deg + 1), norm_sq(f, NormKind.HARDY), rtol=1e-14
+            )
+            for M in range(1, deg + 1):
+                with pytest.raises(CertificationError):
+                    hardy_norm_circle(f, M)
 
     def test_aliasing_detected_and_demonstrated(self):
         """Too few angles raise; opting in shows the folded value 1 + z^M picks up."""
