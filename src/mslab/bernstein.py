@@ -16,25 +16,46 @@ exactly the top eigenvalue of E^* diag(w) E with w = k or w = k^2, so the
 computed value is the constant of the finite-dimensional operator itself,
 not an estimate.
 
-On the one-point family sigma = {lam, ..., lam}, where the inequality is
-sharp as n -> infinity and r -> 1, the disc automorphism z = b_r(v) turns
-the basis into the monomials v^k and the same Gram into an n x n banded
-matrix (:func:`_one_point_constant`), written straight from its bands
-(:func:`_one_point_gram`).  With q = (1 - r)(1 + r), j = 0, ..., n-1 and
-w_{-1} = 0:
+On the one-point family sigma = {lam, ..., lam}, lam = r e^{i theta}, where
+the inequality is sharp as n -> infinity and r -> 1, C_B, C_H and the
+interpolation constant I of :mod:`mslab.interpolation` all come from n x n
+banded Grams: no basis, no truncation, no dense product.  With
+q = (1 - r)(1 + r), accurate as r -> 1, the unitary substitution
+f(z) -> sqrt(q)/(1 - r v) f(b_r(v)), z = b_r(v), sends the Malmquist element
+e_{k+1} of the centre r to v^k, so f = sum x_k e_{k+1} has coordinates x in
+both bases, and with g(v) = sum x_k v^k:
 
-    Bergman, w_j = (j+1)/q:  G[j, j]   = r^2 w_j + w_{j-1},
-                             G[j, j+1] = -r w_j;
-    Hardy, all over q^2:     G[j, j]   = j^2 + r^2 (2j+1)^2 + r^4 (j+1)^2,
-                             G[j, j+1] = -r (j+1)(2j+1) - r^3 (j+1)(2j+3),
-                             G[j, j+2] = r^2 (j+1)(j+2).
+    ||f'||_Bergman^2 = sum_k (k+1) |x_{k+1} - r x_k|^2 / q    (x_n = 0),
+    ||f'||_Hardy     = ||(1 - r v)^2 g' - r (1 - r v) g||_Hardy / q,
+    ||f||_Bergman^2  = q ||g/(1 - r v)||_Bergman^2.
 
-That route needs no basis, no truncation and no dense product: O(n) band
-entries go to the eigensolver.  Whether sigma is one point is the only
-thing that picks the route, and only
-:class:`mslab.interpolation.ModelSpace` reads it; :func:`constant_from_basis`
-reads the constant off any built basis, which keeps E the banded route's
-test oracle.
+The first two are squared norms of banded maps D x, so C^2 is the top
+eigenvalue of D^T diag(w) D.  For I, the Dirichlet quotient norm of a trace
+is dual to the Bergman norm in the Hardy pairing, so I^2 = 1/lambda_min of
+the Bergman Gram E^* diag(1/(k+1)) E.  The coefficients of g/(1 - r v) are
+h = R^{-1} x, R = I - r S with S the subdiagonal shift, continuing as
+h_k = r^{k-n+1} h_{n-1} for k >= n-1; so that Gram is q R^{-T} Delta R^{-1},
+Delta = diag(1/1, ..., 1/(n-1), sigma_n) with the whole tail folded into
+sigma_n = sum_{m>=0} r^{2m}/(n+m) (:func:`_corner_sum`), and
+I^2 = lambda_max(R Delta^{-1} R^T) / q.  Rotating lam by theta multiplies
+coordinate k by e^{-i k theta} and leaves every eigenvalue alone.
+
+:func:`_one_point_bands` writes the three Grams from their bands; with
+j = 0, ..., n-1 and w_{-1} = 0:
+
+    C_B^2, w_j = (j+1)/q:          G[j, j]   = r^2 w_j + w_{j-1},
+                                   G[j, j+1] = -r w_j;
+    C_H^2, all over q^2:           G[j, j]   = j^2 + r^2 (2j+1)^2 + r^4 (j+1)^2,
+                                   G[j, j+1] = -r (j+1)(2j+1) - r^3 (j+1)(2j+3),
+                                   G[j, j+2] = r^2 (j+1)(j+2);
+    I^2, w_j = d_j/q with          G[j, j]   = w_j + r^2 w_{j-1},
+    d = (1, ..., n-1, 1/sigma_n):  G[j, j+1] = -r w_j.
+
+:func:`_one_point_pair` makes the route's one eigen-solve, and results read
+off it carry ``trunc_len`` = n.  :class:`mslab.interpolation.ModelSpace`
+takes this route when sigma is one point, and :func:`asymptotic_ratio_sweep`
+reads the pair directly; :func:`constant_from_basis` reads the constant off
+any built basis, which keeps E the banded route's test oracle.
 
 The closed-form envelopes bracketing the one-point family, the growth
 comparison for the Hardy target, the audit of a closed form that fails
@@ -52,7 +73,7 @@ from typing import Sequence
 import numpy as np
 
 from .blaschke import MalmquistBasis, PoleConfiguration, malmquist_basis
-from .hermitian import _from_bands, gram_matrix, max_eigenpair
+from .hermitian import Eigenpair, _from_bands, gram_matrix, max_eigenpair
 from .series import (
     NormKind,
     TaylorSeries,
@@ -123,49 +144,69 @@ def constant_from_basis(basis: MalmquistBasis, target: NormKind) -> BernsteinRes
     return BernsteinResult(constant, vec, basis.trunc_len, pair.residual)
 
 
-def _one_point_gram(n: int, r: float, target: NormKind) -> np.ndarray:
-    """The n x n Gram D^T diag(w) D of :func:`_one_point_constant`, written
-    from its closed-form bands (module docstring), with q = (1 - r)(1 + r)."""
+_CORNER_CHUNK = 256
+_EPS = float(np.finfo(np.float64).eps)
+
+
+def _corner_sum(n: int, r: float) -> float:
+    """sigma_n = sum_{m>=0} r^{2m}/(n+m), the Lerch transcendent
+    Phi(r^2, 1, n), to a few units of rounding for every r in [0, 1).
+
+    Where n (1 - r^2) >= 1 or r^2 <= 1/2 the series is summed in chunks
+    until its remainder bound r^{2M}/((n+M)(1-r^2)) drops below rounding.
+    Elsewhere r^{-2n} (-log(1-r^2) - sum_{k<n} r^{2k}/k) is used: there
+    r^2 > 1/2, so the logarithm of 1 - r^2 <= 1/2 is well conditioned, and
+    r^{2n} >= e^{-3/2} for n >= 2, so the subtraction cancels no more than
+    a factor of order log n (n = 1 subtracts nothing).  1 - r^2 is formed
+    as (1-r)(1+r) and the powers as r^{2k}, never from a rounded r^2, since
+    -log(1-r^2) is ill-conditioned in r^2 as r -> 1.
+    """
+    q = (1.0 - r) * (1.0 + r)
+    if n * q >= 1.0 or r * r <= 0.5:
+        parts: list[float] = []
+        m, total = 0, 0.0
+        while m == 0 or r ** (2 * m) / ((n + m) * q) > 0.25 * _EPS * total:
+            idx = np.arange(m, m + _CORNER_CHUNK, dtype=np.float64)
+            parts.append(float(np.sum(np.power(r, 2.0 * idx) / (n + idx))))
+            total += parts[-1]
+            m += _CORNER_CHUNK
+        return math.fsum(parts)
+    k = np.arange(1, n, dtype=np.float64)
+    head = math.fsum(np.power(r, 2.0 * k) / k)
+    return (-math.log(q) - head) / r ** (2 * n)
+
+
+def _one_point_bands(n: int, r: float, kind: NormKind) -> tuple[np.ndarray, ...]:
+    """Main diagonal, then the bands above it, of the n x n one-point Gram
+    of the module docstring at centre r: C_B^2 for ``kind`` Bergman, C_H^2
+    for Hardy and I^2 for Dirichlet."""
     q = (1.0 - r) * (1.0 + r)  # stays accurate as r -> 1
-    j = np.arange(n, dtype=np.float64)
-    if target is NormKind.BERGMAN:
-        w = (j + 1.0) / q
+    if kind is NormKind.HARDY:
+        j = np.arange(n, dtype=np.float64)
+        rr = r * r
+        main = j * j + rr * (2.0 * j + 1.0) ** 2 + (rr * (j + 1.0)) ** 2
+        j1 = j[:-1] + 1.0
+        off1 = -r * j1 * ((2.0 * j1 - 1.0) + rr * (2.0 * j1 + 1.0))
+        off2 = rr * j1[:-1] * (j1[:-1] + 1.0)
+        return main / (q * q), off1 / (q * q), off2 / (q * q)
+    if kind is NormKind.BERGMAN:
+        w = (np.arange(n, dtype=np.float64) + 1.0) / q
         main = r * r * w
         main[1:] += w[:-1]
-        return _from_bands(main, -r * w[:-1])
-    rr = r * r
-    main = j * j + rr * (2.0 * j + 1.0) ** 2 + (rr * (j + 1.0)) ** 2
-    j1 = j[:-1] + 1.0
-    off1 = -r * j1 * ((2.0 * j1 - 1.0) + rr * (2.0 * j1 + 1.0))
-    off2 = rr * j1[:-1] * (j1[:-1] + 1.0)
-    return _from_bands(main / (q * q), off1 / (q * q), off2 / (q * q))
+    else:
+        w = np.arange(1.0, n + 1.0)
+        w[-1] = 1.0 / _corner_sum(n, r)
+        w /= q
+        main = w.copy()
+        main[1:] += r * r * w[:-1]
+    return main, -r * w[:-1]
 
 
-def _one_point_constant(sigma: PoleConfiguration, target: NormKind) -> BernsteinResult:
-    """Constant of differentiation on a one-point space from its n x n banded
-    operator, with no basis and no truncation.
-
-    For sigma = {lam, ..., lam}, lam = r e^{i theta}, the unitary
-    substitution f(z) -> sqrt(1-r^2)/(1 - r v) f(b_r(v)) sends the Malmquist
-    element e_{k+1} of the centre r to v^k, so f = sum x_k e_{k+1} has
-    coordinates x in both bases, and with g(v) = sum x_k v^k and
-    q = (1 - r)(1 + r):
-
-        ||f'||_Bergman^2 = sum_k (k+1) |x_{k+1} - r x_k|^2 / q    (x_n = 0),
-        ||f'||_Hardy     = ||(1 - r v)^2 g' - r (1 - r v) g||_Hardy / q.
-
-    Each is the squared norm of a banded map D x with weights w, so the
-    square of the constant is the top eigenvalue of the n x n Gram
-    D^T diag(w) D (tridiagonal for Bergman, pentadiagonal for Hardy), whose
-    bands :func:`_one_point_gram` writes down directly.  The rotation by
-    theta multiplies coordinate k by e^{-i k theta}.  The reported
-    ``trunc_len`` is n, since no series is truncated.
-    """
-    n, lam = sigma.n, sigma.points[0]
-    pair = max_eigenpair(_one_point_gram(n, abs(lam), target))
-    vec = pair.vector * np.exp(-1j * math.atan2(lam.imag, lam.real) * np.arange(n))
-    vec.setflags(write=False)
-    return BernsteinResult(math.sqrt(max(pair.value, 0.0)), vec, n, pair.residual)
+def _one_point_pair(n: int, r: float, kind: NormKind) -> Eigenpair:
+    """Top eigenpair of the one-point Gram of :func:`_one_point_bands`, the
+    banded route's one eigen-solve: its value is C_B^2, C_H^2 or I^2, its
+    vector the extremal coordinates for the centre r >= 0."""
+    return max_eigenpair(_from_bands(*_one_point_bands(n, r, kind)))
 
 
 def eq4_envelope(n: int, r: float) -> BoundEnvelope:
@@ -378,15 +419,16 @@ def asymptotic_ratio_sweep(
     Bergman target: C / sqrt(n) against sqrt((1+r)/(1-r)).
     Hardy target:   C / n       against (1+r)/(1-r).
     """
-    from .interpolation import ModelSpace
-
     _check_target(target)
+    if not 0.0 <= r < 1.0 or any(n < 1 for n in n_list):
+        raise ValueError("need n >= 1 and r in [0, 1)")
     bergman = target is NormKind.BERGMAN
     q = (1.0 + r) / (1.0 - r)
     limit = math.sqrt(q) if bergman else q
     rows = []
     for n in n_list:
-        res = ModelSpace(PoleConfiguration.one_point(n, r)).bernstein(target)
-        ratio = res.constant / (math.sqrt(n) if bergman else n)
-        rows.append(RatioRow(n, res.constant, ratio, limit, res.residual))
+        pair = _one_point_pair(n, r, target)
+        constant = math.sqrt(max(pair.value, 0.0))
+        ratio = constant / (math.sqrt(n) if bergman else n)
+        rows.append(RatioRow(n, constant, ratio, limit, pair.residual))
     return rows

@@ -48,6 +48,8 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
 
+import numpy as np
+
 from .bernstein import (
     asymptotic_ratio_sweep,
     en_prime_bergman_audit,
@@ -467,7 +469,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except CertificationError as exc:
+    except (CertificationError, np.linalg.LinAlgError) as exc:  # LinAlgError is a ValueError
         print(f"numerical certification failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
     except MemoryError as exc:

@@ -16,29 +16,11 @@ the m x L matrix of trace functionals, one dual-Gram solve with right-hand
 sides A E gives the L x n matrix X of interpolants of all basis elements,
 and I(sigma)^2 is the top eigenvalue of its Dirichlet Gram X^* diag(k+1) X.
 
-On the one-point family sigma = {lam, ..., lam}, lam = r e^{i theta}, the
-same constant comes from an n x n tridiagonal matrix with no basis, no
-constraint rows and no min-norm solve (:func:`_interp_gram`):
-
-* The Dirichlet quotient norm of a trace is dual to the Bergman norm in the
-  Hardy pairing, so I^2 = 1 / lambda_min(G_A) with
-  G_A = E^* diag(1/(k+1)) E, the Bergman Gram of the model space.
-* Put z = b_r(v).  Coordinates c of f = sum c_j e_{j+1} become
-  g(v) = sum c_j v^j, and ||f||_Bergman^2 = (1 - r^2) ||g/(1 - r v)||^2
-  in the Bergman norm.
-* The coefficients of g/(1 - r v) are h = R^{-1} c with R = I - r S, S the
-  subdiagonal shift; for k >= n-1 they continue geometrically,
-  h_k = r^{k-n+1} h_{n-1}.  Hence G_A = (1 - r^2) R^{-T} Delta R^{-1}
-  with Delta = diag(1/1, ..., 1/(n-1), sigma_n) and
-  sigma_n = sum_{m>=0} r^{2m}/(n+m), the whole geometric tail folded into
-  the last entry.
-* Therefore I^2 = lambda_max(R Delta^{-1} R^T) / (1 - r^2): the top
-  eigenvalue of the tridiagonal Gram of R^T with weights w = d/q,
-  q = (1 - r)(1 + r) and d = (1, 2, ..., n-1, 1/sigma_n).  Its bands are
-  w_j + r^2 w_{j-1} on the diagonal (w_{-1} = 0) and -r w_j beside it,
-  j = 0, ..., n-1, and they are written down directly.
-* Rotating lam by theta multiplies coordinate k by e^{-i k theta}, a
-  unitary change that leaves the eigenvalue alone.
+On the one-point family sigma = {lam, ..., lam} the same constant is
+I^2 = 1 / lambda_min of the model space's Bergman Gram, which the disc
+automorphism z = b_r(v) turns into an n x n tridiagonal matrix with no
+basis, no constraint rows and no min-norm solve; the derivation and the
+bands, with those of the Bernstein constants, are in :mod:`mslab.bernstein`.
 
 :class:`ModelSpace` holds one configuration, and only it reads whether sigma
 is one point to pick the route, for the Bernstein constants and I alike.
@@ -74,11 +56,11 @@ from .bernstein import (
     BernsteinResult,
     BoundEnvelope,
     _check_target,
-    _one_point_constant,
+    _one_point_pair,
     constant_from_basis,
 )
 from .errors import CertificationError
-from .hermitian import Eigenpair, _from_bands, gram_matrix, max_eigenpair, min_norm_solve
+from .hermitian import Eigenpair, gram_matrix, max_eigenpair, min_norm_solve
 from .series import NormKind, TaylorSeries
 
 __all__ = [
@@ -116,12 +98,16 @@ class InterpResult:
 
 def dirichlet_kernel_diag(abs_lam: float) -> float:
     """Diagonal of the Dirichlet reproducing kernel, -log(1-x)/x at x=|lam|^2,
-    by its analytic limit 1 when x < 1e-30 (where 1 is within x/2 of it)."""
+    by its analytic limit 1 when x < 1e-30 (where 1 is within x/2 of it).
+    Above x = 1/2 the logarithm takes 1 - x as (1-|lam|)(1+|lam|), not from
+    the rounded x, which would lose digits as |lam| -> 1."""
     if not 0.0 <= abs_lam < 1.0:
         raise ValueError("need |lam| in [0, 1)")
     x = abs_lam * abs_lam
     if x < 1e-30:
         return 1.0
+    if x > 0.5:
+        return -math.log((1.0 - abs_lam) * (1.0 + abs_lam)) / x
     return -math.log1p(-x) / x
 
 
@@ -129,7 +115,7 @@ def single_point_closed_form(abs_lam: float) -> float:
     """I({lam}) = sqrt(k_Hardy(lam, lam) / k_Dirichlet(lam, lam))."""
     if not 0.0 <= abs_lam < 1.0:
         raise ValueError("need |lam| in [0, 1)")
-    hardy_diag = 1.0 / (1.0 - abs_lam * abs_lam)
+    hardy_diag = 1.0 / ((1.0 - abs_lam) * (1.0 + abs_lam))
     return math.sqrt(hardy_diag / dirichlet_kernel_diag(abs_lam))
 
 
@@ -197,59 +183,15 @@ def interp_from_basis(basis: MalmquistBasis) -> InterpResult:
     return InterpResult(exact, upper, witness_f, witness_g, basis.trunc_len, pair.residual)
 
 
-_CORNER_CHUNK = 256
-_EPS = float(np.finfo(np.float64).eps)
-
-
-def _corner_sum(n: int, r: float) -> float:
-    """sigma_n = sum_{m>=0} r^{2m}/(n+m), the Lerch transcendent
-    Phi(r^2, 1, n), to a few units of rounding for every r in [0, 1).
-
-    Where n (1 - r^2) >= 1 or r^2 <= 1/2 the series is summed in chunks
-    until its remainder bound r^{2M}/((n+M)(1-r^2)) drops below rounding.
-    Elsewhere r^{-2n} (-log(1-r^2) - sum_{k<n} r^{2k}/k) is used: there
-    r^2 > 1/2, so the logarithm of 1 - r^2 <= 1/2 is well conditioned, and
-    r^{2n} >= e^{-3/2} for n >= 2, so the subtraction cancels no more than
-    a factor of order log n (n = 1 subtracts nothing).  1 - r^2 is formed
-    as (1-r)(1+r) and the powers as r^{2k}, never from a rounded r^2, since
-    -log(1-r^2) is ill-conditioned in r^2 as r -> 1.
-    """
-    q = (1.0 - r) * (1.0 + r)
-    if n * q >= 1.0 or r * r <= 0.5:
-        parts: list[float] = []
-        m, total = 0, 0.0
-        while m == 0 or r ** (2 * m) / ((n + m) * q) > 0.25 * _EPS * total:
-            idx = np.arange(m, m + _CORNER_CHUNK, dtype=np.float64)
-            parts.append(float(np.sum(np.power(r, 2.0 * idx) / (n + idx))))
-            total += parts[-1]
-            m += _CORNER_CHUNK
-        return math.fsum(parts)
-    k = np.arange(1, n, dtype=np.float64)
-    head = math.fsum(np.power(r, 2.0 * k) / k)
-    return (-math.log(q) - head) / r ** (2 * n)
-
-
-def _interp_gram(n: int, r: float) -> np.ndarray:
-    """The n x n tridiagonal Gram R diag(w) R^T, w = d/q, of the module
-    docstring, written from its bands: w_j + r^2 w_{j-1} on the diagonal and
-    -r w_j beside it."""
-    q = (1.0 - r) * (1.0 + r)
-    w = np.arange(1.0, n + 1.0)
-    w[-1] = 1.0 / _corner_sum(n, r)
-    w /= q
-    main = w.copy()
-    main[1:] += r * r * w[:-1]
-    return _from_bands(main, -r * w[:-1])
-
-
 class ModelSpace:
     """The model space K_B of one configuration and the constants read off it.
 
     Only here does whether ``sigma`` is one point pick the route: one point
-    takes the n x n banded operators and builds no basis; any other builds E
-    once, on the first read of :attr:`basis`, and every constant shares it.
-    Each Bernstein result is kept per target, and :meth:`interp` takes its
-    projection bound from the Bergman one.
+    reads the n x n banded Grams through :func:`mslab.bernstein._one_point_pair`
+    and builds no basis; any other builds E once, on the first read of
+    :attr:`basis`, and every constant shares it.  Each Bernstein result is
+    kept per target, and :meth:`interp` takes its projection bound from the
+    Bergman one.
     """
 
     def __init__(self, sigma: PoleConfiguration) -> None:
@@ -266,7 +208,13 @@ class ModelSpace:
         if target not in self._bernstein:
             _check_target(target)
             if self.sigma.is_one_point:
-                res = _one_point_constant(self.sigma, target)
+                n, lam = self.sigma.n, self.sigma.points[0]
+                pair = _one_point_pair(n, abs(lam), target)
+                # The pair is for the centre |lam|; back at lam = |lam| e^{i theta},
+                # coordinate k turns by e^{-i k theta}.
+                vec = pair.vector * np.exp(-1j * math.atan2(lam.imag, lam.real) * np.arange(n))
+                vec.setflags(write=False)
+                res = BernsteinResult(math.sqrt(max(pair.value, 0.0)), vec, n, pair.residual)
             else:
                 res = constant_from_basis(self.basis, target)
             self._bernstein[target] = res
@@ -276,7 +224,7 @@ class ModelSpace:
         """Exact interpolation constant; witnesses on the basis route only."""
         witness_f = witness_g = None
         if self.sigma.is_one_point:
-            pair = max_eigenpair(_interp_gram(self.sigma.n, self.sigma.radius))
+            pair = _one_point_pair(self.sigma.n, self.sigma.radius, NormKind.DIRICHLET)
             trunc_len = self.sigma.n
         else:
             pair, witness_f, witness_g = _min_norm_interp(self.basis)

@@ -183,13 +183,13 @@ def bergman_norm_quadrature(f: TaylorSeries) -> float:
     return float(_disc_sq(f.coeffs))
 
 
-def hardy_norm_circle(f: TaylorSeries, M: int, allow_inexact: bool = False) -> float:
+def hardy_norm_circle(f: TaylorSeries, M: int) -> float:
     """Uniform M-point average of |f|^2 on the unit circle (squared Hardy norm),
-    exact once M > deg f; fewer angles raise unless ``allow_inexact``."""
+    exact once M > deg f; fewer angles raise."""
     degree = f.trunc_len - 1
     if M < 1:
         raise ValueError("need at least one angle")
-    if not allow_inexact and M <= degree:
+    if M <= degree:
         raise CertificationError(
             f"{M}-point circle rule aliases degree {degree}"
         )

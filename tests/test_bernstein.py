@@ -1,11 +1,13 @@
 """Tests for derivative constants on model spaces and their envelopes."""
 
+import ast
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from mslab import bernstein, hermitian, interpolation
+from mslab import bernstein, blaschke, hermitian, interpolation
 from mslab.bernstein import (
     BoundEnvelope,
     asymptotic_ratio_sweep,
@@ -201,7 +203,8 @@ class TestOnePointBandedRoute:
 
 def _dense_one_point_gram(n, r, target):
     """The banded Gram as the one-point route first built it: the dense map D
-    of ``_one_point_constant`` and its weights, through ``gram_matrix``."""
+    of the ``bernstein`` module docstring and its weights, through
+    ``gram_matrix``."""
     q = (1.0 - r) * (1.0 + r)
     k = np.arange(n)
     if target is NormKind.BERGMAN:
@@ -233,14 +236,14 @@ class TestOnePointBands:
         extremal vector is the real one's rotated by e^{-i k theta}."""
         for r in _BAND_R:
             dense = _dense_one_point_gram(n, r, target)
-            bands = bernstein._one_point_gram(n, r, target)
+            bands = hermitian._from_bands(*bernstein._one_point_bands(n, r, target))
             assert bands.shape == dense.shape and bands.dtype == np.float64
             np.testing.assert_allclose(bands, dense, rtol=1e-15, atol=0.0)
             want = math.sqrt(max(np.linalg.eigvalsh(dense)[-1], 0.0))
-            real = bernstein._one_point_constant(PoleConfiguration.one_point(n, r), target)
+            real = ModelSpace(PoleConfiguration.one_point(n, r)).bernstein(target)
             for theta in (0.0, 1.1):
                 sig = PoleConfiguration.one_point(n, r * np.exp(1j * theta))
-                res = bernstein._one_point_constant(sig, target)
+                res = ModelSpace(sig).bernstein(target)
                 np.testing.assert_allclose(res.constant, want, rtol=1e-15, atol=0.0)
                 lam = sig.points[0]  # theta is lost at r = 0
                 phase = math.atan2(lam.imag, lam.real)
@@ -260,6 +263,61 @@ class TestOnePointBands:
             for target in (NormKind.BERGMAN, NormKind.HARDY):
                 assert space.bernstein(target).trunc_len == sig.n
             assert space.interp().trunc_len == sig.n
+
+    def test_bernstein_imports_nothing_from_interpolation(self):
+        """The one-point route lives in ``bernstein``, which ``interpolation``
+        imports, so ``bernstein`` imports nothing back from it."""
+        tree = ast.parse(Path(bernstein.__file__).read_text(encoding="utf-8"))
+        imported = []
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                imported += [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                base = node.module or ""
+                if node.level:
+                    base = "mslab" + ("." + base if base else "")
+                imported += [base] + [f"{base}.{alias.name}" for alias in node.names]
+        assert "mslab.series" in imported
+        assert not [name for name in imported if name.startswith("mslab.interpolation")]
+
+    @_TARGETS
+    def test_sweep_solves_once_per_n_and_builds_no_basis(self, monkeypatch, target):
+        """``asymptotic_ratio_sweep`` reads the bands directly: one top
+        eigenpair of an n x n Gram per n, and no Malmquist basis."""
+        shapes = []
+        solve = bernstein.max_eigenpair
+
+        def counted(matrix):
+            shapes.append(matrix.shape)
+            return solve(matrix)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("malmquist_basis called by the sweep")
+
+        monkeypatch.setattr(bernstein, "max_eigenpair", counted)
+        for module in (blaschke, bernstein, interpolation):
+            monkeypatch.setattr(module, "malmquist_basis", refuse)
+        rows = asymptotic_ratio_sweep(0.9, [3, 10, 40], target)
+        assert shapes == [(3, 3), (10, 10), (40, 40)]
+        assert [row.n for row in rows] == [3, 10, 40]
+
+    def test_one_model_space_reads_each_kind_once(self, monkeypatch):
+        """One ModelSpace serving ``bernstein --target both`` and then
+        ``interp`` reaches the band reader once for C_B, C_H and I."""
+        kinds = []
+        read = interpolation._one_point_pair
+
+        def counted(n, r, kind):
+            kinds.append(kind)
+            return read(n, r, kind)
+
+        monkeypatch.setattr(interpolation, "_one_point_pair", counted)
+        space = ModelSpace(PoleConfiguration.one_point(6, 0.5 + 0.2j))
+        for target in (NormKind.BERGMAN, NormKind.HARDY):
+            space.bernstein(target)
+        space.interp()
+        space.bernstein(NormKind.BERGMAN)  # the interp-upper row's residual
+        assert kinds == [NormKind.BERGMAN, NormKind.HARDY, NormKind.DIRICHLET]
 
 
 class TestEnvelopes:
@@ -412,6 +470,12 @@ class TestAsymptoticSweep:
         (row,) = asymptotic_ratio_sweep(0.3, [12], NormKind.HARDY)
         np.testing.assert_allclose(row.ratio, row.constant / 12.0, rtol=1e-15)
         np.testing.assert_allclose(row.limit, 1.3 / 0.7, rtol=1e-15)
+
+    def test_domain_validation(self):
+        """Radii outside [0, 1) and dimensions below one are refused."""
+        for r, n_list in ((1.0, [3]), (-0.5, [3]), (0.5, [0, 3])):
+            with pytest.raises(ValueError, match=r"need n >= 1 and r in \[0, 1\)"):
+                asymptotic_ratio_sweep(r, n_list, NormKind.BERGMAN)
 
 
 class TestOnePointDominanceFinding:

@@ -626,6 +626,21 @@ class TestOutputPlumbing:
         assert proc.stderr.splitlines()[-1].startswith("out of memory: ")
         assert "Traceback" not in proc.stderr
 
+    @pytest.mark.parametrize(
+        ("command", "routine"), (("bernstein", "eigh"), ("interp", "solve"))
+    )
+    def test_lapack_failure_exits_three(self, capsys, monkeypatch, command, routine):
+        """A LAPACK failure is a numerical certification failure, exit 3,
+        although ``LinAlgError`` subclasses ``ValueError``."""
+
+        def fail(*args, **kwargs):
+            raise np.linalg.LinAlgError("injected")
+
+        monkeypatch.setattr(np.linalg, routine, fail)
+        assert main([command, "--sigma", "0.3,0;0.5,0"]) == 3
+        err = capsys.readouterr().err
+        assert err.splitlines()[-1] == "numerical certification failure: injected"
+
     def test_import_leaves_the_suite_unloaded(self):
         """Importing the CLI loads neither the invariant suite nor the
         quadrature oracle; only ``verify`` needs them."""

@@ -5,8 +5,8 @@ import math
 import numpy as np
 import pytest
 
-from mslab import bernstein, interpolation
-from mslab.bernstein import constant_from_basis
+from mslab import bernstein, hermitian, interpolation
+from mslab.bernstein import _corner_sum, constant_from_basis
 from mslab.cli import main
 from mslab.errors import CertificationError
 from mslab.hermitian import gram_matrix, min_norm_solve
@@ -20,7 +20,6 @@ from mslab.interpolation import (
     theoremB_test_function,
     _apply_rows,
     _constraint_rows,
-    _corner_sum,
 )
 from mslab.blaschke import (
     PoleConfiguration,
@@ -320,13 +319,14 @@ class TestOnePointInterpRoute:
             np.testing.assert_allclose(banded.exact, via_basis.exact, rtol=1e-10)
 
     def test_single_point_closed_form(self):
-        """n = 1 reproduces the kernel quotient and stays under the
-        projection bound, small radii included."""
-        radii = (0.0, 1e-9, 2e-8, 1e-7, 1e-6, 1e-4, 1e-3, 0.25, 0.5, 0.9, 0.999)
-        for r in radii:
+        """n = 1 reproduces the kernel quotient to 1e-14 and stays under the
+        projection bound, from tiny radii up to 1 - 1e-9, where 1 - r^2 must
+        not be formed from the rounded r^2."""
+        radii = (0.0, 1e-9, 2e-8, 1e-7, 1e-6, 1e-4, 1e-3, 0.25, 0.5, 0.9, 0.999, 0.999999)
+        for r in radii + (1.0 - 1e-9,):
             res = ModelSpace(PoleConfiguration((r * 1j,))).interp()
             np.testing.assert_allclose(
-                res.exact, single_point_closed_form(r), rtol=1e-13
+                res.exact, single_point_closed_form(r), rtol=1e-14
             )
             assert res.exact <= res.upper_projection, r
 
@@ -355,7 +355,7 @@ class TestOnePointInterpRoute:
             d[-1] = 1.0 / _corner_sum(n, r)
             Rt = np.eye(n) - r * np.eye(n, k=1)
             dense = gram_matrix(Rt, d / ((1.0 - r) * (1.0 + r)))
-            bands = interpolation._interp_gram(n, r)
+            bands = hermitian._from_bands(*bernstein._one_point_bands(n, r, NormKind.DIRICHLET))
             assert bands.shape == dense.shape and bands.dtype == np.float64
             np.testing.assert_allclose(bands, dense, rtol=1e-15, atol=0.0)
             want = math.sqrt(np.linalg.eigvalsh(dense)[-1])
