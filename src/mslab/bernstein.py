@@ -51,11 +51,13 @@ j = 0, ..., n-1 and w_{-1} = 0:
     I^2, w_j = d_j/q with          G[j, j]   = w_j + r^2 w_{j-1},
     d = (1, ..., n-1, 1/sigma_n):  G[j, j+1] = -r w_j.
 
-:func:`_one_point_pair` makes the route's one eigen-solve, and results read
-off it carry ``trunc_len`` = n.  :class:`mslab.interpolation.ModelSpace`
-takes this route when sigma is one point, and :func:`asymptotic_ratio_sweep`
-reads the pair directly; :func:`constant_from_basis` reads the constant off
-any built basis, which keeps E the banded route's test oracle.
+:func:`_one_point_pair` makes the route's one eigen-solve.
+:class:`mslab.interpolation.ModelSpace` takes this route for all three
+constants when sigma is one point, each a :class:`Constant` with
+``trunc_len`` = n, and :func:`asymptotic_ratio_sweep` reads the pair
+directly; :func:`constant_from_basis` returns C_B or C_H as the same
+:class:`Constant` off any built basis, which keeps E the banded route's test
+oracle.
 
 The closed-form envelopes bracketing the one-point family, the growth
 comparison for the Hardy target, the audit of a closed form that fails
@@ -84,18 +86,15 @@ from .series import (
 )
 
 __all__ = [
-    "BernsteinResult",
     "BoundEnvelope",
+    "Constant",
     "constant_from_basis",
     "eq4_envelope",
     "z2_upper_hardy",
-    "EnPrimeAudit",
     "en_prime_bergman_audit",
     "step2_test_function",
     "default_alternation_depth",
-    "Step2Report",
     "step2_expansion_check",
-    "RatioRow",
     "asymptotic_ratio_sweep",
 ]
 
@@ -117,13 +116,31 @@ class BoundEnvelope:
 
 
 @dataclass(frozen=True)
-class BernsteinResult:
-    """Computed constant with extremal witness and truncation diagnostics."""
+class Constant:
+    """One constant of a model space, C_B, C_H or I, read off the top
+    eigenpair of its Gram.
+
+    ``constant`` is the square root of the top eigenvalue; ``extremal``, the
+    read-only eigenvector, holds the Malmquist coordinates of a unit-norm f
+    attaining it; ``trunc_len`` is the series length behind the Gram (n on
+    the banded route) and ``residual`` the eigenpair's certificate.
+    """
 
     constant: float
     extremal: np.ndarray
     trunc_len: int
     residual: float
+
+    @classmethod
+    def from_pair(
+        cls, pair: Eigenpair, trunc_len: int, vector: np.ndarray | None = None
+    ) -> "Constant":
+        """The constant of ``pair``, with ``vector``, an array it then owns,
+        in place of a copy of its eigenvector when the coordinates have been
+        transformed."""
+        vec = np.array(pair.vector) if vector is None else vector
+        vec.setflags(write=False)
+        return cls(math.sqrt(max(pair.value, 0.0)), vec, trunc_len, pair.residual)
 
 
 def _check_target(target: NormKind) -> None:
@@ -131,17 +148,13 @@ def _check_target(target: NormKind) -> None:
         raise ValueError(f"target must be Bergman or Hardy, got {target}")
 
 
-def constant_from_basis(basis: MalmquistBasis, target: NormKind) -> BernsteinResult:
+def constant_from_basis(basis: MalmquistBasis, target: NormKind) -> Constant:
     """Constant of differentiation on an already-built basis: the top
     eigenpair of E^* diag(w) E, w = k (Bergman) or k^2 (Hardy)."""
     _check_target(target)
     k = np.arange(basis.trunc_len, dtype=np.float64)
     w = k if target is NormKind.BERGMAN else k * k
-    pair = max_eigenpair(gram_matrix(basis.matrix, w))
-    constant = math.sqrt(max(pair.value, 0.0))
-    vec = np.array(pair.vector)
-    vec.setflags(write=False)
-    return BernsteinResult(constant, vec, basis.trunc_len, pair.residual)
+    return Constant.from_pair(max_eigenpair(gram_matrix(basis.matrix, w)), basis.trunc_len)
 
 
 _CORNER_CHUNK = 256

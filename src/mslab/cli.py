@@ -271,18 +271,16 @@ def cmd_interp(args: argparse.Namespace) -> int:
         n, r, key = sigma.n, sigma.radius, sigma.key()
         space = ModelSpace(sigma)
         res = space.interp()
+        exact, upper = res.constant, space.projection_bound()
         one_point = sigma.is_one_point
         eq10 = theoremB_envelopes(n, r)["eq10"] if one_point else None
         eq9 = interp_lower_eq9(n, r) if one_point and n >= 2 else None
         rows.append(
-            OutputRow(
-                n, r, key, "interp-exact", res.exact, eq9, res.upper_projection,
-                res.trunc_len, res.residual,
-            )
+            OutputRow(n, r, key, "interp-exact", exact, eq9, upper, res.trunc_len, res.residual)
         )
         rows.append(
             OutputRow(
-                n, r, key, "interp-upper", res.upper_projection, res.exact,
+                n, r, key, "interp-upper", upper, exact,
                 eq10.upper if one_point else None,
                 res.trunc_len,
                 # upper^2 = C_B^2 + 1 carries the absolute error of C_B^2.
@@ -291,25 +289,24 @@ def cmd_interp(args: argparse.Namespace) -> int:
         )
         if eq9 is not None:
             rows.append(
-                OutputRow(n, r, key, "interp-lower-eq9", eq9, None, res.exact, res.trunc_len, 0.0)
+                OutputRow(n, r, key, "interp-lower-eq9", eq9, None, exact, res.trunc_len, 0.0)
             )
             print(
                 f"interp n={n} r={r:.6g}: {eq9:.12g} <= "
-                f"{res.exact:.12g} <= {res.upper_projection:.12g} "
+                f"{exact:.12g} <= {upper:.12g} "
                 f"(one-sided refinement {eq10.lower:.12g}, informational)",
                 file=sys.stderr,
             )
         else:
             print(
-                f"interp n={n} r={r:.6g}: "
-                f"{res.exact:.12g} <= {res.upper_projection:.12g}",
+                f"interp n={n} r={r:.6g}: {exact:.12g} <= {upper:.12g}",
                 file=sys.stderr,
             )
         if n == 1:
             closed = single_point_closed_form(r)
             print(
                 f"  single-point closed form {closed:.12g} "
-                f"(deviation {abs(res.exact - closed):.3e})",
+                f"(deviation {abs(exact - closed):.3e})",
                 file=sys.stderr,
             )
     return _emit_rows(rows, args.format, args.out)

@@ -29,7 +29,6 @@ import numpy as np
 from .errors import CertificationError
 
 __all__ = [
-    "Eigenpair",
     "gram_matrix",
     "max_eigenpair",
     "min_norm_solve",

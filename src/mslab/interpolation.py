@@ -23,26 +23,27 @@ basis, no constraint rows and no min-norm solve; the derivation and the
 bands, with those of the Bernstein constants, are in :mod:`mslab.bernstein`.
 
 :class:`ModelSpace` holds one configuration, and only it reads whether sigma
-is one point to pick the route, for the Bernstein constants and I alike.
-Banded results carry ``trunc_len`` = n and no witness functions;
-:func:`interp_from_basis` takes any built basis, which keeps E the banded
-route's test oracle and gives one-point configurations witnesses.
+is one point to pick the route, for the Bernstein constants and I alike;
+each comes back as a :class:`mslab.bernstein.Constant`, whose ``trunc_len``
+is n on the banded route.  :func:`interp_from_basis` takes any built basis,
+which keeps E the banded route's test oracle, and :func:`interp_witnesses`
+gives the witness functions of the same solve on any configuration, one
+point included; nothing else builds them.
 
-Every result carries the bound from interpolating by the projection itself,
-sqrt(lambda_max(E^* diag(k+1) E)) = sqrt(C_B^2 + 1) since E^* E = I, with
-C_B the Bergman derivative constant of the same model space on the same
-route; it equals I iff the projection is the minimizer, observed only at
-the origin configurations.  The closed-form companions: a one-point lower
-bound from a composed test function, two-sided sqrt(n/(1-r)) envelopes for
-the one-point family, and the single-point closed form
-sqrt(k_Hardy / k_Dirichlet) from the reproducing kernels.
+:meth:`ModelSpace.projection_bound` is the bound from interpolating by the
+projection itself, sqrt(lambda_max(E^* diag(k+1) E)) = sqrt(C_B^2 + 1) since
+E^* E = I, with C_B the Bergman derivative constant of the same model space
+on the same route; it equals I iff the projection is the minimizer,
+observed only at the origin configurations.  The closed-form companions: a
+one-point lower bound from a composed test function, two-sided
+sqrt(n/(1-r)) envelopes for the one-point family, and the single-point
+closed form sqrt(k_Hardy / k_Dirichlet) from the reproducing kernels.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -53,8 +54,8 @@ from .blaschke import (
     multiplicity_groups,
 )
 from .bernstein import (
-    BernsteinResult,
     BoundEnvelope,
+    Constant,
     _check_target,
     _one_point_pair,
     constant_from_basis,
@@ -64,36 +65,15 @@ from .hermitian import Eigenpair, gram_matrix, max_eigenpair, min_norm_solve
 from .series import NormKind, TaylorSeries
 
 __all__ = [
-    "InterpResult",
     "ModelSpace",
     "interp_from_basis",
+    "interp_witnesses",
     "interp_lower_eq9",
     "theoremB_test_function",
     "theoremB_envelopes",
     "dirichlet_kernel_diag",
     "single_point_closed_form",
 ]
-
-
-@dataclass(frozen=True)
-class InterpResult:
-    """Exact constant with its projection bound and witnesses.
-
-    ``upper_projection`` is sqrt(C_B^2 + 1) (module docstring).
-    ``witness_f`` realizes the supremum on the model-space ball (unit Hardy
-    norm); ``witness_g`` is its minimum Dirichlet-norm interpolant, so
-    ``witness_g`` agrees with ``witness_f`` on the configuration and
-    ||witness_g||_D equals the constant.  Both are ``None`` on the one-point
-    banded route, which builds no series; :func:`interp_from_basis` on a
-    built basis sets them for any configuration.
-    """
-
-    exact: float
-    upper_projection: float
-    witness_f: TaylorSeries | None
-    witness_g: TaylorSeries | None
-    trunc_len: int
-    residual: float
 
 
 def dirichlet_kernel_diag(abs_lam: float) -> float:
@@ -156,19 +136,18 @@ def _apply_rows(A: np.ndarray, f: TaylorSeries) -> np.ndarray:
     return A[:, :L] @ f.coeffs[:L]
 
 
-def _min_norm_interp(basis: MalmquistBasis) -> tuple[Eigenpair, TaylorSeries, TaylorSeries]:
-    """The top eigenpair of :func:`interp_from_basis` and its witnesses."""
+def _min_norm_interp(basis: MalmquistBasis) -> tuple[np.ndarray, Eigenpair]:
+    """The L x n interpolants of :func:`interp_from_basis` and the top
+    eigenpair of their Dirichlet Gram."""
     L = basis.trunc_len
     A = _constraint_rows(basis.sigma, L)
     weights = NormKind.DIRICHLET.weights(L)
     interpolants = min_norm_solve(weights, A, A @ basis.matrix)
-    pair = max_eigenpair(gram_matrix(interpolants, weights))
-    return pair, basis.combine(pair.vector), TaylorSeries(interpolants @ pair.vector)
+    return interpolants, max_eigenpair(gram_matrix(interpolants, weights))
 
 
-def interp_from_basis(basis: MalmquistBasis) -> InterpResult:
-    """Exact interpolation constant on a built Malmquist basis E, with
-    witnesses.
+def interp_from_basis(basis: MalmquistBasis) -> Constant:
+    """Exact interpolation constant on a built Malmquist basis E.
 
     Solves the minimum Dirichlet-norm problem for the traces A E of all basis
     elements in one dual-Gram solve and takes the top eigenvalue of the
@@ -177,10 +156,21 @@ def interp_from_basis(basis: MalmquistBasis) -> InterpResult:
     closer than 1e-8, derivative functionals that overflow, or
     ill-conditioned trace systems.
     """
-    pair, witness_f, witness_g = _min_norm_interp(basis)
-    exact = math.sqrt(max(pair.value, 0.0))
-    upper = math.hypot(constant_from_basis(basis, NormKind.BERGMAN).constant, 1.0)
-    return InterpResult(exact, upper, witness_f, witness_g, basis.trunc_len, pair.residual)
+    return Constant.from_pair(_min_norm_interp(basis)[1], basis.trunc_len)
+
+
+def interp_witnesses(basis: MalmquistBasis) -> tuple[Constant, TaylorSeries, TaylorSeries]:
+    """The constant of :func:`interp_from_basis` with its witnesses f and g.
+
+    f = E a, a the extremal coordinates, realizes the supremum on the
+    model-space ball (unit Hardy norm); g is its minimum Dirichlet-norm
+    interpolant, so g agrees with f on the configuration and ||g||_D equals
+    the constant.
+    """
+    interpolants, pair = _min_norm_interp(basis)
+    witness_f = basis.combine(pair.vector)
+    witness_g = TaylorSeries(interpolants @ pair.vector)
+    return Constant.from_pair(pair, basis.trunc_len), witness_f, witness_g
 
 
 class ModelSpace:
@@ -189,49 +179,48 @@ class ModelSpace:
     Only here does whether ``sigma`` is one point pick the route: one point
     reads the n x n banded Grams through :func:`mslab.bernstein._one_point_pair`
     and builds no basis; any other builds E once, on the first read of
-    :attr:`basis`, and every constant shares it.  Each Bernstein result is
-    kept per target, and :meth:`interp` takes its projection bound from the
-    Bergman one.
+    :attr:`basis`, and every constant shares it.  Each constant is kept per
+    kind: Bergman and Hardy for C_B and C_H, Dirichlet for I.
     """
 
     def __init__(self, sigma: PoleConfiguration) -> None:
         self.sigma = sigma
-        self._bernstein: dict[NormKind, BernsteinResult] = {}
+        self._constants: dict[NormKind, Constant] = {}
 
     @functools.cached_property
     def basis(self) -> MalmquistBasis:
         """The Malmquist basis at its certified truncation, built on first read."""
         return malmquist_basis(self.sigma)
 
-    def bernstein(self, target: NormKind) -> BernsteinResult:
-        """Exact norm of differentiation into ``target`` (Bergman or Hardy)."""
-        if target not in self._bernstein:
-            _check_target(target)
+    def _constant(self, kind: NormKind) -> Constant:
+        if kind not in self._constants:
             if self.sigma.is_one_point:
                 n, lam = self.sigma.n, self.sigma.points[0]
-                pair = _one_point_pair(n, abs(lam), target)
+                pair = _one_point_pair(n, abs(lam), kind)
                 # The pair is for the centre |lam|; back at lam = |lam| e^{i theta},
                 # coordinate k turns by e^{-i k theta}.
                 vec = pair.vector * np.exp(-1j * math.atan2(lam.imag, lam.real) * np.arange(n))
-                vec.setflags(write=False)
-                res = BernsteinResult(math.sqrt(max(pair.value, 0.0)), vec, n, pair.residual)
+                res = Constant.from_pair(pair, n, vec)
+            elif kind is NormKind.DIRICHLET:
+                res = interp_from_basis(self.basis)
             else:
-                res = constant_from_basis(self.basis, target)
-            self._bernstein[target] = res
-        return self._bernstein[target]
+                res = constant_from_basis(self.basis, kind)
+            self._constants[kind] = res
+        return self._constants[kind]
 
-    def interp(self) -> InterpResult:
-        """Exact interpolation constant; witnesses on the basis route only."""
-        witness_f = witness_g = None
-        if self.sigma.is_one_point:
-            pair = _one_point_pair(self.sigma.n, self.sigma.radius, NormKind.DIRICHLET)
-            trunc_len = self.sigma.n
-        else:
-            pair, witness_f, witness_g = _min_norm_interp(self.basis)
-            trunc_len = self.basis.trunc_len
-        exact = math.sqrt(max(pair.value, 0.0))
-        upper = math.hypot(self.bernstein(NormKind.BERGMAN).constant, 1.0)
-        return InterpResult(exact, upper, witness_f, witness_g, trunc_len, pair.residual)
+    def bernstein(self, target: NormKind) -> Constant:
+        """Exact norm of differentiation into ``target`` (Bergman or Hardy)."""
+        _check_target(target)
+        return self._constant(target)
+
+    def interp(self) -> Constant:
+        """Exact interpolation constant I."""
+        return self._constant(NormKind.DIRICHLET)
+
+    def projection_bound(self) -> float:
+        """sqrt(C_B^2 + 1), the cost of interpolating by the projection
+        (module docstring), an upper bound for I."""
+        return math.hypot(self.bernstein(NormKind.BERGMAN).constant, 1.0)
 
 
 def interp_lower_eq9(n: int, abs_lam: float) -> float:

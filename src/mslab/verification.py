@@ -482,9 +482,9 @@ def _check_interp_hand_values(rng: np.random.Generator) -> tuple[bool, str]:
     ):
         space = ip.ModelSpace(PoleConfiguration(points))
         for res in (space.interp(), ip.interp_from_basis(space.basis)):
-            worst = max(worst, abs(res.exact - expect))
+            worst = max(worst, abs(res.constant - expect))
             if space.sigma.n == 2:
-                worst = max(worst, abs(res.exact - res.upper_projection))
+                worst = max(worst, abs(res.constant - space.projection_bound()))
     return worst <= 1e-9, f"max deviation {worst:.3e}"
 
 
@@ -493,14 +493,15 @@ def _check_interp_bracket(rng: np.random.Generator) -> tuple[bool, str]:
     worst = -math.inf
     for n in (2, 3, 4, 6):
         for r in (0.0, 0.5):
-            res = ip.ModelSpace(PoleConfiguration.one_point(n, r)).interp()
+            space = ip.ModelSpace(PoleConfiguration.one_point(n, r))
+            exact, upper = space.interp().constant, space.projection_bound()
             eq10 = ip.theoremB_envelopes(n, r)["eq10"]
             worst = max(
                 worst,
-                ip.interp_lower_eq9(n, r) - res.exact,
-                eq10.lower - res.exact,
-                res.exact - res.upper_projection,
-                res.upper_projection - eq10.upper,
+                ip.interp_lower_eq9(n, r) - exact,
+                eq10.lower - exact,
+                exact - upper,
+                upper - eq10.upper,
             )
     return worst <= 1e-9, f"max bracket violation {worst:.3e}"
 
@@ -508,8 +509,8 @@ def _check_interp_bracket(rng: np.random.Generator) -> tuple[bool, str]:
 @_check("interp.rotation-invariance")
 def _check_interp_rotation(rng: np.random.Generator) -> tuple[bool, str]:
     sig = _random_sigma(rng, max_n=4, max_r=0.6)
-    a = ip.ModelSpace(sig).interp().exact
-    b = ip.ModelSpace(sig.rotated(0.9)).interp().exact
+    a = ip.ModelSpace(sig).interp().constant
+    b = ip.ModelSpace(sig.rotated(0.9)).interp().constant
     gap = abs(a - b) / max(a, 1e-300)
     return gap <= 1e-8, f"relative drift {gap:.3e}"
 
@@ -518,13 +519,13 @@ def _check_interp_rotation(rng: np.random.Generator) -> tuple[bool, str]:
 def _check_interp_witness(rng: np.random.Generator) -> tuple[bool, str]:
     worst = 0.0
     sig = _random_sigma(rng, max_n=5, max_r=0.7)
-    # The basis route carries witnesses, also for one-point draws.
-    res = ip.interp_from_basis(malmquist_basis(sig))
-    gaps = evaluate(res.witness_f, sig.points) - evaluate(res.witness_g, sig.points)
+    # The basis route gives witnesses, also for one-point draws.
+    res, witness_f, witness_g = ip.interp_witnesses(malmquist_basis(sig))
+    gaps = evaluate(witness_f, sig.points) - evaluate(witness_g, sig.points)
     worst = float(np.max(np.abs(gaps)))
-    fn = norm(res.witness_f, NormKind.HARDY)
-    gn = norm(res.witness_g, NormKind.DIRICHLET)
-    worst = max(worst, abs(fn - 1.0), abs(gn - res.exact * fn))
+    fn = norm(witness_f, NormKind.HARDY)
+    gn = norm(witness_g, NormKind.DIRICHLET)
+    worst = max(worst, abs(fn - 1.0), abs(gn - res.constant * fn))
     return worst <= 1e-8, f"max witness gap {worst:.3e}"
 
 
@@ -541,7 +542,7 @@ def _check_interp_reduction(rng: np.random.Generator) -> tuple[bool, str]:
     G = min_norm_solve(w, A, np.column_stack([ip._apply_rows(A, f) for f in fs]))
     for f, g in zip(fs, G.T):
         nrm = norm(TaylorSeries(g), NormKind.DIRICHLET)
-        worst = max(worst, nrm - res.exact * norm(f, NormKind.HARDY))
+        worst = max(worst, nrm - res.constant * norm(f, NormKind.HARDY))
     return worst <= 1e-9, f"max excess over bound {worst:.3e}"
 
 

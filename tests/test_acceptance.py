@@ -142,21 +142,22 @@ class TestAcceptance:
         """Lower bound <= exact <= projection bound <= envelope cap, with equality at {0,0}."""
         for n in range(2, 13):
             for r in (0.0, 0.3, 0.5, 0.7):
-                res = ModelSpace(PoleConfiguration.one_point(n, r)).interp()
+                space = ModelSpace(PoleConfiguration.one_point(n, r))
+                exact, upper = space.interp().constant, space.projection_bound()
                 eq9 = interp_lower_eq9(n, r)
                 cap = theoremB_envelopes(n, r)["eq10"].upper
-                assert eq9 <= res.exact + 1e-9
-                assert res.exact <= res.upper_projection + 1e-9
-                assert res.upper_projection <= cap + 1e-9
-        origin = ModelSpace(PoleConfiguration.one_point(2, 0.0)).interp()
-        assert abs(origin.exact - math.sqrt(2.0)) <= 1e-9
-        assert abs(origin.upper_projection - math.sqrt(2.0)) <= 1e-9
+                assert eq9 <= exact + 1e-9
+                assert exact <= upper + 1e-9
+                assert upper <= cap + 1e-9
+        origin = ModelSpace(PoleConfiguration.one_point(2, 0.0))
+        assert abs(origin.interp().constant - math.sqrt(2.0)) <= 1e-9
+        assert abs(origin.projection_bound() - math.sqrt(2.0)) <= 1e-9
 
     def test_a09_single_point_constant_matches_kernel_quotient(self):
         """Exact single-point constants equal the kernel quotient at 1e-9."""
         for lam in (0.0, 0.25, 0.5, 0.75):
             res = ModelSpace(PoleConfiguration((lam,))).interp()
-            assert abs(res.exact - single_point_closed_form(lam)) <= 1e-9
+            assert abs(res.constant - single_point_closed_form(lam)) <= 1e-9
         assert abs(single_point_closed_form(0.5) - 1.0764230111) <= 1e-9
 
     def test_a10_competitor_norm_and_composition_pattern(self):

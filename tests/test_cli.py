@@ -583,15 +583,15 @@ class TestOutputPlumbing:
                 "blaschke_product_eval", "malmquist_basis",
                 "model_projection", "parse_sigma_spec",
             ],
-            "hermitian": ["Eigenpair", "gram_matrix", "max_eigenpair", "min_norm_solve"],
+            "hermitian": ["gram_matrix", "max_eigenpair", "min_norm_solve"],
             "bernstein": [
-                "BernsteinResult", "BoundEnvelope", "constant_from_basis",
-                "eq4_envelope", "z2_upper_hardy", "EnPrimeAudit", "en_prime_bergman_audit",
-                "step2_test_function", "default_alternation_depth", "Step2Report",
-                "step2_expansion_check", "RatioRow", "asymptotic_ratio_sweep",
+                "BoundEnvelope", "Constant", "constant_from_basis",
+                "eq4_envelope", "z2_upper_hardy", "en_prime_bergman_audit",
+                "step2_test_function", "default_alternation_depth",
+                "step2_expansion_check", "asymptotic_ratio_sweep",
             ],
             "interpolation": [
-                "InterpResult", "ModelSpace", "interp_from_basis",
+                "ModelSpace", "interp_from_basis", "interp_witnesses",
                 "interp_lower_eq9",
                 "theoremB_test_function", "theoremB_envelopes",
                 "dirichlet_kernel_diag", "single_point_closed_form",
@@ -608,6 +608,15 @@ class TestOutputPlumbing:
             assert module.__all__ == exports, name
             for export in exports:
                 assert hasattr(module, export), f"mslab.{name}.{export}"
+        # Types that no caller names stay importable from their submodule.
+        unlisted = {
+            "hermitian": ["Eigenpair"],
+            "bernstein": ["EnPrimeAudit", "Step2Report", "RatioRow"],
+        }
+        for name, types in unlisted.items():
+            module = importlib.import_module(f"mslab.{name}")
+            for typ in types:
+                assert isinstance(getattr(module, typ), type), f"mslab.{name}.{typ}"
 
     @pytest.mark.parametrize(
         "argv",

@@ -1,12 +1,13 @@
 """Tests for constrained Dirichlet interpolation constants and their bounds."""
 
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
 from mslab import bernstein, hermitian, interpolation
-from mslab.bernstein import _corner_sum, constant_from_basis
+from mslab.bernstein import Constant, _corner_sum, constant_from_basis
 from mslab.cli import main
 from mslab.errors import CertificationError
 from mslab.hermitian import gram_matrix, min_norm_solve
@@ -15,6 +16,7 @@ from mslab.interpolation import (
     dirichlet_kernel_diag,
     interp_from_basis,
     interp_lower_eq9,
+    interp_witnesses,
     single_point_closed_form,
     theoremB_envelopes,
     theoremB_test_function,
@@ -22,6 +24,7 @@ from mslab.interpolation import (
     _constraint_rows,
 )
 from mslab.blaschke import (
+    MalmquistBasis,
     PoleConfiguration,
     malmquist_basis,
     multiplicity_groups,
@@ -66,14 +69,14 @@ class TestSinglePoint:
         """Interpolating a single value at 0 costs exactly the value."""
         np.testing.assert_allclose(single_point_closed_form(0.0), 1.0, rtol=0)
         res = ModelSpace(PoleConfiguration((0.0,))).interp()
-        np.testing.assert_allclose(res.exact, 1.0, atol=1e-12)
+        np.testing.assert_allclose(res.constant, 1.0, atol=1e-12)
 
     def test_exact_matches_closed_form(self):
         """The Gram pipeline reproduces the kernel quotient at single points."""
         for lam in (0.25, 0.5, 0.6 + 0.2j):
             res = ModelSpace(PoleConfiguration((lam,))).interp()
             np.testing.assert_allclose(
-                res.exact, single_point_closed_form(abs(lam)), rtol=1e-10
+                res.constant, single_point_closed_form(abs(lam)), rtol=1e-10
             )
 
     def test_half_value(self):
@@ -137,28 +140,26 @@ class TestExactConstant:
 
     def test_double_origin_equals_sqrt_two(self):
         """sigma = {0, 0}: the projection bound is attained, I = sqrt(2)."""
-        res = ModelSpace(PoleConfiguration.one_point(2, 0.0)).interp()
-        np.testing.assert_allclose(res.exact, math.sqrt(2.0), rtol=1e-12)
-        np.testing.assert_allclose(res.upper_projection, res.exact, rtol=1e-12)
+        space = ModelSpace(PoleConfiguration.one_point(2, 0.0))
+        res = space.interp()
+        np.testing.assert_allclose(res.constant, math.sqrt(2.0), rtol=1e-12)
+        np.testing.assert_allclose(space.projection_bound(), res.constant, rtol=1e-12)
 
     def test_witnesses_are_coherent(self):
-        """witness_f has unit Hardy norm and witness_g interpolates it at cost I."""
+        """The witness f has unit Hardy norm and g interpolates it at cost I."""
         rng = np.random.default_rng(18)
         sig = _random_config(rng, 4, 0.6)
-        res = ModelSpace(sig).interp()
-        np.testing.assert_allclose(norm(res.witness_f, NormKind.HARDY), 1.0, atol=1e-9)
-        np.testing.assert_allclose(norm(res.witness_g, NormKind.DIRICHLET), res.exact, rtol=1e-9)
+        res, f, g = interp_witnesses(ModelSpace(sig).basis)
+        np.testing.assert_allclose(norm(f, NormKind.HARDY), 1.0, atol=1e-9)
+        np.testing.assert_allclose(norm(g, NormKind.DIRICHLET), res.constant, rtol=1e-9)
         for p in sig.points:
-            np.testing.assert_allclose(
-                evaluate(res.witness_g, p), evaluate(res.witness_f, p), atol=1e-9
-            )
+            np.testing.assert_allclose(evaluate(g, p), evaluate(f, p), atol=1e-9)
 
     def test_multiplicity_matches_derivative(self):
         """At a double point the interpolant matches value and first derivative.
         A one-point configuration gets witnesses from the basis route."""
         sig = PoleConfiguration((0.3, 0.3))
-        res = interp_from_basis(malmquist_basis(sig))
-        f, g = res.witness_f, res.witness_g
+        _, f, g = interp_witnesses(malmquist_basis(sig))
         np.testing.assert_allclose(evaluate(g, 0.3), evaluate(f, 0.3), atol=1e-9)
         h = 1e-5
         df = (evaluate(f, 0.3 + h) - evaluate(f, 0.3 - h)) / (2 * h)
@@ -166,15 +167,15 @@ class TestExactConstant:
         np.testing.assert_allclose(dg, df, atol=1e-6)
 
     def test_witness_interpolant_is_minimal(self):
-        """Re-solving the min-norm problem for witness_f recovers the same cost."""
+        """Re-solving the min-norm problem for the witness f recovers the same cost."""
         rng = np.random.default_rng(28)
         sig = _random_config(rng, 3, 0.5)
-        res = ModelSpace(sig).interp()
+        res, f, _ = interp_witnesses(ModelSpace(sig).basis)
         A = _constraint_rows(sig, res.trunc_len)
         w = NormKind.DIRICHLET.weights(res.trunc_len)
-        g = min_norm_solve(w, A, _apply_rows(A, res.witness_f))
+        g = min_norm_solve(w, A, _apply_rows(A, f))
         np.testing.assert_allclose(
-            norm(TaylorSeries(g), NormKind.DIRICHLET), res.exact, rtol=1e-9
+            norm(TaylorSeries(g), NormKind.DIRICHLET), res.constant, rtol=1e-9
         )
 
     def test_dominates_every_hardy_ball_function(self):
@@ -188,14 +189,14 @@ class TestExactConstant:
             f = polynomial(rng.normal(size=20) + 1j * rng.normal(size=20))
             g = min_norm_solve(weights, A, _apply_rows(A, f))
             nrm = norm(TaylorSeries(g), NormKind.DIRICHLET)
-            assert nrm <= res.exact * norm(f, NormKind.HARDY) + 1e-9
+            assert nrm <= res.constant * norm(f, NormKind.HARDY) + 1e-9
 
     def test_rotation_invariance(self):
         """Rotating the configuration leaves the constant unchanged."""
         rng = np.random.default_rng(44)
         sig = _random_config(rng, 3, 0.6)
-        base = ModelSpace(sig).interp().exact
-        np.testing.assert_allclose(ModelSpace(sig.rotated(1.3)).interp().exact, base, rtol=1e-9)
+        base = ModelSpace(sig).interp().constant
+        np.testing.assert_allclose(ModelSpace(sig.rotated(1.3)).interp().constant, base, rtol=1e-9)
 
     def test_near_collision_rejected(self):
         """Distinct points inside the resolution limit raise the certification error."""
@@ -239,15 +240,15 @@ class TestModelSpace:
 
     def test_basis_route_builds_once_for_every_constant(self, monkeypatch):
         """C_B, C_H and I of a configuration with distinct points share one
-        basis and make three eigen-solves: I's projection bound reuses C_B."""
+        basis and make three eigen-solves: the projection bound reuses C_B."""
         counts = self._count_work(monkeypatch)
         space = ModelSpace(PoleConfiguration((0.3, 0.3, -0.2 + 0.4j)))
         bergman = space.bernstein(NormKind.BERGMAN)
         space.bernstein(NormKind.HARDY)
         res = space.interp()
+        assert space.projection_bound() == math.hypot(bergman.constant, 1.0)
         assert counts == {"builds": 1, "solves": 3}
         assert space.bernstein(NormKind.BERGMAN) is bergman
-        assert res.upper_projection == math.hypot(bergman.constant, 1.0)
         assert res.trunc_len == space.basis.trunc_len
         assert counts["builds"] == 1
 
@@ -283,6 +284,47 @@ class TestModelSpace:
             ModelSpace(PoleConfiguration((0.1, 0.2))).bernstein(NormKind.DIRICHLET)
         assert counts == {"builds": 0, "solves": 0}
 
+    def test_cli_interp_forms_no_witness(self, capsys, monkeypatch):
+        """``interp`` on the basis route neither calls ``interp_witnesses``
+        nor combines basis elements into a function."""
+
+        def refuse(*args):
+            raise AssertionError("a witness was formed")
+
+        monkeypatch.setattr(MalmquistBasis, "combine", refuse)
+        monkeypatch.setattr(interpolation, "interp_witnesses", refuse)
+        assert main(["interp", "--sigma", "0.3,0;0.3,0;-0.2,0.4"]) == 0
+        assert "interp-exact" in capsys.readouterr().out
+
+    @pytest.mark.parametrize(
+        "sigma",
+        (PoleConfiguration.one_point(4, 0.5 - 0.2j), PoleConfiguration((0.3, 0.3, -0.2 + 0.4j))),
+        ids=("banded", "basis"),
+    )
+    def test_every_reader_returns_a_constant(self, sigma):
+        """``bernstein``, ``interp``, ``constant_from_basis`` and
+        ``interp_from_basis`` all return a Constant with read-only extremal
+        coordinates, both routes give the same extremal up to a phase, and
+        the projection bound is hypot(C_B, 1) bit for bit."""
+        space = ModelSpace(sigma)
+        readers = {
+            NormKind.BERGMAN: (space.bernstein(NormKind.BERGMAN),
+                               constant_from_basis(space.basis, NormKind.BERGMAN)),
+            NormKind.HARDY: (space.bernstein(NormKind.HARDY),
+                             constant_from_basis(space.basis, NormKind.HARDY)),
+            NormKind.DIRICHLET: (space.interp(), interp_from_basis(space.basis)),
+        }
+        for kind, pair in readers.items():
+            for res in pair:
+                assert type(res) is Constant, kind
+                assert res.extremal.shape == (sigma.n,) and not res.extremal.flags.writeable
+            ours, oracle = pair
+            np.testing.assert_allclose(ours.constant, oracle.constant, rtol=1e-10)
+            overlap = abs(np.vdot(ours.extremal, oracle.extremal))
+            np.testing.assert_allclose(overlap, 1.0, atol=1e-9)
+        bergman = readers[NormKind.BERGMAN][0].constant
+        assert space.projection_bound() == math.hypot(bergman, 1.0)
+
 
 class TestOnePointInterpRoute:
     """The n x n tridiagonal route against the Malmquist matrix E."""
@@ -300,12 +342,12 @@ class TestOnePointInterpRoute:
             for r in (0.0, 0.1, 0.3, 0.5, 0.7, 0.9, 0.95, 0.99):
                 sig = PoleConfiguration.one_point(n, r * np.exp(0.7j))
                 basis = malmquist_basis(sig)
-                res = ModelSpace(sig).interp()
+                space = ModelSpace(sig)
                 np.testing.assert_allclose(
-                    res.exact, self._lambda_min_oracle(basis), rtol=1e-12
+                    space.interp().constant, self._lambda_min_oracle(basis), rtol=1e-12
                 )
                 np.testing.assert_allclose(
-                    res.upper_projection, _projection_oracle(basis), rtol=1e-12
+                    space.projection_bound(), _projection_oracle(basis), rtol=1e-12
                 )
 
     def test_matches_min_norm_route(self):
@@ -314,9 +356,9 @@ class TestOnePointInterpRoute:
         for n, r in ((2, 0.5), (6, 0.3 - 0.4j), (12, 0.66)):
             sig = PoleConfiguration.one_point(n, r)
             banded = ModelSpace(sig).interp()
-            assert banded.witness_f is None
+            assert banded.trunc_len == n
             via_basis = interp_from_basis(malmquist_basis(sig))
-            np.testing.assert_allclose(banded.exact, via_basis.exact, rtol=1e-10)
+            np.testing.assert_allclose(banded.constant, via_basis.constant, rtol=1e-10)
 
     def test_single_point_closed_form(self):
         """n = 1 reproduces the kernel quotient to 1e-14 and stays under the
@@ -324,26 +366,32 @@ class TestOnePointInterpRoute:
         not be formed from the rounded r^2."""
         radii = (0.0, 1e-9, 2e-8, 1e-7, 1e-6, 1e-4, 1e-3, 0.25, 0.5, 0.9, 0.999, 0.999999)
         for r in radii + (1.0 - 1e-9,):
-            res = ModelSpace(PoleConfiguration((r * 1j,))).interp()
+            space = ModelSpace(PoleConfiguration((r * 1j,)))
+            res = space.interp()
             np.testing.assert_allclose(
-                res.exact, single_point_closed_form(r), rtol=1e-14
+                res.constant, single_point_closed_form(r), rtol=1e-14
             )
-            assert res.exact <= res.upper_projection, r
+            assert res.constant <= space.projection_bound(), r
 
     def test_reports_operator_size_and_no_witnesses(self):
-        """trunc_len is n, witnesses are None, the residual is certified."""
+        """trunc_len is n, the result holds no witness functions, the
+        residual is certified."""
         res = ModelSpace(PoleConfiguration.one_point(7, 0.6)).interp()
         assert res.trunc_len == 7
-        assert res.witness_f is None and res.witness_g is None
-        assert 0.0 <= res.residual <= 1e-10 * (1.0 + res.exact**2)
+        assert [field.name for field in dataclasses.fields(res)] == [
+            "constant", "extremal", "trunc_len", "residual"
+        ]
+        assert 0.0 <= res.residual <= 1e-10 * (1.0 + res.constant**2)
 
     def test_basis_route_reports_rows_and_witnesses(self):
         """A one-point basis gives the E route, which reports the row count
-        of E and carries witnesses."""
+        of E and gives witnesses on request."""
         basis = malmquist_basis(PoleConfiguration.one_point(3, 0.4))
         res = interp_from_basis(basis)
         assert res.trunc_len == basis.trunc_len > 3
-        assert res.witness_f is not None and res.witness_g is not None
+        same, f, g = interp_witnesses(basis)
+        assert same.constant == res.constant
+        assert f.trunc_len == g.trunc_len == basis.trunc_len
 
     @pytest.mark.parametrize("n", (1, 2, 3, 6, 30, 100))
     def test_bands_match_dense_construction(self, n):
@@ -361,7 +409,7 @@ class TestOnePointInterpRoute:
             want = math.sqrt(np.linalg.eigvalsh(dense)[-1])
             for theta in (0.0, 1.1):
                 res = ModelSpace(PoleConfiguration.one_point(n, r * np.exp(1j * theta))).interp()
-                np.testing.assert_allclose(res.exact, want, rtol=1e-15, atol=0.0)
+                np.testing.assert_allclose(res.constant, want, rtol=1e-15, atol=0.0)
 
     def test_corner_sum_matches_lerch_phi(self):
         """sigma_n = Phi(r^2, 1, n) to 1e-13 relative in both regimes, up to
@@ -388,15 +436,11 @@ class TestBounds:
         for _ in range(8):
             sig = _random_config(rng, int(rng.integers(1, 6)), 0.6)
             space = ModelSpace(sig)
-            res, basis = space.interp(), space.basis
-            assert res.exact <= res.upper_projection + 1e-9
-            np.testing.assert_allclose(
-                res.upper_projection, _projection_oracle(basis), rtol=1e-12
-            )
+            upper, basis = space.projection_bound(), space.basis
+            assert space.interp().constant <= upper + 1e-9
+            np.testing.assert_allclose(upper, _projection_oracle(basis), rtol=1e-12)
             bergman = constant_from_basis(basis, NormKind.BERGMAN).constant
-            np.testing.assert_allclose(
-                res.upper_projection, math.sqrt(bergman**2 + 1.0), rtol=1e-12
-            )
+            np.testing.assert_allclose(upper, math.sqrt(bergman**2 + 1.0), rtol=1e-12)
 
     def test_one_point_bracket(self):
         """eq9 and the proof-step bound sit below exact, which sits below eq10's cap."""
@@ -406,8 +450,8 @@ class TestBounds:
                 eq9 = interp_lower_eq9(n, r)
                 env = theoremB_envelopes(n, r)["eq10"]
                 assert eq9 <= env.lower + 1e-12
-                assert env.lower <= res.exact + 1e-9
-                assert res.exact <= env.upper + 1e-9
+                assert env.lower <= res.constant + 1e-9
+                assert res.constant <= env.upper + 1e-9
 
     def test_lower_bound_needs_two_points(self):
         """n = 1 is refused with a pointer to the single-point closed form."""
@@ -441,7 +485,7 @@ class TestBounds:
         """I sqrt((1-r)/n) stays inside the eq12 rails on a small panel."""
         for n, r in ((2, 0.0), (2, 0.5), (5, 0.3), (8, 0.6)):
             res = ModelSpace(PoleConfiguration.one_point(n, r)).interp()
-            normalized = res.exact * math.sqrt((1.0 - r) / n)
+            normalized = res.constant * math.sqrt((1.0 - r) / n)
             env = theoremB_envelopes(n, r)["eq12"]
             assert env.lower - 1e-9 <= normalized <= env.upper + 1e-9
 
