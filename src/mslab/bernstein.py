@@ -123,7 +123,10 @@ class Constant:
     ``constant`` is the square root of the top eigenvalue; ``extremal``, the
     read-only eigenvector, holds the Malmquist coordinates of a unit-norm f
     attaining it; ``trunc_len`` is the series length behind the Gram (n on
-    the banded route) and ``residual`` the eigenpair's certificate.
+    the banded route) and ``residual`` the eigenpair's certificate.  On the
+    banded route ``extremal`` is the real float64 eigenvector when the
+    centre's angle theta = atan2(Im lam, Re lam) is 0, and complex, turned
+    by e^{-i k theta}, otherwise.
     """
 
     constant: float
@@ -157,7 +160,6 @@ def constant_from_basis(basis: MalmquistBasis, target: NormKind) -> Constant:
     return Constant.from_pair(max_eigenpair(gram_matrix(basis.matrix, w)), basis.trunc_len)
 
 
-_CORNER_CHUNK = 256
 _EPS = float(np.finfo(np.float64).eps)
 
 
@@ -165,8 +167,13 @@ def _corner_sum(n: int, r: float) -> float:
     """sigma_n = sum_{m>=0} r^{2m}/(n+m), the Lerch transcendent
     Phi(r^2, 1, n), to a few units of rounding for every r in [0, 1).
 
-    Where n (1 - r^2) >= 1 or r^2 <= 1/2 the series is summed in chunks
-    until its remainder bound r^{2M}/((n+M)(1-r^2)) drops below rounding.
+    Where n (1 - r^2) >= 1 or r^2 <= 1/2 the series is summed to its first
+    M terms, M the least with r^{2M} <= eps (1 - r^2)/4, in one array: the
+    remainder bound r^{2M}/((n+M)(1-r^2)) is then at most eps/(4n), a
+    quarter unit of rounding of a sum that is at least 1/n.  M is at most
+    56 where r^2 <= 1/2, and at most n log(4n/eps) + 1, a few dozen n, where
+    n (1 - r^2) >= 1 (as -log r^2 >= 1 - r^2 >= 1/n): far below the n^2
+    entries of the Gram it serves.  r = 0 gives 1/n exactly.
     Elsewhere r^{-2n} (-log(1-r^2) - sum_{k<n} r^{2k}/k) is used: there
     r^2 > 1/2, so the logarithm of 1 - r^2 <= 1/2 is well conditioned, and
     r^{2n} >= e^{-3/2} for n >= 2, so the subtraction cancels no more than
@@ -176,14 +183,11 @@ def _corner_sum(n: int, r: float) -> float:
     """
     q = (1.0 - r) * (1.0 + r)
     if n * q >= 1.0 or r * r <= 0.5:
-        parts: list[float] = []
-        m, total = 0, 0.0
-        while m == 0 or r ** (2 * m) / ((n + m) * q) > 0.25 * _EPS * total:
-            idx = np.arange(m, m + _CORNER_CHUNK, dtype=np.float64)
-            parts.append(float(np.sum(np.power(r, 2.0 * idx) / (n + idx))))
-            total += parts[-1]
-            m += _CORNER_CHUNK
-        return math.fsum(parts)
+        M = 1
+        if r > 0.0:
+            M = max(1, math.ceil(math.log(0.25 * _EPS * q) / (2.0 * math.log(r))))
+        m = np.arange(M, dtype=np.float64)
+        return float(np.sum(np.power(r, 2.0 * m) / (n + m)))
     k = np.arange(1, n, dtype=np.float64)
     head = math.fsum(np.power(r, 2.0 * k) / k)
     return (-math.log(q) - head) / r ** (2 * n)

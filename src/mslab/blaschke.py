@@ -129,8 +129,25 @@ class PoleConfiguration:
         return PoleConfiguration(tuple(w * p for p in self.points))
 
     def key(self) -> str:
-        """Canonical text form, parseable back by :func:`parse_sigma_spec`."""
+        """Canonical text form, parseable back by :func:`parse_sigma_spec`.
+
+        A one-point configuration formats its point once and repeats it,
+        unless its points differ in the sign of a zero part, which == does
+        not see (``0,0;-0,0`` is one point); then each point prints its own.
+        """
+        first = self.points[0]
+        if self.is_one_point and _zero_signs_agree(self.points):
+            return ";".join([f"{first.real:.17g},{first.imag:.17g}"] * self.n)
         return ";".join(f"{p.real:.17g},{p.imag:.17g}" for p in self.points)
+
+
+def _zero_signs_agree(points: tuple[complex, ...]) -> bool:
+    """Whether points equal under == also agree in the sign of every zero
+    part, so that they print alike."""
+    first = points[0]
+    if first.real == 0.0 and len({math.copysign(1.0, p.real) for p in points}) > 1:
+        return False
+    return first.imag != 0.0 or len({math.copysign(1.0, p.imag) for p in points}) == 1
 
 
 def blaschke_factor_eval(lam: complex, z: complex) -> complex:

@@ -100,12 +100,14 @@ def max_eigenpair(matrix: np.ndarray) -> Eigenpair:
     near-degeneracy window are broken by the lexicographically largest
     phase-normalized vector.
 
-    Only the members of the top cluster are normalized, all at once: each
-    column is scaled by conj(p)/|p| for its largest-modulus entry p (a sign
-    flip for a real vector), and the tie-break compares the normalized
-    columns entry by entry, real part before imaginary part.  |p| is taken
-    as hypot(Re p, Im p), the scalar ``abs`` of a complex number, so the
-    vector agrees bit for bit with normalizing one column at a time.
+    A simple top, alone in its window (always so at n = 1), takes scalar
+    work on its one column: it is scaled by conj(p)/|p| for its
+    largest-modulus entry p (a sign flip for a real vector).  A cluster of
+    two or more is normalized all at once, the same way column by column,
+    and the tie-break compares the normalized columns entry by entry, real
+    part before imaginary part.  |p| is hypot(Re p, Im p) on both paths, the
+    scalar ``abs`` of a complex number, so the vector agrees bit for bit
+    with normalizing one column at a time.
 
     Raises :class:`CertificationError` when the matrix holds a non-finite
     entry, or when the residual exceeds the near-degeneracy window, i.e. when
@@ -116,23 +118,30 @@ def max_eigenpair(matrix: np.ndarray) -> Eigenpair:
     values, vectors = np.linalg.eigh(matrix)
     top = float(values[-1])
     window = CLUSTER_TOL * (1.0 + abs(top))
-    # The values ascend, so the cluster is a suffix of them.
-    size = int(np.count_nonzero(top - values <= window))
-    cluster, candidates = values[-size:], vectors[:, -size:]
-    # Row j of candidates[rows] is the row of column j's largest-modulus
-    # entry, so its diagonal holds those entries.
-    piv = candidates[np.abs(candidates).argmax(axis=0)].diagonal()
-    if np.iscomplexobj(candidates):
-        candidates = candidates * (piv.conj() / np.hypot(piv.real, piv.imag))
+    if values.size == 1 or top - values[-2] > window:
+        vec = vectors[:, -1]
+        piv = vec[np.abs(vec).argmax()]
+        if np.iscomplexobj(vec):
+            vec = vec * (piv.conjugate() / abs(piv))
+        else:
+            vec = -vec if piv < 0.0 else vec.copy()
+        chosen, cluster = top, (top,)
     else:
-        candidates = candidates * np.copysign(1.0, piv)
-    best = 0
-    if size > 1:
+        # The values ascend, so the cluster is a suffix of them.
+        size = int(np.count_nonzero(top - values <= window))
+        members, candidates = values[-size:], vectors[:, -size:]
+        # Row j of candidates[rows] is the row of column j's largest-modulus
+        # entry, so its diagonal holds those entries.
+        piv = candidates[np.abs(candidates).argmax(axis=0)].diagonal()
+        if np.iscomplexobj(candidates):
+            candidates = candidates * (piv.conj() / np.hypot(piv.real, piv.imag))
+        else:
+            candidates = candidates * np.copysign(1.0, piv)
         # Rows re(v_0), im(v_0), re(v_1), ...; lexsort keys on its last row first.
         keys = np.stack([candidates.real, candidates.imag], axis=1).reshape(-1, size)
         best = int(np.lexsort(keys[::-1])[-1])
-    vec = np.ascontiguousarray(candidates[:, best])
-    chosen = float(cluster[best])
+        vec = np.ascontiguousarray(candidates[:, best])
+        chosen, cluster = float(members[best]), tuple(members[::-1].tolist())
     d = matrix @ vec - chosen * vec
     # The 2-norm summed as numpy.linalg.norm sums it, without its dispatch.
     sq = d.real.dot(d.real) + d.imag.dot(d.imag) if np.iscomplexobj(d) else d.dot(d)
@@ -141,7 +150,7 @@ def max_eigenpair(matrix: np.ndarray) -> Eigenpair:
         raise CertificationError(
             f"eigen-residual {residual:.3e} exceeds the certification window {window:.3e}"
         )
-    return Eigenpair(chosen, vec, residual, tuple(cluster[::-1].tolist()))
+    return Eigenpair(chosen, vec, residual, cluster)
 
 
 def min_norm_solve(

@@ -198,8 +198,12 @@ class ModelSpace:
                 n, lam = self.sigma.n, self.sigma.points[0]
                 pair = _one_point_pair(n, abs(lam), kind)
                 # The pair is for the centre |lam|; back at lam = |lam| e^{i theta},
-                # coordinate k turns by e^{-i k theta}.
-                vec = pair.vector * np.exp(-1j * math.atan2(lam.imag, lam.real) * np.arange(n))
+                # coordinate k turns by e^{-i k theta}.  theta itself is
+                # tested: atan2(0, -0.0) = pi turns a centre -0.0.
+                theta = math.atan2(lam.imag, lam.real)
+                vec = None
+                if theta != 0.0:
+                    vec = pair.vector * np.exp(-1j * theta * np.arange(n))
                 res = Constant.from_pair(pair, n, vec)
             elif kind is NormKind.DIRICHLET:
                 res = interp_from_basis(self.basis)

@@ -250,6 +250,35 @@ class TestOnePointBands:
                 rotated = real.extremal * np.exp(-1j * phase * np.arange(n))
                 np.testing.assert_array_equal(res.extremal, rotated)
 
+    @pytest.mark.parametrize(
+        "kind", (NormKind.BERGMAN, NormKind.HARDY, NormKind.DIRICHLET),
+        ids=("bergman", "hardy", "dirichlet"),
+    )
+    def test_extremal_rotated_only_off_theta_zero(self, kind):
+        """At lam = r the extremal is the real float64 eigenvector of the
+        bands, unrotated; at lam = -r, r e^{1.1i} and -0.0, whose angle
+        atan2(Im lam, Re lam) is not 0, it is that vector turned by
+        e^{-i k theta}.  The constant is the same at every angle."""
+
+        def read(lam):
+            space = ModelSpace(PoleConfiguration.one_point(n, lam))
+            return space.interp() if kind is NormKind.DIRICHLET else space.bernstein(kind)
+
+        for n in (1, 2, 7):
+            for r in (0.0, 0.3, 0.9):
+                pair = bernstein._one_point_pair(n, r, kind)
+                real = read(r)
+                assert real.extremal.dtype == np.float64
+                assert np.array_equal(real.extremal, pair.vector)
+                # r e^{1.1i} is 0j at r = 0, where theta is lost.
+                for lam in (-r, r * np.exp(1.1j)) if r > 0.0 else (-0.0,):
+                    res = read(lam)
+                    theta = math.atan2(complex(lam).imag, complex(lam).real)
+                    assert theta != 0.0 and res.extremal.dtype == np.complex128
+                    rotated = pair.vector * np.exp(-1j * theta * np.arange(n))
+                    assert np.array_equal(res.extremal, rotated)
+                    assert res.constant == real.constant
+
     def test_one_point_route_calls_no_gram_builder(self, monkeypatch):
         """Both one-point constants and I come from their bands alone."""
 

@@ -179,6 +179,28 @@ class TestPoleConfiguration:
         (back,) = parse_sigma_spec(sig.key())
         np.testing.assert_allclose(back.points, sig.points, rtol=0, atol=0)
 
+    def test_one_point_key_matches_per_point_join(self):
+        """A one-point key, its point formatted once, is byte for byte the
+        join of every point, for real, negative, complex and signed-zero
+        centres; points equal under == but differing in the sign of a zero
+        part are one point and still print each its own sign."""
+        centres = tuple(map(complex, (
+            0.3, 0.5, -0.5, 0.1 / 3.0, 0.3 + 0.4j, -0.2 - 0.7j, 0.5j,
+            0j, complex(-0.0, 0.0), complex(0.0, -0.0), complex(-0.0, -0.0),
+            complex(0.5, -0.0), complex(-0.5, -0.0), complex(-0.0, 0.5),
+        )))
+        configs = [PoleConfiguration.one_point(n, lam) for n in (1, 2, 100) for lam in centres]
+        for a in centres:
+            for b in centres:
+                if a == b and repr(a) != repr(b):
+                    for n in (2, 100):
+                        configs.append(PoleConfiguration((a,) * (n - 1) + (b,)))
+        assert sum(len({repr(p) for p in sig.points}) > 1 for sig in configs) == 36
+        for sig in configs:
+            assert sig.is_one_point
+            want = ";".join(f"{p.real:.17g},{p.imag:.17g}" for p in sig.points)
+            assert sig.key() == want
+
 
 class TestBlaschkeEval:
     """Pointwise product values."""

@@ -86,26 +86,34 @@ class TestMaxEigenpair:
         assert pair.value == 5.0
 
     def test_uncertified_residual_rejected(self, monkeypatch):
-        """A top vector whose residual exceeds the cluster window is refused."""
+        """A top vector whose residual exceeds the cluster window is refused,
+        on the scalar path of a simple top (real and complex) and on the
+        tie-break path of a two-member cluster."""
         eigh = np.linalg.eigh
+        simple = np.diag([0.0, 1.0, 5.0])
+        cases = ((simple, 1), (simple.astype(complex), 1), (np.diag([0.0, 5.0, 5.0]), 2))
+        for M, size in cases:
+            assert len(max_eigenpair(M).cluster) == size
 
         def perturbed(entries):
             values, vectors = eigh(entries)
-            vectors[:, -1] += 1e-6 * vectors[:, 0]
+            vectors[:, 1:] += 1e-6 * vectors[:, :1]
             return values, vectors / np.linalg.norm(vectors, axis=0)
 
         monkeypatch.setattr(hermitian.np.linalg, "eigh", perturbed)
-        with pytest.raises(CertificationError, match="eigen-residual"):
-            max_eigenpair(np.diag([0.0, 1.0, 5.0]))
+        for M, _ in cases:
+            with pytest.raises(CertificationError, match="eigen-residual"):
+                max_eigenpair(M)
 
     def test_non_finite_entry_is_certification_failure(self):
         """A Gram holding inf or NaN, the mark of an overflow, is refused as
-        a numerical failure, not as invalid input."""
+        a numerical failure, not as invalid input, at n = 1 too."""
         for bad in (np.inf, np.nan):
             M = np.eye(3)
             M[0, 2] = M[2, 0] = bad
-            with pytest.raises(CertificationError, match="non-finite"):
-                max_eigenpair(M)
+            for entries in (M, M.astype(complex), np.array([[bad]])):
+                with pytest.raises(CertificationError, match="non-finite"):
+                    max_eigenpair(entries)
 
 
 def _loop_top_pair(M):
@@ -203,6 +211,53 @@ class TestEigenpairSelection:
                 A = (Q * spectrum) @ Q.conj().T
             M = (A + A.conj().T) / 2.0
             _assert_same_pair(max_eigenpair(M), M)
+
+
+    def test_simple_top_takes_scalar_path(self, monkeypatch):
+        """A top alone in its window never reaches the tie-break: with lexsort
+        refused, n = 1, real and complex matrices up to d = 40, and a gap one
+        ulp outside the window, in real and complex storage, agree bit for
+        bit with the loop.  The panel holds a top vector whose phase comes
+        out otherwise with math.hypot(Re p, Im p) in place of abs(p), so a
+        phase taken with that hypot would show."""
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("tie-break reached for a simple top")
+
+        rng = np.random.default_rng(9)
+        panel = [np.array([[2.5]]), np.array([[-0.0]]), np.array([[-1.5 + 0j]])]
+        for d in (1, 2, 3, 5, 8, 13, 21, 40):
+            A = rng.normal(size=(d, d))
+            panel.append((A + A.T) / 2.0)
+        # Complex matrices up to d = 40, then more until a top vector whose
+        # phase differs with the two hypots (a few in a thousand do).
+        for trial in range(10000):
+            d = trial % 40 + 1 if trial < 80 else trial % 6 + 1
+            B = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+            panel.append((B + B.conj().T) / 2.0)
+            top = np.linalg.eigh(panel[-1])[1][:, -1]
+            p = top[np.abs(top).argmax()]
+            other = top * (p.conjugate() / math.hypot(p.real, p.imag))
+            if trial >= 80 and not np.array_equal(top * (p.conjugate() / abs(p)), other):
+                break
+        else:
+            pytest.fail("no top vector tells math.hypot from abs")
+        for top in (0.0, 1.0, 3.7, 100.0):
+            window = hermitian.CLUSTER_TOL * (1.0 + top)
+            # The largest value whose gap to the top exceeds the window.
+            val = np.nextafter(top - window, np.inf)
+            while top - val <= window:
+                val = np.nextafter(val, -np.inf)
+            assert top - np.nextafter(val, np.inf) <= window
+            M = np.diag([top - 1.0, val, top])
+            for entries in (M, M.astype(complex)):
+                assert np.linalg.eigh(entries)[0][1] == val
+                panel.append(entries)
+        monkeypatch.setattr(hermitian.np, "lexsort", refuse)
+        for M in panel:
+            pair = max_eigenpair(M)
+            assert pair.cluster == (pair.value,)
+            _assert_same_pair(pair, M)
 
 
 class TestGramMatrix:

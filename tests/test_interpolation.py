@@ -326,6 +326,26 @@ class TestModelSpace:
         assert space.projection_bound() == math.hypot(bergman, 1.0)
 
 
+_SIZED_N = (1, 2, 12, 100, 10**4)
+_SIZED_R = (0.0, 0.01, 0.3, 0.5, 0.7, 0.9)
+
+
+def _chunked_corner_sum(n, r):
+    """sigma_n summed in chunks of 256 terms until the remainder bound
+    r^{2m}/((n+m)(1-r^2)) falls below a quarter unit of rounding of the
+    running total, the chunks added by fsum: the summation the sized corner
+    sum replaced."""
+    q = (1.0 - r) * (1.0 + r)
+    eps = float(np.finfo(np.float64).eps)
+    parts, m, total = [], 0, 0.0
+    while m == 0 or r ** (2 * m) / ((n + m) * q) > 0.25 * eps * total:
+        idx = np.arange(m, m + 256, dtype=np.float64)
+        parts.append(float(np.sum(np.power(r, 2.0 * idx) / (n + idx))))
+        total += parts[-1]
+        m += 256
+    return math.fsum(parts)
+
+
 class TestOnePointInterpRoute:
     """The n x n tridiagonal route against the Malmquist matrix E."""
 
@@ -410,6 +430,25 @@ class TestOnePointInterpRoute:
             for theta in (0.0, 1.1):
                 res = ModelSpace(PoleConfiguration.one_point(n, r * np.exp(1j * theta))).interp()
                 np.testing.assert_allclose(res.constant, want, rtol=1e-15, atol=0.0)
+
+    @pytest.mark.parametrize("n", _SIZED_N)
+    def test_sized_corner_sum_matches_chunked_sum(self, n):
+        """The corner sum, summed to the M terms its remainder bound needs,
+        is within 2 ulp of the 256-term chunked summation it replaces, and
+        exactly 1/n at r = 0."""
+        assert _corner_sum(n, 0.0) == 1.0 / n
+        for r in _SIZED_R:
+            want = _chunked_corner_sum(n, r)
+            assert abs(_corner_sum(n, r) - want) <= 2.0 * math.ulp(want), (n, r)
+
+    @pytest.mark.parametrize("n", _SIZED_N)
+    def test_sized_corner_sum_within_two_ulp_of_lerch_phi(self, n):
+        """The same grid against Phi(r^2, 1, n) at 40 digits."""
+        mpmath = pytest.importorskip("mpmath")
+        mpmath.mp.dps = 40
+        for r in _SIZED_R:
+            want = float(mpmath.lerchphi(mpmath.mpf(r) ** 2, 1, n))
+            assert abs(_corner_sum(n, r) - want) <= 2.0 * math.ulp(want), (n, r)
 
     def test_corner_sum_matches_lerch_phi(self):
         """sigma_n = Phi(r^2, 1, n) to 1e-13 relative in both regimes, up to
