@@ -1,4 +1,5 @@
-"""Derivative-operator constants on model spaces, with bound envelopes.
+"""Derivative-operator constants on model spaces: the one-point banded route,
+with bound envelopes.
 
 For a configuration sigma the constant of interest is the norm of
 differentiation from the model space (Hardy norm on the source) into either
@@ -6,15 +7,9 @@ the Bergman or the Hardy space,
 
     C(sigma, target) = sup { ||f'||_target : f in K_B, ||f||_Hardy <= 1 }.
 
-Since the Malmquist basis is orthonormal in the Hardy pairing, f = E a with
-E the L x n coefficient matrix of the basis has ||f||_Hardy = |a|, while
-
-    ||f'||_Bergman^2 = sum_k k |c_k|^2,    ||f'||_Hardy^2 = sum_k k^2 |c_k|^2
-
-over the coefficients c = E a of f.  The square of the constant is therefore
-exactly the top eigenvalue of E^* diag(w) E with w = k or w = k^2, so the
-computed value is the constant of the finite-dimensional operator itself,
-not an estimate.
+On any configuration it is the top eigenvalue of a weighted Gram of the
+Malmquist coefficient matrix E, the basis route of
+:func:`mslab.interpolation.constant_from_basis`.
 
 On the one-point family sigma = {lam, ..., lam}, lam = r e^{i theta}, where
 the inequality is sharp as n -> infinity and r -> 1, C_B, C_H and the
@@ -51,13 +46,13 @@ j = 0, ..., n-1 and w_{-1} = 0:
     I^2, w_j = d_j/q with          G[j, j]   = w_j + r^2 w_{j-1},
     d = (1, ..., n-1, 1/sigma_n):  G[j, j+1] = -r w_j.
 
-:func:`_one_point_pair` makes the route's one eigen-solve.
-:class:`mslab.interpolation.ModelSpace` takes this route for all three
-constants when sigma is one point, each a :class:`Constant` with
-``trunc_len`` = n, and :func:`asymptotic_ratio_sweep` reads the pair
-directly; :func:`constant_from_basis` returns C_B or C_H as the same
-:class:`Constant` off any built basis, which keeps E the banded route's test
-oracle.
+:func:`_one_point_constant` is the route: one eigen-solve of those bands at
+r = |lam|, its extremal turned back to lam.
+:class:`mslab.interpolation.ModelSpace` takes it for all three constants
+when sigma is one point, each a :class:`Constant` with ``trunc_len`` = n,
+and :func:`asymptotic_ratio_sweep` reads it at the centre r >= 0; the basis
+route returns the same :class:`Constant` off any built basis, which keeps E
+the banded route's test oracle.
 
 The closed-form envelopes bracketing the one-point family, the growth
 comparison for the Hardy target, the audit of a closed form that fails
@@ -74,8 +69,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .blaschke import MalmquistBasis, PoleConfiguration, malmquist_basis
-from .hermitian import Eigenpair, _from_bands, gram_matrix, max_eigenpair
+from .blaschke import PoleConfiguration, malmquist_basis
+from .hermitian import Eigenpair, _from_bands, max_eigenpair
 from .series import (
     NormKind,
     TaylorSeries,
@@ -88,7 +83,6 @@ from .series import (
 __all__ = [
     "BoundEnvelope",
     "Constant",
-    "constant_from_basis",
     "eq4_envelope",
     "z2_upper_hardy",
     "en_prime_bergman_audit",
@@ -151,15 +145,6 @@ def _check_target(target: NormKind) -> None:
         raise ValueError(f"target must be Bergman or Hardy, got {target}")
 
 
-def constant_from_basis(basis: MalmquistBasis, target: NormKind) -> Constant:
-    """Constant of differentiation on an already-built basis: the top
-    eigenpair of E^* diag(w) E, w = k (Bergman) or k^2 (Hardy)."""
-    _check_target(target)
-    k = np.arange(basis.trunc_len, dtype=np.float64)
-    w = k if target is NormKind.BERGMAN else k * k
-    return Constant.from_pair(max_eigenpair(gram_matrix(basis.matrix, w)), basis.trunc_len)
-
-
 _EPS = float(np.finfo(np.float64).eps)
 
 
@@ -219,11 +204,19 @@ def _one_point_bands(n: int, r: float, kind: NormKind) -> tuple[np.ndarray, ...]
     return main, -r * w[:-1]
 
 
-def _one_point_pair(n: int, r: float, kind: NormKind) -> Eigenpair:
-    """Top eigenpair of the one-point Gram of :func:`_one_point_bands`, the
-    banded route's one eigen-solve: its value is C_B^2, C_H^2 or I^2, its
-    vector the extremal coordinates for the centre r >= 0."""
-    return max_eigenpair(_from_bands(*_one_point_bands(n, r, kind)))
+def _one_point_constant(n: int, lam: complex, kind: NormKind) -> Constant:
+    """C_B, C_H or I (``kind`` Bergman, Hardy or Dirichlet) of the one-point
+    space at centre lam = r e^{i theta}: the top eigenpair of the Gram of
+    :func:`_one_point_bands` at r = |lam|, the banded route's one
+    eigen-solve, with coordinate k of its extremal turned by
+    e^{-i k theta}.  theta itself is tested, so a centre on the positive axis
+    keeps the real eigenvector and atan2(0, -0.0) = pi turns a centre -0.0."""
+    pair = max_eigenpair(_from_bands(*_one_point_bands(n, abs(lam), kind)))
+    theta = math.atan2(lam.imag, lam.real)
+    vec = None
+    if theta != 0.0:
+        vec = pair.vector * np.exp(-1j * theta * np.arange(n))
+    return Constant.from_pair(pair, n, vec)
 
 
 def eq4_envelope(n: int, r: float) -> BoundEnvelope:
@@ -444,8 +437,7 @@ def asymptotic_ratio_sweep(
     limit = math.sqrt(q) if bergman else q
     rows = []
     for n in n_list:
-        pair = _one_point_pair(n, r, target)
-        constant = math.sqrt(max(pair.value, 0.0))
-        ratio = constant / (math.sqrt(n) if bergman else n)
-        rows.append(RatioRow(n, constant, ratio, limit, pair.residual))
+        res = _one_point_constant(n, r, target)
+        ratio = res.constant / (math.sqrt(n) if bergman else n)
+        rows.append(RatioRow(n, res.constant, ratio, limit, res.residual))
     return rows

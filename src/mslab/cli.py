@@ -421,7 +421,8 @@ def build_parser() -> argparse.ArgumentParser:
         required=True,
         help=(
             "configuration: 're,im;re,im;...', 'one-point:n=8,r=0.5', or "
-            "'random:n=6,r=0.7,count=3[,seed=1]'"
+            "'random:n=6,r=0.7,count=3[,seed=1]'; a value that starts with '-' "
+            "must be joined to the flag, as in --sigma=-0.5,0"
         ),
     )
     p_bern.add_argument("--target", choices=tuple(_TARGETS), default="both")
@@ -434,7 +435,11 @@ def build_parser() -> argparse.ArgumentParser:
     p_bern.set_defaults(func=cmd_bernstein)
 
     p_interp = sub.add_parser("interp", help="constrained interpolation constants")
-    p_interp.add_argument("--sigma", required=True, help="configuration (same grammar as bernstein)")
+    p_interp.add_argument(
+        "--sigma",
+        required=True,
+        help="configuration, same grammar as bernstein (join a value that starts with '-': --sigma=-0.5,0)",
+    )
     _add_output_options(p_interp)
     p_interp.set_defaults(func=cmd_interp)
 

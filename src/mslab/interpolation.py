@@ -1,4 +1,5 @@
-"""Minimum Dirichlet-norm interpolation constants on disc configurations.
+"""Minimum Dirichlet-norm interpolation constants on disc configurations, and
+the basis route for every constant of a model space.
 
 The object computed exactly here is
 
@@ -10,11 +11,23 @@ derivatives).  Traces on sigma only see the model-space component of f, and
 the orthogonal projection onto the model space is a contraction, so the
 supremum over the Hardy ball equals the supremum over the unit ball of the
 model space; that reduction is implemented through the Malmquist basis and
-property-tested, not assumed.  The minimum-norm interpolant of a fixed trace
-is linear in the trace: with E the L x n Malmquist coefficient matrix and A
-the m x L matrix of trace functionals, one dual-Gram solve with right-hand
-sides A E gives the L x n matrix X of interpolants of all basis elements,
-and I(sigma)^2 is the top eigenvalue of its Dirichlet Gram X^* diag(k+1) X.
+property-tested, not assumed.
+
+The basis route, :func:`constant_from_basis`, reads C_B, C_H (the Bernstein
+constants of :mod:`mslab.bernstein`) and I off the L x n Malmquist
+coefficient matrix E of any configuration.  E is orthonormal in the Hardy
+pairing, so f = E a has ||f||_Hardy = |a|, while over the coefficients
+c = E a of f
+
+    ||f'||_Bergman^2 = sum_k k |c_k|^2,    ||f'||_Hardy^2 = sum_k k^2 |c_k|^2;
+
+C_B^2 and C_H^2 are therefore exactly the top eigenvalue of E^* diag(w) E
+with w = k or w = k^2, the constant of the finite-dimensional operator
+itself, not an estimate.  The minimum-norm interpolant of a fixed trace is
+linear in the trace: with A the m x L matrix of trace functionals, one
+dual-Gram solve with right-hand sides A E gives the L x n matrix X of
+interpolants of all basis elements, and I^2 is the top eigenvalue of its
+Dirichlet Gram X^* diag(k+1) X.
 
 On the one-point family sigma = {lam, ..., lam} the same constant is
 I^2 = 1 / lambda_min of the model space's Bergman Gram, which the disc
@@ -25,10 +38,11 @@ bands, with those of the Bernstein constants, are in :mod:`mslab.bernstein`.
 :class:`ModelSpace` holds one configuration, and only it reads whether sigma
 is one point to pick the route, for the Bernstein constants and I alike;
 each comes back as a :class:`mslab.bernstein.Constant`, whose ``trunc_len``
-is n on the banded route.  :func:`interp_from_basis` takes any built basis,
-which keeps E the banded route's test oracle, and :func:`interp_witnesses`
-gives the witness functions of the same solve on any configuration, one
-point included; nothing else builds them.
+is n on the banded route and L on the basis route.
+:func:`constant_from_basis` takes any built basis, which keeps E the banded
+route's test oracle, and :func:`interp_witnesses` gives the witness
+functions of I's solve on any configuration, one point included; nothing
+else builds them.
 
 :meth:`ModelSpace.projection_bound` is the bound from interpolating by the
 projection itself, sqrt(lambda_max(E^* diag(k+1) E)) = sqrt(C_B^2 + 1) since
@@ -53,20 +67,14 @@ from .blaschke import (
     malmquist_basis,
     multiplicity_groups,
 )
-from .bernstein import (
-    BoundEnvelope,
-    Constant,
-    _check_target,
-    _one_point_pair,
-    constant_from_basis,
-)
+from .bernstein import BoundEnvelope, Constant, _check_target, _one_point_constant
 from .errors import CertificationError
 from .hermitian import Eigenpair, gram_matrix, max_eigenpair, min_norm_solve
 from .series import NormKind, TaylorSeries
 
 __all__ = [
     "ModelSpace",
-    "interp_from_basis",
+    "constant_from_basis",
     "interp_witnesses",
     "interp_lower_eq9",
     "theoremB_test_function",
@@ -137,8 +145,8 @@ def _apply_rows(A: np.ndarray, f: TaylorSeries) -> np.ndarray:
 
 
 def _min_norm_interp(basis: MalmquistBasis) -> tuple[np.ndarray, Eigenpair]:
-    """The L x n interpolants of :func:`interp_from_basis` and the top
-    eigenpair of their Dirichlet Gram."""
+    """The L x n minimum-norm interpolants of all basis elements and the top
+    eigenpair of their Dirichlet Gram (module docstring)."""
     L = basis.trunc_len
     A = _constraint_rows(basis.sigma, L)
     weights = NormKind.DIRICHLET.weights(L)
@@ -146,21 +154,25 @@ def _min_norm_interp(basis: MalmquistBasis) -> tuple[np.ndarray, Eigenpair]:
     return interpolants, max_eigenpair(gram_matrix(interpolants, weights))
 
 
-def interp_from_basis(basis: MalmquistBasis) -> Constant:
-    """Exact interpolation constant on a built Malmquist basis E.
+def constant_from_basis(basis: MalmquistBasis, kind: NormKind) -> Constant:
+    """C_B, C_H or I (``kind`` Bergman, Hardy or Dirichlet) on a built
+    Malmquist basis E, by the basis route of the module docstring.
 
-    Solves the minimum Dirichlet-norm problem for the traces A E of all basis
-    elements in one dual-Gram solve and takes the top eigenvalue of the
-    Dirichlet Gram of the resulting L x n matrix of interpolants.  Raises
-    :class:`CertificationError` for configurations with distinct points
-    closer than 1e-8, derivative functionals that overflow, or
-    ill-conditioned trace systems.
+    For I, raises :class:`CertificationError` for configurations with
+    distinct points closer than 1e-8, derivative functionals that overflow,
+    or ill-conditioned trace systems.
     """
-    return Constant.from_pair(_min_norm_interp(basis)[1], basis.trunc_len)
+    if kind is NormKind.DIRICHLET:
+        pair = _min_norm_interp(basis)[1]
+    else:
+        k = np.arange(basis.trunc_len, dtype=np.float64)
+        w = k if kind is NormKind.BERGMAN else k * k
+        pair = max_eigenpair(gram_matrix(basis.matrix, w))
+    return Constant.from_pair(pair, basis.trunc_len)
 
 
 def interp_witnesses(basis: MalmquistBasis) -> tuple[Constant, TaylorSeries, TaylorSeries]:
-    """The constant of :func:`interp_from_basis` with its witnesses f and g.
+    """I from :func:`constant_from_basis` with its witnesses f and g.
 
     f = E a, a the extremal coordinates, realizes the supremum on the
     model-space ball (unit Hardy norm); g is its minimum Dirichlet-norm
@@ -177,10 +189,11 @@ class ModelSpace:
     """The model space K_B of one configuration and the constants read off it.
 
     Only here does whether ``sigma`` is one point pick the route: one point
-    reads the n x n banded Grams through :func:`mslab.bernstein._one_point_pair`
-    and builds no basis; any other builds E once, on the first read of
-    :attr:`basis`, and every constant shares it.  Each constant is kept per
-    kind: Bergman and Hardy for C_B and C_H, Dirichlet for I.
+    reads the n x n banded Grams through
+    :func:`mslab.bernstein._one_point_constant` and builds no basis; any
+    other builds E once, on the first read of :attr:`basis`, and every
+    constant shares it through :func:`constant_from_basis`.  Each constant
+    is kept per kind: Bergman and Hardy for C_B and C_H, Dirichlet for I.
     """
 
     def __init__(self, sigma: PoleConfiguration) -> None:
@@ -194,22 +207,11 @@ class ModelSpace:
 
     def _constant(self, kind: NormKind) -> Constant:
         if kind not in self._constants:
-            if self.sigma.is_one_point:
-                n, lam = self.sigma.n, self.sigma.points[0]
-                pair = _one_point_pair(n, abs(lam), kind)
-                # The pair is for the centre |lam|; back at lam = |lam| e^{i theta},
-                # coordinate k turns by e^{-i k theta}.  theta itself is
-                # tested: atan2(0, -0.0) = pi turns a centre -0.0.
-                theta = math.atan2(lam.imag, lam.real)
-                vec = None
-                if theta != 0.0:
-                    vec = pair.vector * np.exp(-1j * theta * np.arange(n))
-                res = Constant.from_pair(pair, n, vec)
-            elif kind is NormKind.DIRICHLET:
-                res = interp_from_basis(self.basis)
-            else:
-                res = constant_from_basis(self.basis, kind)
-            self._constants[kind] = res
+            self._constants[kind] = (
+                _one_point_constant(self.sigma.n, self.sigma.points[0], kind)
+                if self.sigma.is_one_point
+                else constant_from_basis(self.basis, kind)
+            )
         return self._constants[kind]
 
     def bernstein(self, target: NormKind) -> Constant:

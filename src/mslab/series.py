@@ -100,12 +100,6 @@ class TaylorSeries:
     def trunc_len(self) -> int:
         return int(self.coeffs.size)
 
-    def __str__(self) -> str:
-        # Debug rendering, one "k: re im" line per stored coefficient.
-        return "\n".join(
-            f"{k}: {c.real:.17g} {c.imag:.17g}" for k, c in enumerate(self.coeffs)
-        )
-
 
 def polynomial(coeffs: np.typing.ArrayLike) -> TaylorSeries:
     """Series holding exactly the given coefficients."""

@@ -368,7 +368,7 @@ def _check_bernstein_hand_values(rng: np.random.Generator) -> tuple[bool, str]:
         # Both routes: the banded one-point operator and the basis matrix E.
         space = ip.ModelSpace(sig)
         banded = space.bernstein(NormKind.BERGMAN).constant
-        via_e = bn.constant_from_basis(space.basis, NormKind.BERGMAN).constant
+        via_e = ip.constant_from_basis(space.basis, NormKind.BERGMAN).constant
         worst = max(worst, abs(banded - expect), abs(via_e - expect))
     return worst <= 1e-9, f"max deviation {worst:.3e}"
 
@@ -437,7 +437,7 @@ def _check_bernstein_member_domination(rng: np.random.Generator) -> tuple[bool, 
     sig = _random_sigma(rng, max_n=6)
     basis = malmquist_basis(sig)
     for target in (NormKind.BERGMAN, NormKind.HARDY):
-        c = bn.constant_from_basis(basis, target).constant
+        c = ip.constant_from_basis(basis, target).constant
         for k in range(sig.n):
             worst = max(worst, norm(differentiate(basis.element(k)), target) - c)
     return worst <= 1e-10, f"max member excess {worst:.3e}"
@@ -481,7 +481,7 @@ def _check_interp_hand_values(rng: np.random.Generator) -> tuple[bool, str]:
         ((0.0, 0.0), math.sqrt(2.0)),
     ):
         space = ip.ModelSpace(PoleConfiguration(points))
-        for res in (space.interp(), ip.interp_from_basis(space.basis)):
+        for res in (space.interp(), ip.constant_from_basis(space.basis, NormKind.DIRICHLET)):
             worst = max(worst, abs(res.constant - expect))
             if space.sigma.n == 2:
                 worst = max(worst, abs(res.constant - space.projection_bound()))
@@ -572,7 +572,7 @@ def _check_interp_envelope_order(rng: np.random.Generator) -> tuple[bool, str]:
     for n in (2, 4, 8, 12):
         for r in (0.0, 0.3, 0.5, 0.7):
             basis = malmquist_basis(PoleConfiguration.one_point(n, r))
-            upper8 = math.hypot(bn.constant_from_basis(basis, NormKind.BERGMAN).constant, 1.0)
+            upper8 = math.hypot(ip.constant_from_basis(basis, NormKind.BERGMAN).constant, 1.0)
             env = ip.theoremB_envelopes(n, r)
             worst = max(worst, upper8 - env["eq10"].upper)
     return worst <= 1e-9, f"max ordering violation {worst:.3e}"

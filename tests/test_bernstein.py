@@ -11,7 +11,6 @@ from mslab import bernstein, blaschke, hermitian, interpolation
 from mslab.bernstein import (
     BoundEnvelope,
     asymptotic_ratio_sweep,
-    constant_from_basis,
     default_alternation_depth,
     en_prime_bergman_audit,
     eq4_envelope,
@@ -21,7 +20,7 @@ from mslab.bernstein import (
 )
 from mslab.blaschke import PoleConfiguration, malmquist_basis
 from mslab.hermitian import gram_matrix
-from mslab.interpolation import ModelSpace
+from mslab.interpolation import ModelSpace, constant_from_basis
 from mslab.series import NormKind, differentiate, norm, norm_sq
 
 
@@ -165,6 +164,10 @@ _BANDED_R = (0.0, 0.1, 0.3, 0.5, 0.7, 0.9, 0.95, 0.99)
 _TARGETS = pytest.mark.parametrize(
     "target", (NormKind.BERGMAN, NormKind.HARDY), ids=("bergman", "hardy")
 )
+_KINDS = pytest.mark.parametrize(
+    "kind", (NormKind.BERGMAN, NormKind.HARDY, NormKind.DIRICHLET),
+    ids=("bergman", "hardy", "dirichlet"),
+)
 
 
 class TestOnePointBandedRoute:
@@ -250,15 +253,13 @@ class TestOnePointBands:
                 rotated = real.extremal * np.exp(-1j * phase * np.arange(n))
                 np.testing.assert_array_equal(res.extremal, rotated)
 
-    @pytest.mark.parametrize(
-        "kind", (NormKind.BERGMAN, NormKind.HARDY, NormKind.DIRICHLET),
-        ids=("bergman", "hardy", "dirichlet"),
-    )
+    @_KINDS
     def test_extremal_rotated_only_off_theta_zero(self, kind):
         """At lam = r the extremal is the real float64 eigenvector of the
         bands, unrotated; at lam = -r, r e^{1.1i} and -0.0, whose angle
         atan2(Im lam, Re lam) is not 0, it is that vector turned by
-        e^{-i k theta}.  The constant is the same at every angle."""
+        e^{-i k theta}.  The constant is the same at every angle, and
+        ``_one_point_constant`` gives ModelSpace's result bit for bit."""
 
         def read(lam):
             space = ModelSpace(PoleConfiguration.one_point(n, lam))
@@ -266,18 +267,28 @@ class TestOnePointBands:
 
         for n in (1, 2, 7):
             for r in (0.0, 0.3, 0.9):
-                pair = bernstein._one_point_pair(n, r, kind)
+                vector = hermitian.max_eigenpair(
+                    hermitian._from_bands(*bernstein._one_point_bands(n, r, kind))
+                ).vector
                 real = read(r)
                 assert real.extremal.dtype == np.float64
-                assert np.array_equal(real.extremal, pair.vector)
+                assert np.array_equal(real.extremal, vector)
                 # r e^{1.1i} is 0j at r = 0, where theta is lost.
                 for lam in (-r, r * np.exp(1.1j)) if r > 0.0 else (-0.0,):
                     res = read(lam)
                     theta = math.atan2(complex(lam).imag, complex(lam).real)
                     assert theta != 0.0 and res.extremal.dtype == np.complex128
-                    rotated = pair.vector * np.exp(-1j * theta * np.arange(n))
+                    rotated = vector * np.exp(-1j * theta * np.arange(n))
                     assert np.array_equal(res.extremal, rotated)
                     assert res.constant == real.constant
+                for lam in (r, -r, r * np.exp(1.1j), -0.0):
+                    direct = bernstein._one_point_constant(n, complex(lam), kind)
+                    res = read(lam)
+                    assert (direct.constant, direct.trunc_len, direct.residual) == (
+                        res.constant, res.trunc_len, res.residual
+                    )
+                    assert direct.extremal.dtype == res.extremal.dtype
+                    assert np.array_equal(direct.extremal, res.extremal)
 
     def test_one_point_route_calls_no_gram_builder(self, monkeypatch):
         """Both one-point constants and I come from their bands alone."""
@@ -285,7 +296,7 @@ class TestOnePointBands:
         def refuse(*args, **kwargs):
             raise AssertionError("gram_matrix called on the one-point route")
 
-        for module in (hermitian, bernstein, interpolation):
+        for module in (hermitian, interpolation):
             monkeypatch.setattr(module, "gram_matrix", refuse)
         for sig in (PoleConfiguration.one_point(7, 0.6), PoleConfiguration.one_point(3, 0.4j)):
             space = ModelSpace(sig)
@@ -334,13 +345,13 @@ class TestOnePointBands:
         """One ModelSpace serving ``bernstein --target both`` and then
         ``interp`` reaches the band reader once for C_B, C_H and I."""
         kinds = []
-        read = interpolation._one_point_pair
+        read = interpolation._one_point_constant
 
-        def counted(n, r, kind):
+        def counted(n, lam, kind):
             kinds.append(kind)
-            return read(n, r, kind)
+            return read(n, lam, kind)
 
-        monkeypatch.setattr(interpolation, "_one_point_pair", counted)
+        monkeypatch.setattr(interpolation, "_one_point_constant", counted)
         space = ModelSpace(PoleConfiguration.one_point(6, 0.5 + 0.2j))
         for target in (NormKind.BERGMAN, NormKind.HARDY):
             space.bernstein(target)

@@ -1,6 +1,7 @@
 """Tests for the command line front end: schemas, exit codes, determinism."""
 
 import argparse
+import ast
 import csv
 import importlib
 import io
@@ -9,6 +10,7 @@ import math
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -278,6 +280,19 @@ class TestBernsteinCommand:
         assert code == 2
         assert "invalid input" in err
 
+    @pytest.mark.parametrize("command", ("bernstein", "interp"))
+    def test_sigma_starting_with_minus_needs_the_joined_form(self, capsys, command):
+        """argparse reads a separate value that starts with '-' (and is not
+        a bare number) as an option, so ``--sigma -0.5,0`` is a usage error;
+        ``--sigma=-0.5,0``, the spelling the help text and README give, runs."""
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--sigma", "-0.5,0"])
+        assert exc.value.code == 2
+        assert "argument --sigma: expected one argument" in capsys.readouterr().err
+        code, out, _ = _run(capsys, [command, "--sigma=-0.5,0"])
+        assert code == 0 and out.startswith(HEADER)
+        assert {row["sigma"] for row in _parse_csv(out)} == {"-0.5,0"}
+
     @pytest.mark.parametrize(
         "argv",
         (["bernstein", "--sigma", "nan,0"], ["interp", "--sigma", "0.3,nan;0.2,0"]),
@@ -318,6 +333,16 @@ class TestInterpCommand:
         assert "certification failure" in err
         assert "overflows at truncation 2432" in err
         assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
+
+    def test_near_coincident_points_exit_three(self, capsys):
+        """Two distinct points 1e-12 apart take the basis route's I, which
+        refuses them: exit 3, nothing on stdout and one line on stderr, with
+        no traceback."""
+        code, out, err = _run(capsys, ["interp", "--sigma=0.3,0;0.300000000001,0"])
+        assert code == 3 and out == ""
+        (line,) = err.splitlines()
+        assert line.startswith("numerical certification failure: distinct points ")
+        assert "closer than 1e-8" in line
 
     def test_formerly_refused_one_point_cells_answer(self, capsys):
         """The banded route answers the one-point inputs the basis route
@@ -585,13 +610,12 @@ class TestOutputPlumbing:
             ],
             "hermitian": ["gram_matrix", "max_eigenpair", "min_norm_solve"],
             "bernstein": [
-                "BoundEnvelope", "Constant", "constant_from_basis",
-                "eq4_envelope", "z2_upper_hardy", "en_prime_bergman_audit",
+                "BoundEnvelope", "Constant", "eq4_envelope", "z2_upper_hardy", "en_prime_bergman_audit",
                 "step2_test_function", "default_alternation_depth",
                 "step2_expansion_check", "asymptotic_ratio_sweep",
             ],
             "interpolation": [
-                "ModelSpace", "interp_from_basis", "interp_witnesses",
+                "ModelSpace", "constant_from_basis", "interp_witnesses",
                 "interp_lower_eq9",
                 "theoremB_test_function", "theoremB_envelopes",
                 "dirichlet_kernel_diag", "single_point_closed_form",
@@ -649,6 +673,54 @@ class TestOutputPlumbing:
         assert main([command, "--sigma", "0.3,0;0.5,0"]) == 3
         err = capsys.readouterr().err
         assert err.splitlines()[-1] == "numerical certification failure: injected"
+
+    def test_package_import_graph_is_acyclic(self):
+        """No mslab module reaches itself through imports, counting those
+        inside functions (``bernstein`` loads ``quadrature`` in
+        ``en_prime_bergman_audit``, ``cli`` loads ``verification`` in
+        ``cmd_verify``) as edges too."""
+        package = Path(mslab.__file__).parent
+        modules = {path.stem for path in package.glob("*.py")}
+        graph = {}
+        for name in modules:
+            tree = ast.parse((package / f"{name}.py").read_text(encoding="utf-8"))
+            edges = set()
+            for node in ast.walk(tree):
+                if isinstance(node, ast.Import):
+                    bases = [alias.name for alias in node.names]
+                elif isinstance(node, ast.ImportFrom):
+                    base = node.module or ""
+                    if node.level:
+                        base = "mslab" + ("." + base if base else "")
+                    bases = [base]
+                    if base == "mslab":  # ``from . import x``: x or a package name
+                        bases = [f"mslab.{alias.name}" for alias in node.names]
+                else:
+                    continue
+                for base in bases:
+                    parts = base.split(".")
+                    if parts[0] == "mslab":
+                        target = parts[1] if len(parts) > 1 else "__init__"
+                        edges.add(target if target in modules else "__init__")
+            graph[name] = edges - {name}
+        assert "quadrature" in graph["bernstein"] and "verification" in graph["cli"]
+
+        state = dict.fromkeys(modules, 0)  # 0 unseen, 1 on the path, 2 done
+        path = []
+
+        def visit(name):
+            state[name] = 1
+            path.append(name)
+            for dep in sorted(graph[name]):
+                assert state[dep] != 1, " -> ".join(path[path.index(dep):] + [dep])
+                if state[dep] == 0:
+                    visit(dep)
+            path.pop()
+            state[name] = 2
+
+        for name in sorted(modules):
+            if state[name] == 0:
+                visit(name)
 
     def test_import_leaves_the_suite_unloaded(self):
         """Importing the CLI loads neither the invariant suite nor the

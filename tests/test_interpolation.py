@@ -7,14 +7,14 @@ import numpy as np
 import pytest
 
 from mslab import bernstein, hermitian, interpolation
-from mslab.bernstein import Constant, _corner_sum, constant_from_basis
+from mslab.bernstein import Constant, _corner_sum
 from mslab.cli import main
 from mslab.errors import CertificationError
 from mslab.hermitian import gram_matrix, min_norm_solve
 from mslab.interpolation import (
     ModelSpace,
+    constant_from_basis,
     dirichlet_kernel_diag,
-    interp_from_basis,
     interp_lower_eq9,
     interp_witnesses,
     single_point_closed_form,
@@ -45,6 +45,17 @@ def _random_config(rng, n, max_r):
     rad = max_r * np.sqrt(rng.uniform(0.0, 1.0, size=n))
     ang = rng.uniform(0.0, 2.0 * np.pi, size=n)
     return PoleConfiguration(tuple(rad * np.exp(1j * ang)))
+
+
+_KINDS = pytest.mark.parametrize(
+    "kind", (NormKind.BERGMAN, NormKind.HARDY, NormKind.DIRICHLET),
+    ids=("bergman", "hardy", "dirichlet"),
+)
+
+
+def _read(space, kind):
+    """The constant of ``kind`` that a ModelSpace serves."""
+    return space.interp() if kind is NormKind.DIRICHLET else space.bernstein(kind)
 
 
 def _projection_oracle(basis):
@@ -277,12 +288,19 @@ class TestModelSpace:
         capsys.readouterr()
         assert counts == {"builds": builds, "solves": 2}
 
-    def test_invalid_target_builds_nothing(self, monkeypatch):
-        """A target other than Bergman or Hardy is refused before any build."""
+    @pytest.mark.parametrize(
+        "sigma", (PoleConfiguration((0.1, 0.2)), PoleConfiguration.one_point(3, 0.4)),
+        ids=("basis", "banded"),
+    )
+    def test_invalid_target_builds_nothing(self, monkeypatch, sigma):
+        """A target other than Bergman or Hardy is refused before any build
+        or solve, on either route."""
         counts = self._count_work(monkeypatch)
+        space = ModelSpace(sigma)
         with pytest.raises(ValueError):
-            ModelSpace(PoleConfiguration((0.1, 0.2))).bernstein(NormKind.DIRICHLET)
+            space.bernstein(NormKind.DIRICHLET)
         assert counts == {"builds": 0, "solves": 0}
+        assert "basis" not in vars(space)
 
     def test_cli_interp_forms_no_witness(self, capsys, monkeypatch):
         """``interp`` on the basis route neither calls ``interp_witnesses``
@@ -302,17 +320,14 @@ class TestModelSpace:
         ids=("banded", "basis"),
     )
     def test_every_reader_returns_a_constant(self, sigma):
-        """``bernstein``, ``interp``, ``constant_from_basis`` and
-        ``interp_from_basis`` all return a Constant with read-only extremal
-        coordinates, both routes give the same extremal up to a phase, and
-        the projection bound is hypot(C_B, 1) bit for bit."""
+        """``bernstein``, ``interp`` and ``constant_from_basis`` of every kind
+        all return a Constant with read-only extremal coordinates, both routes
+        give the same extremal up to a phase, and the projection bound is
+        hypot(C_B, 1) bit for bit."""
         space = ModelSpace(sigma)
         readers = {
-            NormKind.BERGMAN: (space.bernstein(NormKind.BERGMAN),
-                               constant_from_basis(space.basis, NormKind.BERGMAN)),
-            NormKind.HARDY: (space.bernstein(NormKind.HARDY),
-                             constant_from_basis(space.basis, NormKind.HARDY)),
-            NormKind.DIRICHLET: (space.interp(), interp_from_basis(space.basis)),
+            kind: (_read(space, kind), constant_from_basis(space.basis, kind))
+            for kind in (NormKind.BERGMAN, NormKind.HARDY, NormKind.DIRICHLET)
         }
         for kind, pair in readers.items():
             for res in pair:
@@ -370,14 +385,15 @@ class TestOnePointInterpRoute:
                     space.projection_bound(), _projection_oracle(basis), rtol=1e-12
                 )
 
-    def test_matches_min_norm_route(self):
+    @_KINDS
+    def test_matches_min_norm_route(self, kind):
         """A one-point ModelSpace takes the banded route and agrees with the
-        E route."""
+        E route of the same kind (min-norm for I)."""
         for n, r in ((2, 0.5), (6, 0.3 - 0.4j), (12, 0.66)):
             sig = PoleConfiguration.one_point(n, r)
-            banded = ModelSpace(sig).interp()
+            banded = _read(ModelSpace(sig), kind)
             assert banded.trunc_len == n
-            via_basis = interp_from_basis(malmquist_basis(sig))
+            via_basis = constant_from_basis(malmquist_basis(sig), kind)
             np.testing.assert_allclose(banded.constant, via_basis.constant, rtol=1e-10)
 
     def test_single_point_closed_form(self):
@@ -403,15 +419,17 @@ class TestOnePointInterpRoute:
         ]
         assert 0.0 <= res.residual <= 1e-10 * (1.0 + res.constant**2)
 
-    def test_basis_route_reports_rows_and_witnesses(self):
-        """A one-point basis gives the E route, which reports the row count
-        of E and gives witnesses on request."""
+    @_KINDS
+    def test_basis_route_reports_rows_and_witnesses(self, kind):
+        """A one-point basis gives the E route for every kind, which reports
+        the row count of E; for I it gives witnesses on request."""
         basis = malmquist_basis(PoleConfiguration.one_point(3, 0.4))
-        res = interp_from_basis(basis)
+        res = constant_from_basis(basis, kind)
         assert res.trunc_len == basis.trunc_len > 3
-        same, f, g = interp_witnesses(basis)
-        assert same.constant == res.constant
-        assert f.trunc_len == g.trunc_len == basis.trunc_len
+        if kind is NormKind.DIRICHLET:
+            same, f, g = interp_witnesses(basis)
+            assert same.constant == res.constant
+            assert f.trunc_len == g.trunc_len == basis.trunc_len
 
     @pytest.mark.parametrize("n", (1, 2, 3, 6, 30, 100))
     def test_bands_match_dense_construction(self, n):
