@@ -5,12 +5,11 @@ Hermitian Grams.  Their spectra come from LAPACK through
 ``numpy.linalg.eigh``/``eigvalsh``; the solver's accuracy is not taken on
 trust.  The reported top pair carries its residual ||M v - lambda v||, and by
 Weyl's inequality some eigenvalue of M lies within that residual of lambda,
-so a residual above the near-degeneracy window is a certification failure.
-Determinism comes from the fixed LAPACK call, phase normalization of the
-vector and a lexicographic tie-break inside the top cluster.  Matrices are
-plain arrays: :func:`gram_matrix` returns its Gram already symmetrized, and a
-non-finite entry, the mark of an overflow upstream, is a certification
-failure of :func:`max_eigenpair`.
+so a residual above the certification window is a certification failure.
+Determinism comes from the fixed LAPACK call and phase normalization of the
+vector.  Matrices are plain arrays: :func:`gram_matrix` returns its Gram
+already symmetrized, and a non-finite entry, the mark of an overflow
+upstream, is a certification failure of :func:`max_eigenpair`.
 
 Weighted minimum-norm interpolation, minimize sum w_k |c_k|^2 subject to
 A c = b for an m x L functional matrix A, is solved through the dual Gram
@@ -34,24 +33,19 @@ __all__ = [
     "min_norm_solve",
 ]
 
-CLUSTER_TOL = 1e-10
+RESIDUAL_TOL = 1e-10
 CONDITION_LIMIT = 1e12
 
 
 @dataclass(frozen=True)
 class Eigenpair:
-    """Largest eigenvalue with phase-normalized vector and certified residual.
-
-    ``cluster`` lists every eigenvalue within the near-degeneracy window of
-    the top one, the top value included.  ``residual`` is
-    ||M v - value v|| for the unit vector v; by Weyl's inequality some
-    eigenvalue of M lies within ``residual`` of ``value``.
-    """
+    """Top eigenvalue, its phase-normalized unit vector v and the residual
+    ||M v - value v||; by Weyl's inequality some eigenvalue of M lies within
+    ``residual`` of ``value``."""
 
     value: float
     vector: np.ndarray
     residual: float
-    cluster: tuple[float, ...]
 
 
 def gram_matrix(coeffs: np.ndarray, weights: np.ndarray) -> np.ndarray:
@@ -96,53 +90,27 @@ def _from_bands(*bands: np.ndarray) -> np.ndarray:
 
 
 def max_eigenpair(matrix: np.ndarray) -> Eigenpair:
-    """Largest eigenpair of a Hermitian array; ties within the
-    near-degeneracy window are broken by the lexicographically largest
-    phase-normalized vector.
+    """Largest eigenpair of a Hermitian array.
 
-    A simple top, alone in its window (always so at n = 1), takes scalar
-    work on its one column: it is scaled by conj(p)/|p| for its
-    largest-modulus entry p (a sign flip for a real vector).  A cluster of
-    two or more is normalized all at once, the same way column by column,
-    and the tie-break compares the normalized columns entry by entry, real
-    part before imaginary part.  |p| is hypot(Re p, Im p) on both paths, the
-    scalar ``abs`` of a complex number, so the vector agrees bit for bit
-    with normalizing one column at a time.
+    The top column of ``eigh`` is scaled by conj(p)/|p| for its
+    largest-modulus entry p (a sign flip for a real vector).  A repeated top
+    keeps LAPACK's column in its eigenspace, certified like any other.
 
     Raises :class:`CertificationError` when the matrix holds a non-finite
-    entry, or when the residual exceeds the near-degeneracy window, i.e. when
-    the pair is not certified to that accuracy.
+    entry, or when the residual exceeds the window RESIDUAL_TOL (1 + |value|).
     """
     if not np.isfinite(matrix).all():
         raise CertificationError("Hermitian matrix has non-finite entries (overflow)")
     values, vectors = np.linalg.eigh(matrix)
     top = float(values[-1])
-    window = CLUSTER_TOL * (1.0 + abs(top))
-    if values.size == 1 or top - values[-2] > window:
-        vec = vectors[:, -1]
-        piv = vec[np.abs(vec).argmax()]
-        if np.iscomplexobj(vec):
-            vec = vec * (piv.conjugate() / abs(piv))
-        else:
-            vec = -vec if piv < 0.0 else vec.copy()
-        chosen, cluster = top, (top,)
+    window = RESIDUAL_TOL * (1.0 + abs(top))
+    vec = vectors[:, -1]
+    piv = vec[np.abs(vec).argmax()]
+    if np.iscomplexobj(vec):
+        vec = vec * (piv.conjugate() / abs(piv))
     else:
-        # The values ascend, so the cluster is a suffix of them.
-        size = int(np.count_nonzero(top - values <= window))
-        members, candidates = values[-size:], vectors[:, -size:]
-        # Row j of candidates[rows] is the row of column j's largest-modulus
-        # entry, so its diagonal holds those entries.
-        piv = candidates[np.abs(candidates).argmax(axis=0)].diagonal()
-        if np.iscomplexobj(candidates):
-            candidates = candidates * (piv.conj() / np.hypot(piv.real, piv.imag))
-        else:
-            candidates = candidates * np.copysign(1.0, piv)
-        # Rows re(v_0), im(v_0), re(v_1), ...; lexsort keys on its last row first.
-        keys = np.stack([candidates.real, candidates.imag], axis=1).reshape(-1, size)
-        best = int(np.lexsort(keys[::-1])[-1])
-        vec = np.ascontiguousarray(candidates[:, best])
-        chosen, cluster = float(members[best]), tuple(members[::-1].tolist())
-    d = matrix @ vec - chosen * vec
+        vec = -vec if piv < 0.0 else vec.copy()
+    d = matrix @ vec - top * vec
     # The 2-norm summed as numpy.linalg.norm sums it, without its dispatch.
     sq = d.real.dot(d.real) + d.imag.dot(d.imag) if np.iscomplexobj(d) else d.dot(d)
     residual = math.sqrt(sq)
@@ -150,7 +118,7 @@ def max_eigenpair(matrix: np.ndarray) -> Eigenpair:
         raise CertificationError(
             f"eigen-residual {residual:.3e} exceeds the certification window {window:.3e}"
         )
-    return Eigenpair(chosen, vec, residual, cluster)
+    return Eigenpair(top, vec, residual)
 
 
 def min_norm_solve(

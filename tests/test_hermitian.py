@@ -6,8 +6,11 @@ import numpy as np
 import pytest
 
 from mslab import hermitian
+from mslab.bernstein import _one_point_bands
+from mslab.blaschke import malmquist_basis, parse_sigma_spec
 from mslab.errors import CertificationError
-from mslab.hermitian import gram_matrix, max_eigenpair, min_norm_solve
+from mslab.hermitian import _from_bands, gram_matrix, max_eigenpair, min_norm_solve
+from mslab.interpolation import _min_norm_interp
 from mslab.series import NormKind
 
 
@@ -16,11 +19,8 @@ def _random_hermitian(rng, d):
     return (A + A.conj().T) / 2.0
 
 
-class TestJacobiEigh:
-    """Spectrum of dense Hermitian matrices through eigvalsh/max_eigenpair.
-
-    The class keeps its name so the test ids stay stable.
-    """
+class TestEigh:
+    """Spectrum of dense Hermitian matrices through eigvalsh/max_eigenpair."""
 
     def test_tridiagonal_closed_form(self):
         """The 3x3 second-difference matrix has eigenvalues 2 and 2 +- sqrt(2)."""
@@ -73,27 +73,33 @@ class TestMaxEigenpair:
         assert gap <= pair.residual + 1e-13
         np.testing.assert_allclose(np.linalg.norm(pair.vector), 1.0, rtol=1e-13)
 
-    def test_degenerate_top_reports_cluster(self):
-        """A repeated top eigenvalue is surfaced through the cluster field."""
-        pair = max_eigenpair(np.eye(4))
-        assert len(pair.cluster) == 4
-        np.testing.assert_allclose(pair.cluster, [1.0] * 4)
-
-    def test_simple_top_has_singleton_cluster(self):
-        """A well-separated top eigenvalue stands alone."""
-        pair = max_eigenpair(np.diag([0.0, 1.0, 5.0]))
-        assert pair.cluster == (5.0,)
-        assert pair.value == 5.0
+    def test_simple_and_repeated_tops_are_certified(self):
+        """A simple, a repeated and a nearly repeated top take one path: the
+        value is the top eigenvalue to the bit, the unit vector has a real
+        positive pivot, and its residual bounds ||M v - value v|| inside the
+        window."""
+        rng = np.random.default_rng(21)
+        Q, _ = np.linalg.qr(rng.normal(size=(5, 5)) + 1j * rng.normal(size=(5, 5)))
+        near = (Q * np.array([0.1, 0.4, 0.7, 2.0, 2.0 + 3e-11])) @ Q.conj().T
+        near = (near + near.conj().T) / 2.0
+        for M in (np.diag([0.0, 1.0, 5.0]), np.eye(4), np.diag([0.0, 5.0, 5.0]), near):
+            pair = max_eigenpair(M)
+            assert pair.value == np.linalg.eigvalsh(M)[-1]
+            v = pair.vector
+            assert np.linalg.norm(M @ v - pair.value * v) <= pair.residual + 1e-15
+            assert pair.residual <= hermitian.RESIDUAL_TOL * (1.0 + abs(pair.value))
+            np.testing.assert_allclose(np.linalg.norm(v), 1.0, rtol=1e-14)
+            piv = v[int(np.argmax(np.abs(v)))]
+            assert abs(piv.imag) <= 1e-15 and piv.real > 0.0
 
     def test_uncertified_residual_rejected(self, monkeypatch):
-        """A top vector whose residual exceeds the cluster window is refused,
-        on the scalar path of a simple top (real and complex) and on the
-        tie-break path of a two-member cluster."""
+        """A top vector whose residual exceeds the certification window is
+        refused, for a simple top (real and complex) and a repeated one."""
         eigh = np.linalg.eigh
         simple = np.diag([0.0, 1.0, 5.0])
-        cases = ((simple, 1), (simple.astype(complex), 1), (np.diag([0.0, 5.0, 5.0]), 2))
-        for M, size in cases:
-            assert len(max_eigenpair(M).cluster) == size
+        cases = (simple, simple.astype(complex), np.diag([0.0, 5.0, 5.0]))
+        for M in cases:
+            max_eigenpair(M)
 
         def perturbed(entries):
             values, vectors = eigh(entries)
@@ -101,7 +107,7 @@ class TestMaxEigenpair:
             return values, vectors / np.linalg.norm(vectors, axis=0)
 
         monkeypatch.setattr(hermitian.np.linalg, "eigh", perturbed)
-        for M, _ in cases:
+        for M in cases:
             with pytest.raises(CertificationError, match="eigen-residual"):
                 max_eigenpair(M)
 
@@ -117,75 +123,28 @@ class TestMaxEigenpair:
 
 
 def _loop_top_pair(M):
-    """The top cluster, chosen vector and value by one Python step per
-    eigenvalue, as ``max_eigenpair`` first computed them: the reference its
-    vectorized form must reproduce bit for bit."""
+    """The top eigenvalue and its column scaled by conj(p)/abs(p), p the
+    column's largest-modulus entry, one plain step at a time: the reference
+    ``max_eigenpair`` must reproduce bit for bit."""
     values, vectors = np.linalg.eigh(M)
-    top = float(values[-1])
-    window = hermitian.CLUSTER_TOL * (1.0 + abs(top))
-    members = [i for i, val in enumerate(values) if top - float(val) <= window]
-    candidates = []
-    for i in members:
-        v = vectors[:, i]
-        piv = v[int(np.argmax(np.abs(v)))]
-        candidates.append(v * (np.conj(piv) / abs(piv)))
-
-    def lex_key(j):
-        return tuple(x for c in candidates[j] for x in (float(np.real(c)), float(np.imag(c))))
-
-    best = max(range(len(candidates)), key=lex_key)
-    cluster = tuple(float(values[i]) for i in reversed(members))
-    return float(values[members[best]]), candidates[best], cluster
+    v = vectors[:, -1]
+    piv = v[int(np.argmax(np.abs(v)))]
+    return float(values[-1]), v * (np.conj(piv) / abs(piv))
 
 
 def _assert_same_pair(pair, M):
-    value, vector, cluster = _loop_top_pair(M)
-    assert pair.value == value and pair.cluster == cluster
+    value, vector = _loop_top_pair(M)
+    assert pair.value == value
     assert pair.vector.dtype == vector.dtype
     assert np.array_equal(pair.vector, vector)
 
 
 class TestEigenpairSelection:
-    """The vectorized cluster, phase and tie-break pinned to the per-eigenvalue
-    loop they replace."""
-
-    def test_window_edge_membership(self):
-        """An eigenvalue at, just inside and just outside the window edge is a
-        member exactly when top - value <= window.  At top = 0 the gap meets
-        the window to the last bit; at the other tops some value sits where
-        value >= top - window, rounded the other way, would disagree."""
-        seen = set()
-        for top in (0.0, 1.0, 3.7, 100.0):
-            window = hermitian.CLUSTER_TOL * (1.0 + top)
-            for steps in range(-3, 4):
-                val = top - window
-                for _ in range(abs(steps)):
-                    val = np.nextafter(val, np.inf if steps > 0 else -np.inf)
-                M = np.diag([top - 1.0, val, top])
-                gap = top - np.linalg.eigh(M)[0][1]
-                inside = bool(gap <= window)
-                seen.add(("inside" if inside else "outside", gap == window))
-                if inside != bool(val >= top - window):
-                    seen.add("rounding")
-                pair = max_eigenpair(M)
-                assert len(pair.cluster) == (2 if inside else 1)
-                _assert_same_pair(pair, M)
-        assert {("inside", True), ("inside", False), ("outside", False), "rounding"} <= seen
-
-    def test_two_member_cluster_keeps_tie_break_and_order(self):
-        """Two eigenvalues within the window: the lexicographically largest
-        phase-normalized vector wins and the cluster is listed descending."""
-        rng = np.random.default_rng(21)
-        Q, _ = np.linalg.qr(rng.normal(size=(5, 5)) + 1j * rng.normal(size=(5, 5)))
-        M = (Q * np.array([0.1, 0.4, 0.7, 2.0, 2.0 + 3e-11])) @ Q.conj().T
-        M = (M + M.conj().T) / 2.0
-        pair = max_eigenpair(M)
-        assert len(pair.cluster) == 2 and pair.cluster[0] >= pair.cluster[1]
-        _assert_same_pair(pair, M)
+    """The phase normalization pinned to a plain reference."""
 
     def test_real_input_gives_real_vector_with_positive_pivot(self):
         """A real symmetric matrix returns a float64 vector whose largest
-        entry is positive, equal to the one-column-at-a-time normalization."""
+        entry is positive, equal to the reference normalization."""
         rng = np.random.default_rng(8)
         for d in (1, 2, 5, 12):
             A = rng.normal(size=(d, d))
@@ -197,7 +156,7 @@ class TestEigenpairSelection:
 
     def test_random_panel_matches_loop(self):
         """Random real and complex matrices, with and without a repeated top
-        eigenvalue, agree bit for bit with the loop."""
+        eigenvalue, agree bit for bit with the reference."""
         rng = np.random.default_rng(3)
         for trial in range(60):
             d = int(rng.integers(1, 9))
@@ -212,52 +171,72 @@ class TestEigenpairSelection:
             M = (A + A.conj().T) / 2.0
             _assert_same_pair(max_eigenpair(M), M)
 
-
-    def test_simple_top_takes_scalar_path(self, monkeypatch):
-        """A top alone in its window never reaches the tie-break: with lexsort
-        refused, n = 1, real and complex matrices up to d = 40, and a gap one
-        ulp outside the window, in real and complex storage, agree bit for
-        bit with the loop.  The panel holds a top vector whose phase comes
-        out otherwise with math.hypot(Re p, Im p) in place of abs(p), so a
-        phase taken with that hypot would show."""
-
-        def refuse(*args, **kwargs):
-            raise AssertionError("tie-break reached for a simple top")
-
+    def test_small_and_large_panels_match_loop(self):
+        """n = 1 (a zero of either sign and a complex entry), real matrices
+        up to d = 40 and complex ones up to d = 40 agree bit for bit with the
+        reference."""
         rng = np.random.default_rng(9)
         panel = [np.array([[2.5]]), np.array([[-0.0]]), np.array([[-1.5 + 0j]])]
         for d in (1, 2, 3, 5, 8, 13, 21, 40):
             A = rng.normal(size=(d, d))
             panel.append((A + A.T) / 2.0)
-        # Complex matrices up to d = 40, then more until a top vector whose
-        # phase differs with the two hypots (a few in a thousand do).
-        for trial in range(10000):
-            d = trial % 40 + 1 if trial < 80 else trial % 6 + 1
+        for d in range(1, 41):
             B = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
             panel.append((B + B.conj().T) / 2.0)
-            top = np.linalg.eigh(panel[-1])[1][:, -1]
-            p = top[np.abs(top).argmax()]
-            other = top * (p.conjugate() / math.hypot(p.real, p.imag))
-            if trial >= 80 and not np.array_equal(top * (p.conjugate() / abs(p)), other):
-                break
-        else:
-            pytest.fail("no top vector tells math.hypot from abs")
-        for top in (0.0, 1.0, 3.7, 100.0):
-            window = hermitian.CLUSTER_TOL * (1.0 + top)
-            # The largest value whose gap to the top exceeds the window.
-            val = np.nextafter(top - window, np.inf)
-            while top - val <= window:
-                val = np.nextafter(val, -np.inf)
-            assert top - np.nextafter(val, np.inf) <= window
-            M = np.diag([top - 1.0, val, top])
-            for entries in (M, M.astype(complex)):
-                assert np.linalg.eigh(entries)[0][1] == val
-                panel.append(entries)
-        monkeypatch.setattr(hermitian.np, "lexsort", refuse)
         for M in panel:
-            pair = max_eigenpair(M)
-            assert pair.cluster == (pair.value,)
-            _assert_same_pair(pair, M)
+            _assert_same_pair(max_eigenpair(M), M)
+
+
+def _relative_top_gap(M):
+    values = np.linalg.eigvalsh(M)
+    return (values[-1] - values[-2]) / (1.0 + abs(values[-1]))
+
+
+class TestConstantGramsHaveSimpleTop:
+    """Every Gram whose top eigenvalue is a constant of the laboratory has a
+    simple top, well clear of the certification window: the one top column
+    of ``max_eigenpair`` is then the extremal, unique up to phase.  The
+    relative gap (lambda_1 - lambda_2)/(1 + |lambda_1|) measured here is also
+    the one a gap-based error bound on the top eigenvalue would read."""
+
+    FLOOR = 1e-3
+
+    def test_one_point_bands(self):
+        """C_B, C_H and I on the banded route, n up to 200 and r up to 0.999.
+        The least gap, 1/(n+1) at r = 0 where the I Gram is diag(1..n), sits
+        at n = 200."""
+        gaps = {}
+        for kind in (NormKind.BERGMAN, NormKind.HARDY, NormKind.DIRICHLET):
+            for n in (2, 5, 12, 40, 200):
+                for r in (0.0, 0.5, 0.9, 0.99, 0.999):
+                    M = _from_bands(*_one_point_bands(n, r, kind))
+                    gaps[kind, n, r] = _relative_top_gap(M)
+        assert min(gaps.values()) >= self.FLOOR
+        np.testing.assert_allclose(gaps[NormKind.DIRICHLET, 200, 0.0], 1.0 / 201.0, rtol=1e-12)
+
+    def test_basis_route(self):
+        """C_B and C_H from the Gram of E, and I from the Dirichlet Gram of
+        the minimum-norm interpolants, on seeded random configurations, a
+        double point beside a simple one and four points at the origin."""
+        sigmas = [
+            *parse_sigma_spec("random:n=3,r=0.5,count=3,seed=1"),
+            *parse_sigma_spec("random:n=5,r=0.8,count=3,seed=2"),
+            *parse_sigma_spec("random:n=8,r=0.9,count=3,seed=3"),
+            *parse_sigma_spec("random:n=12,r=0.98,count=2,seed=4"),
+            *parse_sigma_spec("0.3,0;0.3,0;-0.2,0.4"),
+            *parse_sigma_spec("0,0;0,0;0,0;0,0"),
+        ]
+        for sigma in sigmas:
+            basis = malmquist_basis(sigma)
+            k = np.arange(basis.trunc_len, dtype=np.float64)
+            interpolants = _min_norm_interp(basis)[0]
+            grams = (
+                gram_matrix(basis.matrix, k),
+                gram_matrix(basis.matrix, k * k),
+                gram_matrix(interpolants, NormKind.DIRICHLET.weights(basis.trunc_len)),
+            )
+            for M in grams:
+                assert _relative_top_gap(M) >= self.FLOOR, sigma.key()
 
 
 class TestGramMatrix:

@@ -463,25 +463,25 @@ class TestOnePointInterpRoute:
     def test_sized_corner_sum_within_two_ulp_of_lerch_phi(self, n):
         """The same grid against Phi(r^2, 1, n) at 40 digits."""
         mpmath = pytest.importorskip("mpmath")
-        mpmath.mp.dps = 40
-        for r in _SIZED_R:
-            want = float(mpmath.lerchphi(mpmath.mpf(r) ** 2, 1, n))
-            assert abs(_corner_sum(n, r) - want) <= 2.0 * math.ulp(want), (n, r)
+        with mpmath.workdps(40):
+            for r in _SIZED_R:
+                want = float(mpmath.lerchphi(mpmath.mpf(r) ** 2, 1, n))
+                assert abs(_corner_sum(n, r) - want) <= 2.0 * math.ulp(want), (n, r)
 
     def test_corner_sum_matches_lerch_phi(self):
         """sigma_n = Phi(r^2, 1, n) to 1e-13 relative in both regimes, up to
         the last double below one and n = 10^5."""
         mpmath = pytest.importorskip("mpmath")
-        mpmath.mp.dps = 40
         cases = [(n, r) for n in (1, 3, 100) for r in (0.0, 0.1, 0.5, 0.9, 0.99)]
         # n (1 - r^2) on both sides of 1 at n = 10^5, and r one ulp below 1.
         cases += [(10**5, r) for r in (0.999, 0.99999, 0.999995, 0.9999999999999999)]
         cases += [(1, r) for r in (1e-9, 2e-8, 1e-7, 1e-6, 1e-4, 1e-3)]
         cases += [(2, 0.9999999999999999)]
-        for n, r in cases:
-            want = mpmath.lerchphi(mpmath.mpf(r) ** 2, 1, n)
-            got = _corner_sum(n, r)
-            assert abs(got - want) <= 1e-13 * want, (n, r, got, float(want))
+        with mpmath.workdps(40):
+            for n, r in cases:
+                want = mpmath.lerchphi(mpmath.mpf(r) ** 2, 1, n)
+                got = _corner_sum(n, r)
+                assert abs(got - want) <= 1e-13 * want, (n, r, got, float(want))
 
 
 class TestBounds:
