@@ -186,6 +186,39 @@ class TestEigenpairSelection:
         for M in panel:
             _assert_same_pair(max_eigenpair(M), M)
 
+    def test_near_repeated_top_matches_loop(self):
+        """Two top eigenvalues 3e-11 apart, inside the certification window,
+        and an exactly repeated top: the top column is taken and normalized
+        bit for bit as the reference does, with no choice between the two."""
+        rng = np.random.default_rng(21)
+        Q, _ = np.linalg.qr(rng.normal(size=(5, 5)) + 1j * rng.normal(size=(5, 5)))
+        for spectrum in ([0.1, 0.4, 0.7, 2.0, 2.0 + 3e-11], [0.1, 0.4, 0.7, 2.0, 2.0]):
+            M = (Q * np.array(spectrum)) @ Q.conj().T
+            M = (M + M.conj().T) / 2.0
+            values = np.linalg.eigvalsh(M)
+            assert values[-1] - values[-2] <= hermitian.RESIDUAL_TOL * (1.0 + abs(values[-1]))
+            _assert_same_pair(max_eigenpair(M), M)
+
+    def test_phase_divides_by_abs_not_hypot(self):
+        """The phase factor is conj(p)/abs(p).  The panel holds a complex top
+        vector whose phase comes out otherwise with math.hypot(Re p, Im p) in
+        place of abs(p), so a phase taken with that hypot would show."""
+        rng = np.random.default_rng(9)
+        for trial in range(10000):
+            d = trial % 6 + 1
+            B = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+            M = (B + B.conj().T) / 2.0
+            top = np.linalg.eigh(M)[1][:, -1]
+            p = top[np.abs(top).argmax()]
+            other = top * (p.conjugate() / math.hypot(p.real, p.imag))
+            if not np.array_equal(top * (p.conjugate() / abs(p)), other):
+                break
+        else:
+            pytest.fail("no top vector tells math.hypot from abs")
+        pair = max_eigenpair(M)
+        _assert_same_pair(pair, M)
+        assert not np.array_equal(pair.vector, other)
+
 
 def _relative_top_gap(M):
     values = np.linalg.eigvalsh(M)
