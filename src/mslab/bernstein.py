@@ -7,9 +7,14 @@ the Bergman or the Hardy space,
 
     C(sigma, target) = sup { ||f'||_target : f in K_B, ||f||_Hardy <= 1 }.
 
-On any configuration it is the top eigenvalue of a weighted Gram of the
+On any configuration C^2 is the top eigenvalue of a weighted Gram of the
 Malmquist coefficient matrix E, the basis route of
-:func:`mslab.interpolation.constant_from_basis`.
+:func:`mslab.interpolation.constant_from_basis`.  The same n x n Grams
+solve two Stein equations on the compressed shift, W - A W A^* = A A^* for
+C_B^2 and V - A V A^* = 2 W - A A^* for C_H^2 (:mod:`mslab.blaschke`),
+which need no E, no truncation and no tail: the Stein route, taken by
+:class:`mslab.interpolation.ModelSpace` wherever E would need many rows per
+point.
 
 On the one-point family sigma = {lam, ..., lam}, lam = r e^{i theta}, where
 the inequality is sharp as n -> infinity and r -> 1, C_B, C_H and the
@@ -52,7 +57,7 @@ r = |lam|, its extremal turned back to lam.
 when sigma is one point, each a :class:`Constant` with ``trunc_len`` = n,
 and :func:`asymptotic_ratio_sweep` reads it at the centre r >= 0; the basis
 route returns the same :class:`Constant` off any built basis, which keeps E
-the banded route's test oracle.
+the test oracle of the banded and Stein routes.
 
 The closed-form envelopes bracketing the one-point family, the growth
 comparison for the Hardy target, the audit of a closed form that fails
@@ -116,8 +121,10 @@ class Constant:
 
     ``constant`` is the square root of the top eigenvalue; ``extremal``, the
     read-only eigenvector, holds the Malmquist coordinates of a unit-norm f
-    attaining it; ``trunc_len`` is the series length behind the Gram (n on
-    the banded route) and ``residual`` the eigenpair's certificate.  On the
+    attaining it; ``trunc_len`` is the series length behind the Gram: the
+    row count L of E on the basis route, and n on the banded and Stein
+    routes, which truncate no series; ``residual`` is the eigenpair's
+    certificate.  On the
     banded route ``extremal`` is the real float64 eigenvector when the
     centre's angle theta = atan2(Im lam, Re lam) is 0, and complex, turned
     by e^{-i k theta}, otherwise.

@@ -49,6 +49,21 @@ against the identity, which only rounding can break at this tail.  Since
 each e_j has unit norm, the diagonal of that certificate also bounds the l2
 mass of every column's discarded tail by sqrt(ortho_defect), up to rounding.
 
+The weighted Grams of the whole basis need no rows at all.  With weights k
+and k^2 they are W = sum_m m A^m c c^* (A^*)^m and V = sum_m m^2 A^m c c^*
+(A^*)^m, and telescoping against I = c c^* + A A^* gives the two Stein
+equations
+
+    W - A W A^* = A A^*,        V - A V A^* = 2 W - A A^*,
+
+so W = sum_{m>=1} A^m (A^*)^m.  :class:`ShiftGrams` solves them, n x n
+with no truncation and no tail, by :func:`mslab.hermitian.stein_solve`;
+A is lower triangular with diagonal lam, so the solver's denominators
+1 - lam_i conj(lam_j) come straight from the points.  For a residual
+R = X~ - A X~ A^* - (right-hand side) the error of X~ is
+sum_m A^m R (A^*)^m, at most ||R|| (1 + ||W||) in norm, since
+sum_{m>=0} A^m (A^*)^m = I + W.
+
 A function of K_B is E a for a coefficient vector a, and the orthogonal
 projection onto K_B is E E^* in coefficient space.  Everything is invariant
 under rotations of the disc up to unimodular column phases, which downstream
@@ -65,11 +80,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CertificationError
+from .hermitian import stein_denominators, stein_solve
 from .series import _POWER_FLOOR, TaylorSeries
 
 __all__ = [
     "PoleConfiguration",
     "MalmquistBasis",
+    "ShiftGrams",
     "blaschke_factor_eval",
     "blaschke_product_eval",
     "malmquist_basis",
@@ -250,6 +267,70 @@ def _rows(count: int, needed: int, n: int) -> np.ndarray:
         ) from exc
 
 
+def _frobenius(M: np.ndarray) -> float:
+    return math.sqrt(np.vdot(M, M).real)
+
+
+def _row_lower_bound(sigma: PoleConfiguration) -> int:
+    """The fewest rows :func:`malmquist_basis` can stop at,
+    max(n, ceil(ln TAIL_TOL / (2 ln r))): L rows carry at most L dimensions,
+    and ||T^L||_F >= r^L for the spectral radius r = ``sigma.radius`` of T."""
+    n, r = sigma.n, sigma.radius
+    if r == 0.0:
+        return n
+    return max(n, math.ceil(math.log(TAIL_TOL) / (2.0 * math.log(r))))
+
+
+class ShiftGrams:
+    """The weight-k and weight-k^2 Grams W and V of the whole Malmquist basis
+    of a configuration, from the two Stein equations on A = conj(T) of the
+    module docstring; no row of E is formed and nothing is truncated.
+
+    Construction certifies the model identity: the Frobenius norm of
+    I - A A^* - c c^* is ``model_defect``, refused above ``ORTHO_TOL``.
+    :attr:`bergman` (W, the Gram of C_B^2) is solved on first read and
+    :attr:`hardy` (V, of C_H^2) reads it for its right-hand side; each is
+    refused when its relative Stein residual ||R||_F / ||X~||_F exceeds
+    ``ORTHO_TOL``.  Real points give real Grams.
+    """
+
+    def __init__(self, sigma: PoleConfiguration) -> None:
+        x0, T = _compressed_shift(sigma.points)
+        A, c = T.conj(), x0.conj()
+        D = stein_denominators(np.asarray(sigma.points))
+        if not A.imag.any():
+            A, c, D = A.real, c.real, D.real
+        self._A, self._AH, self._D = A, A.conj().T, D
+        self._AA = A @ self._AH
+        resid = np.eye(sigma.n) - self._AA - np.outer(c, c.conj())
+        self.model_defect = _frobenius(resid)
+        if self.model_defect > ORTHO_TOL:
+            raise CertificationError(
+                f"compressed shift fails the model identity I = AA* + cc* "
+                f"(defect {self.model_defect:.3e} > {ORTHO_TOL:.0e})"
+            )
+
+    def _solve(self, rhs: np.ndarray, name: str) -> np.ndarray:
+        X = stein_solve(self._A, rhs, self._D)
+        resid = _frobenius(X - self._A @ X @ self._AH - rhs) / _frobenius(X)
+        if not resid <= ORTHO_TOL:
+            raise CertificationError(
+                f"Stein solve of the {name} Gram fails its certificate "
+                f"(relative residual {resid:.3e} > {ORTHO_TOL:.0e})"
+            )
+        return X
+
+    @functools.cached_property
+    def bergman(self) -> np.ndarray:
+        """W, the solution of W - A W A^* = A A^*."""
+        return self._solve(self._AA, "Bergman")
+
+    @functools.cached_property
+    def hardy(self) -> np.ndarray:
+        """V, the solution of V - A V A^* = 2 W - A A^*."""
+        return self._solve(2.0 * self.bergman - self._AA, "Hardy")
+
+
 def malmquist_basis(sigma: PoleConfiguration) -> MalmquistBasis:
     """Build the Malmquist basis at its smallest certified row count.
 
@@ -263,9 +344,9 @@ def malmquist_basis(sigma: PoleConfiguration) -> MalmquistBasis:
     nor any below ceil(ln TAIL_TOL / (2 ln r)), since ||T^L||_F >= r^L for
     the spectral radius r = ``sigma.radius`` of T; that many rows, rounded
     up to the power of two the doubling reaches anyway, are allocated before
-    any product.  Every power and every block of rows is floored
-    (:func:`_floored`) as it is written, so no later product, certificate or
-    weighted Gram multiplies subnormals.
+    any product (:func:`_row_lower_bound`).  The kept rows are floored
+    (:func:`_floored`) once, after the trim, so neither the certificate nor
+    a weighted Gram multiplies subnormals.
 
     Raises
     ------
@@ -275,23 +356,21 @@ def malmquist_basis(sigma: PoleConfiguration) -> MalmquistBasis:
         the Hardy Gram of the stored rows deviates from the identity by more
         than ``ORTHO_TOL`` in any entry, which only rounding can cause.
     """
-    n, r = sigma.n, sigma.radius
-    lower = n
-    if r > 0.0:
-        lower = max(lower, math.ceil(math.log(TAIL_TOL) / (2.0 * math.log(r))))
+    n = sigma.n
+    lower = _row_lower_bound(sigma)
     mat = _rows(1 << (lower - 1).bit_length(), lower, n)
     mat[0], T = _compressed_shift(sigma.points)
-    _floored(mat[:1])
-    # Rows multiply from the left, so the powers are kept transposed.
-    power = _floored(T.T.copy())
+    # Rows multiply from the left, so the powers are kept transposed, as a
+    # row-major copy: the layout picks the BLAS kernel and so the rounding.
+    power = T.T.copy()
     d = 1
     while d < lower or (tail := float(np.vdot(power, power).real)) > TAIL_TOL:
         if 2 * d > mat.shape[0]:
             grown = _rows(2 * d, d + 1, n)
             grown[:d] = mat[:d]
             mat = grown
-        _floored(np.dot(mat[:d], power, out=mat[d : 2 * d]))
-        power = _floored(power @ power)
+        np.dot(mat[:d], power, out=mat[d : 2 * d])
+        power = power @ power
         d *= 2
     # ||T^m||_F^2 for m = d/2..d-1, summed from the end of the last block;
     # ||T^(d/2)||_F^2 > TAIL_TOL, so L lies in (d/2, d].
@@ -299,7 +378,7 @@ def malmquist_basis(sigma: PoleConfiguration) -> MalmquistBasis:
     parts = mat[lo:d].view(np.float64)
     row_sq = np.einsum("ij,ij->i", parts, parts)
     tails = np.cumsum(row_sq[::-1])[::-1] + tail
-    mat = mat[: lo + int(np.count_nonzero(tails > TAIL_TOL))]
+    mat = _floored(mat[: lo + int(np.count_nonzero(tails > TAIL_TOL))])
     gram = _hardy_gram(mat)
     defect = float(np.max(np.abs(gram - np.eye(n))))
     if defect > ORTHO_TOL:

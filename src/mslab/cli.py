@@ -19,10 +19,14 @@ quantities, the cross-oracle gap for audit rows, and 0 for closed-form bound
 rows.  ``trunc`` is the series length behind a row: the row count L of the
 Malmquist matrix E, the smallest whose dropped Hardy mass ||T^L||_F^2 is at
 most 1e-20 (:mod:`mslab.blaschke`).  One-point ``bernstein``, ``interp`` and
-``asymptotics`` rows come from the n x n banded operator, have no series
-behind them and carry ``trunc`` = n.  Each configuration is one
+``asymptotics`` rows come from the n x n banded operator, and ``bernstein``
+rows of a configuration whose basis would need at least
+:data:`mslab.interpolation.STEIN_ROWS_PER_POINT` rows per point from two
+n x n Stein equations; neither has a series behind it, and both carry
+``trunc`` = n.  Each configuration is one
 :class:`mslab.interpolation.ModelSpace`, which alone picks the route from
-whether the configuration is one point; no option overrides it.  ``interp``
+whether the configuration is one point and from the fewest rows its basis
+could stop at; no option overrides it.  ``interp``
 emits every row for every configuration:
 ``interp-exact``, ``interp-upper`` (the projection bound sqrt(C_B^2 + 1),
 carrying the residual of its C_B eigenpair) and, for one point with n >= 2,
@@ -31,7 +35,8 @@ summaries go to stderr so redirected stdout stays machine-readable.
 
 Exit codes: 0 success, 1 invariant or bracket failure, 2 usage error
 (including an unwritable ``--out``), 3 numerical certification failure
-(a basis that cannot be allocated or certified, eigensolver or memory).
+(a basis that cannot be allocated or certified, a Stein solve that fails
+its certificate, eigensolver or memory).
 """
 
 from __future__ import annotations

@@ -16,6 +16,12 @@ A c = b for an m x L functional matrix A, is solved through the dual Gram
 A W^{-1} A^*.  That Gram depends on A and the weights only, so it is built,
 equilibrated and certified once and then serves any number of right-hand
 sides in one solve.
+
+The Stein equation X - A X A^* = R for a lower-triangular A is solved by
+recursive blocking (:func:`stein_solve`) over Kronecker systems whose
+diagonals 1 - a_i conj(a_j) come from error-free products
+(:func:`stein_denominators`): rounded as written they would cost about
+eps/(1 - |a|^2) relative, the whole error budget as |a| -> 1.
 """
 
 from __future__ import annotations
@@ -31,10 +37,18 @@ __all__ = [
     "gram_matrix",
     "max_eigenpair",
     "min_norm_solve",
+    "stein_denominators",
+    "stein_solve",
 ]
 
 RESIDUAL_TOL = 1e-10
 CONDITION_LIMIT = 1e12
+
+# Veltkamp's splitter 2^27 + 1 for float64.
+_SPLIT = 134217729.0
+
+# A Stein block with fewer unknowns than this is one Kronecker system.
+_STEIN_BASE = 64
 
 
 @dataclass(frozen=True)
@@ -119,6 +133,110 @@ def max_eigenpair(matrix: np.ndarray) -> Eigenpair:
             f"eigen-residual {residual:.3e} exceeds the certification window {window:.3e}"
         )
     return Eigenpair(top, vec, residual)
+
+
+def stein_denominators(lam: np.ndarray) -> np.ndarray:
+    """D[i, j] = 1 - lam_i conj(lam_j) for points lam of the open disc, each
+    entry to a few units of rounding of itself, however close to 0.
+
+    Rounded as written, 1 - lam_i conj(lam_j) loses about eps/(1 - |lam|^2)
+    relative.  Here every product of two coordinates is split into its
+    rounded value and its rounding error, both exact (Dekker 1971: Veltkamp's
+    split of each factor into two halves of 26 bits, whose products are
+    exact).  The real part is then a sum of three nonnegative terms,
+    (q_i + q_j)/2 + |lam_i - lam_j|^2/2 with q_i = 1 - x_i^2 - y_i^2 summed
+    with the error of its rounded head x_i^2 + y_i^2 (Knuth's TwoSum), and
+    the imaginary part x_i y_j - y_i x_j is a difference of error-free
+    products; i = j gives q_i and an imaginary part of exactly 0.
+    """
+    lam = np.ascontiguousarray(lam, dtype=np.complex128)
+    z = lam.view(np.float64)  # x_0, y_0, x_1, y_1, ...
+    hi = _SPLIT * z
+    hi -= hi - z
+    lo = z - hi
+    sq = z * z
+    sq_err = ((hi * hi - sq) + 2.0 * hi * lo) + lo * lo
+    xx, yy = sq[0::2], sq[1::2]
+    head = xx + yy
+    back = head - xx
+    head_err = (xx - (head - back)) + (yy - back)
+    q = (1.0 - head) - ((head_err + sq_err[0::2]) + sq_err[1::2])
+    d = lam[:, None] - lam
+    out = np.empty(d.shape, dtype=np.complex128)
+    out.real = 0.5 * (q[:, None] + q) + 0.5 * (d.real * d.real + d.imag * d.imag)
+    x, xh, xl = z[0::2, None], hi[0::2, None], lo[0::2, None]
+    y, yh, yl = z[1::2], hi[1::2], lo[1::2]
+    p = x * y
+    e = (((xh * yh - p) + xh * yl) + xl * yh) + xl * yl
+    out.imag = (p - p.T) + (e - e.T)
+    return out
+
+
+def _stein_base(B: np.ndarray, negc: np.ndarray, R: np.ndarray, D: np.ndarray) -> np.ndarray:
+    """X - B X C^* = R, with ``negc`` = -conj(C), by its Kronecker system:
+    unknown X[k, l] enters equation (i, j) with B[i, k] negc[j, l], and the
+    diagonal is D."""
+    p, q = R.shape
+    M = (B[:, None, :, None] * negc[None, :, None, :]).reshape(p * q, p * q)
+    M.flat[:: p * q + 1] = D.reshape(-1)
+    return np.linalg.solve(M, R.reshape(-1)).reshape(p, q)
+
+
+def _stein_block(B: np.ndarray, negc: np.ndarray, R: np.ndarray, D: np.ndarray) -> np.ndarray:
+    """X - B X C^* = R for lower-triangular B and C, ``negc`` = -conj(C),
+    recursively blocked on the larger side of X."""
+    p, q = R.shape
+    if p * q < _STEIN_BASE:
+        return _stein_base(B, negc, R, D)
+    X = np.empty_like(R)
+    if p >= q:
+        h = p // 2
+        X[:h] = _stein_block(B[:h, :h], negc, R[:h], D[:h])
+        rhs = R[h:] - B[h:, :h] @ (X[:h] @ negc.T)
+        X[h:] = _stein_block(B[h:, h:], negc, rhs, D[h:])
+    else:
+        h = q // 2
+        X[:, :h] = _stein_block(B, negc[:h, :h], R[:, :h], D[:, :h])
+        rhs = R[:, h:] - (B @ X[:, :h]) @ negc[h:, :h].T
+        X[:, h:] = _stein_block(B, negc[h:, h:], rhs, D[:, h:])
+    return X
+
+
+def _stein_hermitian(A: np.ndarray, negc: np.ndarray, R: np.ndarray, D: np.ndarray) -> np.ndarray:
+    """:func:`stein_solve` before its last symmetrization, with
+    ``negc`` = -conj(A)."""
+    n = R.shape[0]
+    if n * n < _STEIN_BASE:
+        return _stein_base(A, negc, R, D)
+    h = n // 2
+    A21, A22 = A[h:, :h], A[h:, h:]
+    X = np.empty_like(R)
+    X11 = X[:h, :h] = _stein_hermitian(A[:h, :h], negc[:h, :h], R[:h, :h], D[:h, :h])
+    lead = A21 @ X11
+    X21 = X[h:, :h] = _stein_block(A22, negc[:h, :h], R[h:, :h] - lead @ negc[:h, :h].T, D[h:, :h])
+    X[:h, h:] = X21.conj().T
+    cross = A22 @ X21
+    # (A X A^*)_22 - A22 X22 A22^* = A21 X11 A21^* + S + S^*, S = A22 X21 A21^*.
+    fold = (lead + cross) @ A21.conj().T + (cross @ A21.conj().T).conj().T
+    X[h:, h:] = _stein_hermitian(A22, negc[h:, h:], R[h:, h:] + fold, D[h:, h:])
+    return X
+
+
+def stein_solve(A: np.ndarray, R: np.ndarray, D: np.ndarray) -> np.ndarray:
+    """The Hermitian solution X of the Stein equation X - A X A^* = R, for a
+    lower-triangular A of spectral radius below 1 and a Hermitian R.
+
+    ``D`` is the matrix of denominators 1 - a_i conj(a_j) over the diagonal
+    a of A, from :func:`stein_denominators`.  The solver is the recursive
+    blocked one of Jonsson and Kagstrom (ACM TOMS 2002): halve X, solve its
+    leading diagonal block, then the block below it as a general triangular
+    Stein equation and the trailing diagonal block, each with what is solved
+    folded into its right-hand side by two products; a general block halves
+    its larger side the same way.  Blocks of fewer than 64 unknowns are
+    solved as Kronecker systems with D on their diagonal.
+    """
+    X = _stein_hermitian(A, -A.conj(), R, D)
+    return (X + X.conj().T) / 2.0
 
 
 def min_norm_solve(

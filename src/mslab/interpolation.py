@@ -35,19 +35,28 @@ automorphism z = b_r(v) turns into an n x n tridiagonal matrix with no
 basis, no constraint rows and no min-norm solve; the derivation and the
 bands, with those of the Bernstein constants, are in :mod:`mslab.bernstein`.
 
-:class:`ModelSpace` holds one configuration, and only it reads whether sigma
-is one point to pick the route, for the Bernstein constants and I alike;
-each comes back as a :class:`mslab.bernstein.Constant`, whose ``trunc_len``
-is n on the banded route and L on the basis route.
-:func:`constant_from_basis` takes any built basis, which keeps E the banded
-route's test oracle, and :func:`interp_witnesses` gives the witness
-functions of I's solve on any configuration, one point included; nothing
-else builds them.
+The Grams of C_B^2 and C_H^2 need no E at all: they are the solutions W
+and V of two n x n Stein equations on the compressed shift
+(:class:`mslab.blaschke.ShiftGrams`), which cost about n^3 against the
+L n^2 of E.  Where the basis would need many rows per point that is the
+cheaper route, and the only one that reaches r -> 1.
+
+:class:`ModelSpace` holds one configuration, and only it picks the route,
+from whether sigma is one point and from the fewest rows L_low its basis
+could stop at: one point takes the banded route for all three constants;
+otherwise C_B and C_H take the Stein route when L_low >= kappa n
+(``STEIN_ROWS_PER_POINT``) and E below that, and I always takes E.  Each
+constant comes back as a :class:`mslab.bernstein.Constant`, whose
+``trunc_len`` is n on the banded and Stein routes and L on the basis route.
+:func:`constant_from_basis` takes any built basis, which keeps E the test
+oracle of the other two routes, and :func:`interp_witnesses` gives the
+witness functions of I's solve on any configuration, one point included;
+nothing else builds them.
 
 :meth:`ModelSpace.projection_bound` is the bound from interpolating by the
 projection itself, sqrt(lambda_max(E^* diag(k+1) E)) = sqrt(C_B^2 + 1) since
-E^* E = I, with C_B the Bergman derivative constant of the same model space
-on the same route; it equals I iff the projection is the minimizer,
+E^* E = I, with C_B the Bergman derivative constant as the same model space
+serves it; it equals I iff the projection is the minimizer,
 observed only at the origin configurations.  The closed-form companions: a
 one-point lower bound from a composed test function, two-sided
 sqrt(n/(1-r)) envelopes for the one-point family, and the single-point
@@ -64,6 +73,8 @@ import numpy as np
 from .blaschke import (
     MalmquistBasis,
     PoleConfiguration,
+    ShiftGrams,
+    _row_lower_bound,
     malmquist_basis,
     multiplicity_groups,
 )
@@ -82,6 +93,16 @@ __all__ = [
     "dirichlet_kernel_diag",
     "single_point_closed_form",
 ]
+
+
+# kappa: C_B and C_H of a configuration that is not one point come from the
+# two Stein equations of ShiftGrams, not from E, when the basis would need at
+# least kappa rows per point, L_low >= kappa n.  E costs about L n^2 and the
+# Stein route about n^3, so their ratio is about L / n.  Timed, the routes
+# cross at L_low = 50 n for n = 24 and below 40 n from n = 40 on, where a
+# constant takes milliseconds; for n <= 12 they cross at 75 n to 100 n
+# and beyond, and at 50 n the Stein route there costs at most 70 us more.
+STEIN_ROWS_PER_POINT = 50
 
 
 def dirichlet_kernel_diag(abs_lam: float) -> float:
@@ -188,12 +209,14 @@ def interp_witnesses(basis: MalmquistBasis) -> tuple[Constant, TaylorSeries, Tay
 class ModelSpace:
     """The model space K_B of one configuration and the constants read off it.
 
-    Only here does whether ``sigma`` is one point pick the route: one point
-    reads the n x n banded Grams through
-    :func:`mslab.bernstein._one_point_constant` and builds no basis; any
-    other builds E once, on the first read of :attr:`basis`, and every
-    constant shares it through :func:`constant_from_basis`.  Each constant
-    is kept per kind: Bergman and Hardy for C_B and C_H, Dirichlet for I.
+    Only here is the route picked.  One point reads the n x n banded Grams
+    through :func:`mslab.bernstein._one_point_constant` and builds no basis.
+    Any other configuration reads C_B and C_H off :attr:`shift_grams` when
+    its basis would need at least ``STEIN_ROWS_PER_POINT`` rows per point,
+    and builds no basis for them; otherwise, and always for I, it builds E
+    once, on the first read of :attr:`basis`, and every constant taken from
+    E shares it through :func:`constant_from_basis`.  Each constant is kept
+    per kind: Bergman and Hardy for C_B and C_H, Dirichlet for I.
     """
 
     def __init__(self, sigma: PoleConfiguration) -> None:
@@ -205,13 +228,35 @@ class ModelSpace:
         """The Malmquist basis at its certified truncation, built on first read."""
         return malmquist_basis(self.sigma)
 
+    @functools.cached_property
+    def shift_grams(self) -> ShiftGrams:
+        """W and V from the Stein equations on the compressed shift, set up
+        on first read; W is solved once and serves V."""
+        return ShiftGrams(self.sigma)
+
+    def _stein_route(self, kind: NormKind) -> bool:
+        """Whether the constant of ``kind`` comes from :attr:`shift_grams`:
+        C_B or C_H of a configuration that is not one point, once the basis
+        would need at least ``STEIN_ROWS_PER_POINT`` rows per point."""
+        sigma = self.sigma
+        return (
+            kind is not NormKind.DIRICHLET
+            and not sigma.is_one_point
+            and _row_lower_bound(sigma) >= STEIN_ROWS_PER_POINT * sigma.n
+        )
+
     def _constant(self, kind: NormKind) -> Constant:
         if kind not in self._constants:
-            self._constants[kind] = (
-                _one_point_constant(self.sigma.n, self.sigma.points[0], kind)
-                if self.sigma.is_one_point
-                else constant_from_basis(self.basis, kind)
-            )
+            sigma = self.sigma
+            if sigma.is_one_point:
+                res = _one_point_constant(sigma.n, sigma.points[0], kind)
+            elif self._stein_route(kind):
+                grams = self.shift_grams
+                gram = grams.bergman if kind is NormKind.BERGMAN else grams.hardy
+                res = Constant.from_pair(max_eigenpair(gram), sigma.n)
+            else:
+                res = constant_from_basis(self.basis, kind)
+            self._constants[kind] = res
         return self._constants[kind]
 
     def bernstein(self, target: NormKind) -> Constant:

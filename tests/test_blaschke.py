@@ -5,6 +5,7 @@ import pytest
 
 from mslab.blaschke import (
     PoleConfiguration,
+    ShiftGrams,
     blaschke_factor_eval,
     blaschke_product_eval,
     malmquist_basis,
@@ -13,9 +14,10 @@ from mslab.blaschke import (
     parse_sigma_spec,
 )
 from mslab import blaschke
-from mslab.bernstein import step2_test_function
+from mslab.bernstein import _one_point_constant, step2_test_function
 from mslab.errors import CertificationError
-from mslab.interpolation import theoremB_test_function
+from mslab.hermitian import max_eigenpair
+from mslab.interpolation import constant_from_basis, theoremB_test_function
 from mslab.series import (
     NormKind,
     TaylorSeries,
@@ -517,6 +519,164 @@ class TestAllocationRefusal:
         with pytest.raises(CertificationError, match="cannot be allocated"):
             malmquist_basis(self.SIGMA)
         assert asked == [self.LOWER]
+
+
+def _bench_sigma(rng, n, r):
+    """A configuration shaped like the benchmark's distinct-point ones: one
+    point of modulus r, the others with moduli in [r - 0.03, r]."""
+    rad = np.concatenate(([r], rng.uniform(r - 0.03, r, n - 1)))
+    return PoleConfiguration(tuple(rad * np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, n))))
+
+
+def _near_circle(n, r, seed):
+    """n points at sorted uniform angles with moduli in [r - 3e-4, r]."""
+    rng = np.random.default_rng(seed)
+    ang = np.sort(rng.uniform(0.0, 2.0 * np.pi, n))
+    return PoleConfiguration(tuple(rng.uniform(r - 3e-4, r, n) * np.exp(1j * ang)))
+
+
+def _stein_constants(sigma):
+    """C_B and C_H with their extremals from the two Stein Grams."""
+    grams = ShiftGrams(sigma)
+    return [max_eigenpair(gram) for gram in (grams.bergman, grams.hardy)]
+
+
+_rng = np.random.default_rng(26)
+_STEIN_PANEL = {
+    "origin-4": (0.0,) * 4,
+    "double-0.3": (0.3, 0.3, -0.2 + 0.4j),
+    "near-coincident": (0.3, 0.300000000001),
+    "triple-two-others": (0.5j, 0.5j, 0.5j, -0.6, 0.2 + 0.7j),
+    **{
+        f"random-{n}-{r}": parse_sigma_spec(f"random:n={n},r={r},count=1,seed={n}")[0].points
+        for n, r in ((3, 0.5), (5, 0.9), (8, 0.95), (10, 0.7), (12, 0.98))
+    },
+    **{f"bench-{n}-{r}": _bench_sigma(_rng, n, r).points for n, r in ((3, 0.99), (5, 0.98), (9, 0.97), (11, 0.98))},
+}
+
+
+class TestShiftGrams:
+    """C_B and C_H from the two Stein equations on the compressed shift."""
+
+    @pytest.mark.parametrize("points", _STEIN_PANEL.values(), ids=_STEIN_PANEL.keys())
+    def test_matches_basis_route(self, points):
+        """Both constants agree with the E route to 1e-13 relative, and
+        their extremal vectors overlap to 1 - 1e-9."""
+        sigma = PoleConfiguration(points)
+        basis = malmquist_basis(sigma)
+        for pair, kind in zip(_stein_constants(sigma), (NormKind.BERGMAN, NormKind.HARDY)):
+            want = constant_from_basis(basis, kind)
+            got = np.sqrt(pair.value)
+            assert abs(got - want.constant) <= 1e-13 * want.constant
+            assert abs(np.vdot(pair.vector, want.extremal)) >= 1.0 - 1e-9
+
+    @pytest.mark.parametrize("n, lam", ((1, 0.6), (4, 0.5 + 0.3j), (8, 0.9), (12, -0.99), (30, 0.97j)))
+    def test_one_point_matches_banded_route(self, n, lam):
+        """A one-point configuration pushed through the solver gives the
+        banded route's C_B and C_H to 1e-14 relative."""
+        sigma = PoleConfiguration.one_point(n, lam)
+        for pair, kind in zip(_stein_constants(sigma), (NormKind.BERGMAN, NormKind.HARDY)):
+            want = _one_point_constant(n, lam, kind).constant
+            assert abs(np.sqrt(pair.value) - want) <= 1e-14 * want
+
+    @staticmethod
+    def _mpmath_constants(sigma, mpmath):
+        """C_B and C_H at 40 digits: T from the points, each Stein equation
+        solved entry by entry in row order, then the top eigenvalues."""
+        with mpmath.workdps(40):
+            lam = [mpmath.mpc(p.real, p.imag) for p in sigma.points]
+            n = len(lam)
+            s = [mpmath.sqrt(1 - abs(z) ** 2) for z in lam]
+            A = mpmath.zeros(n, n)
+            for j in range(n):
+                A[j, j] = lam[j]
+                for k in range(j):
+                    A[j, k] = -s[j] * s[k] * mpmath.fprod(mpmath.conj(z) for z in lam[k + 1 : j])
+            AH = A.H
+
+            def solve(R):
+                X = mpmath.zeros(n, n)
+                for i in range(n):
+                    for j in range(n):
+                        acc = R[i, j]
+                        for k in range(i + 1):
+                            for l in range(j + 1):
+                                if (k, l) != (i, j):
+                                    acc += A[i, k] * X[k, l] * AH[l, j]
+                        X[i, j] = acc / (1 - lam[i] * mpmath.conj(lam[j]))
+                return X
+
+            AA = A * AH
+            W = solve(AA)
+            V = solve(2 * W - AA)
+            return [float(mpmath.sqrt(max(mpmath.eighe(X, eigvals_only=True)))) for X in (W, V)]
+
+    def test_matches_40_digit_reference_near_the_circle(self, monkeypatch):
+        """n = 12 points with moduli in [0.9997, 0.9999]: C_B and C_H lie
+        within 1e-14 relative of a 40-digit Stein solve, while the same
+        solver with the denominators 1 - lam_i conj(lam_j) rounded as written
+        is more than 2e-14 off."""
+        mpmath = pytest.importorskip("mpmath")
+        sigma = _near_circle(12, 0.9999, 5)
+        want = self._mpmath_constants(sigma, mpmath)
+        errors = [abs(np.sqrt(p.value) - w) / w for p, w in zip(_stein_constants(sigma), want)]
+        assert max(errors) <= 1e-14
+        monkeypatch.setattr(
+            blaschke, "stein_denominators", lambda lam: 1.0 - lam[:, None] * lam.conj()
+        )
+        errors = [abs(np.sqrt(p.value) - w) / w for p, w in zip(_stein_constants(sigma), want)]
+        assert max(errors) > 2e-14
+
+    def test_certificates(self):
+        """The model defect and both relative Stein residuals sit at
+        rounding level on the panel's hardest configuration."""
+        sigma = _near_circle(12, 0.9999, 5)
+        grams = ShiftGrams(sigma)
+        assert grams.model_defect <= 1e-14
+        A = grams._A
+        for X, rhs in ((grams.bergman, grams._AA), (grams.hardy, 2.0 * grams.bergman - grams._AA)):
+            resid = X - A @ X @ A.conj().T - rhs
+            assert np.linalg.norm(resid) <= 1e-14 * np.linalg.norm(X)
+
+    def test_perturbed_solve_is_refused(self, monkeypatch):
+        """A solve off by 1e-6 relative fails its residual certificate."""
+        solve = blaschke.stein_solve
+        monkeypatch.setattr(blaschke, "stein_solve", lambda A, R, D: solve(A, R, D) * (1.0 + 1e-6))
+        grams = ShiftGrams(PoleConfiguration((0.9, -0.5j, 0.3)))
+        with pytest.raises(CertificationError, match="Stein solve of the Bergman Gram"):
+            grams.bergman
+
+    def test_broken_model_identity_is_refused(self, monkeypatch):
+        """A compressed shift off by 1e-9 fails I = A A^* + c c^*."""
+        shift = blaschke._compressed_shift
+
+        def skewed(points):
+            x0, T = shift(points)
+            return x0, T * (1.0 + 1e-9)
+
+        monkeypatch.setattr(blaschke, "_compressed_shift", skewed)
+        with pytest.raises(CertificationError, match="model identity"):
+            ShiftGrams(PoleConfiguration((0.9, -0.5j, 0.3)))
+
+    def test_hardy_reuses_one_bergman_solve(self, monkeypatch):
+        """W is solved once and serves V: two solves for both Grams."""
+        calls = []
+        solve = blaschke.stein_solve
+
+        def counted(A, R, D):
+            calls.append(R.shape)
+            return solve(A, R, D)
+
+        monkeypatch.setattr(blaschke, "stein_solve", counted)
+        grams = ShiftGrams(PoleConfiguration((0.9, -0.5j, 0.3)))
+        assert grams.hardy is grams.hardy
+        assert grams.bergman is grams.bergman
+        assert calls == [(3, 3), (3, 3)]
+
+    def test_real_points_give_real_grams(self):
+        """Real points keep real arithmetic: real symmetric W and V."""
+        grams = ShiftGrams(PoleConfiguration((0.9, -0.5, 0.0, 0.3)))
+        assert grams.bergman.dtype == grams.hardy.dtype == np.float64
 
 
 class TestModelProjection:

@@ -225,12 +225,51 @@ class TestBernsteinCommand:
         numerical failure naming the fewest rows that could stop the build,
         ceil(ln 1e-20 / (2 ln r)), not as bad input.  Two distinct points keep
         the basis route (one point would take the banded route, which needs
-        no truncation)."""
+        no truncation), and ``interp`` reads I off E (C_B and C_H of the same
+        configuration take the Stein route, which builds no E)."""
         code, _, err = _run(
-            capsys, ["bernstein", "--sigma", "0.9999999999999999,0;0,0.5"]
+            capsys, ["interp", "--sigma", "0.9999999999999999,0;0,0.5"]
         )
         assert code == 3
         assert "numerical certification failure: truncation 207398427335936864" in err
+
+    def test_stein_route_needs_no_truncation(self, capsys):
+        """The configuration whose basis cannot be allocated has C_B and C_H
+        from the Stein route: exit 0 and ``trunc`` = n.  For the points r
+        and 0, W = sum_{m>=1} A^m (A^*)^m is [[r^2, -r s], [-r s, q]] / q with
+        q = 1 - r^2 = s^2, of trace 1/q and determinant 0, so C_B^2 = 1/q
+        exactly; at r = 1 - 2^-53 that is 2^52 (1 + 2^-54)."""
+        code, out, _ = _run(
+            capsys, ["bernstein", "--sigma", "0.9999999999999999,0;0,0"]
+        )
+        assert code == 0
+        rows = _parse_csv(out)
+        assert [row["trunc"] for row in rows] == ["2", "2"]
+        r = 0.9999999999999999
+        q = (1.0 - r) * (1.0 + r)
+        assert abs(float(rows[0]["value"]) ** 2 * q - 1.0) <= 1e-14
+
+    def test_stein_route_near_the_circle(self, capsys):
+        """Four points within 3e-4 of the circle and one inside take the
+        Stein route: exit 0, and every row carries ``trunc`` = n = 5."""
+        code, out, _ = _run(
+            capsys,
+            ["bernstein", "--sigma", "0.9999,0;0,0.9999;-0.9998,0;0,-0.9997;0.7,0.7", "--target", "both"],
+        )
+        assert code == 0
+        rows = _parse_csv(out)
+        assert len(rows) == 2 and all(row["trunc"] == "5" for row in rows)
+
+    def test_stein_certificate_refusal_exits_three(self, capsys, monkeypatch):
+        """A Stein solve that misses its residual certificate exits 3 with
+        one stderr line and nothing on stdout."""
+        solve = mslab.blaschke.stein_solve
+        monkeypatch.setattr(mslab.blaschke, "stein_solve", lambda A, R, D: solve(A, R, D) * (1.0 + 1e-6))
+        code, out, err = _run(capsys, ["bernstein", "--sigma", "0.99,0;0.97,0.1;-0.5,0.85"])
+        assert code == 3
+        assert out == ""
+        (line,) = err.splitlines()
+        assert line.startswith("numerical certification failure: Stein solve of the Bergman Gram")
 
     def test_one_point_at_extreme_radius_solves(self, capsys):
         """The banded route needs no truncation: n = 2 at r = 1 - 2^-53 exits 0
@@ -255,7 +294,7 @@ class TestBernsteinCommand:
         without a traceback; the limit is set in the child only, so nothing is
         allocated for real.  The configuration has two distinct points so
         that it needs a basis."""
-        proc = _run_capped(["bernstein", "--sigma", "0.99999999,0;0,0.5"])
+        proc = _run_capped(["interp", "--sigma", "0.99999999,0;0,0.5"])
         assert proc.returncode == 3, proc.stderr
         assert "numerical certification failure: truncation 2302585070" in proc.stderr
         assert "Traceback" not in proc.stderr
@@ -604,11 +643,13 @@ class TestOutputPlumbing:
                 "compose_with_blaschke_factor", "policy_truncation",
             ],
             "blaschke": [
-                "PoleConfiguration", "MalmquistBasis", "blaschke_factor_eval",
+                "PoleConfiguration", "MalmquistBasis", "ShiftGrams", "blaschke_factor_eval",
                 "blaschke_product_eval", "malmquist_basis",
                 "model_projection", "parse_sigma_spec",
             ],
-            "hermitian": ["gram_matrix", "max_eigenpair", "min_norm_solve"],
+            "hermitian": [
+                "gram_matrix", "max_eigenpair", "min_norm_solve", "stein_denominators", "stein_solve",
+            ],
             "bernstein": [
                 "BoundEnvelope", "Constant", "eq4_envelope", "z2_upper_hardy", "en_prime_bergman_audit",
                 "step2_test_function", "default_alternation_depth",

@@ -1,6 +1,7 @@
 """Tests for the Hermitian eigensolves, Gram builders and min-norm solves."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -9,7 +10,15 @@ from mslab import hermitian
 from mslab.bernstein import _one_point_bands
 from mslab.blaschke import malmquist_basis, parse_sigma_spec
 from mslab.errors import CertificationError
-from mslab.hermitian import _from_bands, gram_matrix, max_eigenpair, min_norm_solve
+from mslab.hermitian import (
+    _from_bands,
+    _stein_block,
+    gram_matrix,
+    max_eigenpair,
+    min_norm_solve,
+    stein_denominators,
+    stein_solve,
+)
 from mslab.interpolation import _min_norm_interp
 from mslab.series import NormKind
 
@@ -379,3 +388,97 @@ class TestMinNormSolve:
         """Weights must be strictly positive."""
         with pytest.raises(ValueError):
             min_norm_solve(np.array([1.0, 0.0]), np.ones((1, 2)), np.ones(1))
+
+
+def _kronecker_stein(B, C, R):
+    """X - B X C^* = R by one dense solve of its n^2 x n^2 Kronecker system,
+    denominators rounded as they fall."""
+    p, q = R.shape
+    M = np.eye(p * q) - np.kron(B, C.conj())
+    return np.linalg.solve(M, R.reshape(-1)).reshape(p, q)
+
+
+def _triangular(rng, n, radius):
+    """A lower-triangular contraction-sized matrix with diagonal in the disc
+    of the given radius."""
+    A = np.tril(rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))) / (2.0 * n)
+    ang = rng.uniform(0.0, 2.0 * np.pi, n)
+    A[np.diag_indices(n)] = radius * np.sqrt(rng.uniform(0.0, 1.0, n)) * np.exp(1j * ang)
+    return A
+
+
+class TestSteinDenominators:
+    """1 - lam_i conj(lam_j) to a few units of rounding of itself."""
+
+    @staticmethod
+    def _worst_relative_error(M, lam):
+        """Largest |M[i, j] - (1 - lam_i conj(lam_j))| / |1 - lam_i conj(lam_j)|,
+        each entry and its error in exact rational arithmetic."""
+        xs = [Fraction(float(z.real)) for z in lam]
+        ys = [Fraction(float(z.imag)) for z in lam]
+        worst = 0.0
+        for i, j in np.ndindex(M.shape):
+            re = 1 - xs[i] * xs[j] - ys[i] * ys[j]
+            im = xs[i] * ys[j] - ys[i] * xs[j]
+            err = math.hypot(Fraction(M[i, j].real) - re, Fraction(M[i, j].imag) - im)
+            worst = max(worst, err / math.hypot(re, im))
+        return worst
+
+    def test_entries_within_a_few_units_of_rounding(self):
+        """Points at moduli 1 - 1e-4 .. 1 - 1e-15 with close neighbours, the
+        origin and the axes: every entry is within 4 units of rounding of
+        itself, while the rounded 1 - lam_i conj(lam_j) misses some entry by
+        more than 1e3 units."""
+        rng = np.random.default_rng(11)
+        mod = 1.0 - 10.0 ** rng.uniform(-15.0, -4.0, 14)
+        ang = rng.uniform(0.0, 2.0 * np.pi, 14)
+        lam = np.concatenate(
+            (mod * np.exp(1j * ang), mod[:3] * np.exp(1j * (ang[:3] + 1e-9)), [0.0, 0.6, -0.8j, 0.6 + 0.7999j])
+        )
+        eps = np.finfo(np.float64).eps
+        assert self._worst_relative_error(stein_denominators(lam), lam) <= 4.0 * eps
+        rounded = 1.0 - lam[:, None] * lam.conj()
+        assert self._worst_relative_error(rounded, lam) > 1e3 * eps
+
+    def test_hermitian_with_real_diagonal(self):
+        """D = D^* bit for bit, and the diagonal is q_j = 1 - |lam_j|^2 with
+        an imaginary part of exactly 0; real points give a real D."""
+        rng = np.random.default_rng(12)
+        lam = 0.999 * np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, 9))
+        D = stein_denominators(lam)
+        np.testing.assert_array_equal(D, D.conj().T)
+        assert not D.diagonal().imag.any()
+        np.testing.assert_allclose(D.diagonal().real, 1.0 - np.abs(lam) ** 2, rtol=1e-12)
+        assert not stein_denominators(np.array([0.3, -0.9, 0.0])).imag.any()
+
+
+class TestSteinSolve:
+    """The recursive blocked Stein solver against one dense Kronecker solve."""
+
+    @pytest.mark.parametrize("n", (1, 2, 7, 8, 9, 13, 20))
+    def test_hermitian_solve_matches_kronecker(self, n):
+        """X - A X A^* = R for lower-triangular A: the blocked solution is
+        Hermitian bit for bit and agrees with the dense solve to 1e-12,
+        across the Kronecker base (n^2 < 64) and one or more halvings."""
+        rng = np.random.default_rng(n)
+        A = _triangular(rng, n, 0.95)
+        R = _random_hermitian(rng, n)
+        X = stein_solve(A, R, stein_denominators(A.diagonal()))
+        np.testing.assert_array_equal(X, X.conj().T)
+        want = _kronecker_stein(A, A, R)
+        assert np.linalg.norm(X - want) <= 1e-12 * np.linalg.norm(want)
+
+    @pytest.mark.parametrize("shape", ((9, 5), (3, 11), (8, 8), (17, 6)))
+    def test_general_block_matches_kronecker(self, shape):
+        """X - B X C^* = R for two triangular matrices and a rectangular R:
+        both halvings, the row one and the column one, agree with the dense
+        solve to 1e-12 (``C`` goes in as -conj(C))."""
+        p, q = shape
+        rng = np.random.default_rng(p * q)
+        A = _triangular(rng, p + q, 0.95)
+        B, C = A[:p, :p], A[p:, p:]
+        R = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+        D = stein_denominators(A.diagonal())[:p, p:]
+        X = _stein_block(B, -C.conj(), R, D)
+        want = _kronecker_stein(B, C, R)
+        assert np.linalg.norm(X - want) <= 1e-12 * np.linalg.norm(want)

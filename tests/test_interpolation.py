@@ -1,12 +1,14 @@
 """Tests for constrained Dirichlet interpolation constants and their bounds."""
 
 import dataclasses
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from mslab import bernstein, hermitian, interpolation
+from mslab import bernstein, blaschke, hermitian, interpolation, verification
 from mslab.bernstein import Constant, _corner_sum
 from mslab.cli import main
 from mslab.errors import CertificationError
@@ -28,6 +30,7 @@ from mslab.blaschke import (
     PoleConfiguration,
     malmquist_basis,
     multiplicity_groups,
+    parse_sigma_spec,
 )
 from mslab.series import (
     NormKind,
@@ -339,6 +342,96 @@ class TestModelSpace:
             np.testing.assert_allclose(overlap, 1.0, atol=1e-9)
         bergman = readers[NormKind.BERGMAN][0].constant
         assert space.projection_bound() == math.hypot(bergman, 1.0)
+
+
+def _reference_configurations():
+    """(workload, configuration) for every explicit-point ``--sigma`` of the
+    benchmark reference."""
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "reference.json"
+    reference = json.loads(path.read_text(encoding="utf-8"))
+    for workload, cells in reference["workloads"].items():
+        for cell in cells:
+            for op in cell:
+                for arg in op["argv"]:
+                    if arg.startswith("--sigma=") and not arg.startswith("--sigma=one-point:"):
+                        yield workload, parse_sigma_spec(arg[len("--sigma=") :])[0]
+
+
+class TestSteinRoute:
+    """Which configurations take C_B and C_H from the Stein equations, and
+    what that route costs."""
+
+    def test_benchmark_cells_pick_their_side(self):
+        """Every distinct-point cell of the bern-basis workload (n, r) =
+        (3, 0.99), (5, 0.98), (9, 0.97), (11, 0.98) takes the Stein route,
+        with L_low at 84 n or more; every distinct-point configuration of the
+        other workloads, at most 33.3 n, keeps E.  I never takes it."""
+        sides: dict[tuple[str, int, float], set[bool]] = {}
+        for workload, sigma in _reference_configurations():
+            space = ModelSpace(sigma)
+            assert not space._stein_route(NormKind.DIRICHLET)
+            if sigma.is_one_point:
+                continue
+            key = (workload, sigma.n, round(sigma.radius, 2))
+            sides.setdefault(key, set()).add(space._stein_route(NormKind.BERGMAN))
+            assert space._stein_route(NormKind.HARDY) == space._stein_route(NormKind.BERGMAN)
+        stein = {key for key, side in sides.items() if side == {True}}
+        assert all(len(side) == 1 for side in sides.values())
+        assert stein == {
+            ("bern-basis", 3, 0.99), ("bern-basis", 5, 0.98),
+            ("bern-basis", 9, 0.97), ("bern-basis", 11, 0.98),
+        }
+        assert {key[0] for key in sides} == {"bern-solve", "bern-basis", "interp", "lab-sweep"}
+
+    def test_kappa_sits_between_the_benchmark_ratios(self):
+        """L_low / n is at most 33.3 off bern-basis and at least 84 on it,
+        and kappa lies between."""
+        ratios: dict[bool, list[float]] = {True: [], False: []}
+        for workload, sigma in _reference_configurations():
+            if not sigma.is_one_point:
+                ratio = blaschke._row_lower_bound(sigma) / sigma.n
+                ratios[workload == "bern-basis"].append(ratio)
+        assert max(ratios[False]) <= 33.4 < interpolation.STEIN_ROWS_PER_POINT
+        assert interpolation.STEIN_ROWS_PER_POINT <= min(ratios[True])
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_verify_keeps_the_basis_route(self, monkeypatch, seed):
+        """No configuration of the verification suite, seeds 0-3, takes the
+        Stein route: with it refused, every check still passes."""
+
+        def refuse(sigma):
+            raise AssertionError(f"Stein route taken for {sigma.key()}")
+
+        monkeypatch.setattr(interpolation, "ShiftGrams", refuse)
+        assert all(res.passed for res in verification.run_all(seed=seed))
+
+    def test_builds_no_basis_and_reports_n(self, monkeypatch):
+        """C_B and C_H on the Stein route build no E, solve W once for both,
+        report ``trunc_len`` = n and equal the E route to 1e-13; reading I
+        then builds E once."""
+        calls = {"builds": 0, "stein": 0}
+        build, solve = interpolation.malmquist_basis, blaschke.stein_solve
+
+        def counted_build(sigma):
+            calls["builds"] += 1
+            return build(sigma)
+
+        def counted_solve(*args):
+            calls["stein"] += 1
+            return solve(*args)
+
+        monkeypatch.setattr(interpolation, "malmquist_basis", counted_build)
+        monkeypatch.setattr(blaschke, "stein_solve", counted_solve)
+        (sigma,) = parse_sigma_spec("0.99,0;0.97,0.1;-0.5,0.85")
+        space = ModelSpace(sigma)
+        results = {kind: space.bernstein(kind) for kind in (NormKind.BERGMAN, NormKind.HARDY)}
+        assert calls == {"builds": 0, "stein": 2}
+        assert all(res.trunc_len == 3 for res in results.values())
+        space.interp()
+        assert calls == {"builds": 1, "stein": 2}
+        for kind, res in results.items():
+            want = constant_from_basis(space.basis, kind).constant
+            assert abs(res.constant - want) <= 1e-13 * want
 
 
 _SIZED_N = (1, 2, 12, 100, 10**4)
