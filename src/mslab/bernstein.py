@@ -52,7 +52,15 @@ j = 0, ..., n-1 and w_{-1} = 0:
     d = (1, ..., n-1, 1/sigma_n):  G[j, j+1] = -r w_j.
 
 :func:`_one_point_constant` is the route: one eigen-solve of those bands at
-r = |lam|, its extremal turned back to lam.
+r = |lam|, its extremal turned back to lam.  Below n = ``PERRON_MIN_N`` (64)
+that is LAPACK's dense eigh, which is faster there; from n = 64 on it reads
+the bands alone (:func:`mslab.hermitian._max_band_eigenpair`).  With
+S = diag((-1)^k) every band of S G S is nonnegative, so Noda's
+shift-and-invert iteration at Collatz-Wielandt shifts finds the top pair in
+about seven O(n) banded solves at any n and r, and its last shift, an upper
+bound on the top eigenvalue, certifies that the value is the top one.
+:func:`_corner_sum` sums in chunks, so n = 10^6 near r = 1 stays in
+bounded memory too.
 :class:`mslab.interpolation.ModelSpace` takes it for all three constants
 when sigma is one point, each a :class:`Constant` with ``trunc_len`` = n,
 and :func:`asymptotic_ratio_sweep` reads it at the centre r >= 0; the basis
@@ -75,7 +83,7 @@ from typing import Sequence
 import numpy as np
 
 from .blaschke import PoleConfiguration, malmquist_basis
-from .hermitian import Eigenpair, _from_bands, max_eigenpair
+from .hermitian import Eigenpair, _from_bands, _max_band_eigenpair, max_eigenpair
 from .series import (
     NormKind,
     TaylorSeries,
@@ -155,33 +163,46 @@ def _check_target(target: NormKind) -> None:
 _EPS = float(np.finfo(np.float64).eps)
 
 
+# Terms of the corner sum per array: about 1 MB of temporaries, however many
+# terms r -> 1 asks for.
+_CORNER_CHUNK = 1 << 15
+
+
+def _corner_terms(r: float, start: int, stop: int, shift: int):
+    """r^{2m}/(shift + m) for m = start, ..., stop - 1, in arrays of at most
+    ``_CORNER_CHUNK`` terms."""
+    for lo in range(start, stop, _CORNER_CHUNK):
+        m = np.arange(lo, min(lo + _CORNER_CHUNK, stop), dtype=np.float64)
+        yield np.power(r, 2.0 * m) / (shift + m)
+
+
 def _corner_sum(n: int, r: float) -> float:
     """sigma_n = sum_{m>=0} r^{2m}/(n+m), the Lerch transcendent
     Phi(r^2, 1, n), to a few units of rounding for every r in [0, 1).
 
     Where n (1 - r^2) >= 1 or r^2 <= 1/2 the series is summed to its first
-    M terms, M the least with r^{2M} <= eps (1 - r^2)/4, in one array: the
-    remainder bound r^{2M}/((n+M)(1-r^2)) is then at most eps/(4n), a
-    quarter unit of rounding of a sum that is at least 1/n.  M is at most
-    56 where r^2 <= 1/2, and at most n log(4n/eps) + 1, a few dozen n, where
-    n (1 - r^2) >= 1 (as -log r^2 >= 1 - r^2 >= 1/n): far below the n^2
-    entries of the Gram it serves.  r = 0 gives 1/n exactly.
-    Elsewhere r^{-2n} (-log(1-r^2) - sum_{k<n} r^{2k}/k) is used: there
-    r^2 > 1/2, so the logarithm of 1 - r^2 <= 1/2 is well conditioned, and
-    r^{2n} >= e^{-3/2} for n >= 2, so the subtraction cancels no more than
-    a factor of order log n (n = 1 subtracts nothing).  1 - r^2 is formed
-    as (1-r)(1+r) and the powers as r^{2k}, never from a rounded r^2, since
-    -log(1-r^2) is ill-conditioned in r^2 as r -> 1.
+    M terms, M the least with r^{2M} <= eps (1 - r^2)/4: the remainder
+    bound r^{2M}/((n+M)(1-r^2)) is then at most eps/(4n), a quarter unit of
+    rounding of a sum that is at least 1/n.  M is at most 56 where
+    r^2 <= 1/2, and at most n log(4n/eps) + 1, a few dozen n, where
+    n (1 - r^2) >= 1 (as -log r^2 >= 1 - r^2 >= 1/n).  r = 0 gives 1/n
+    exactly.  Elsewhere r^{-2n} (-log(1-r^2) - sum_{k<n} r^{2k}/k) is used:
+    there r^2 > 1/2, so the logarithm of 1 - r^2 <= 1/2 is well conditioned,
+    and r^{2n} >= e^{-3/2} for n >= 2, so the subtraction cancels no more
+    than a factor of order log n (n = 1 subtracts nothing).  1 - r^2 is
+    formed as (1-r)(1+r) and the powers as r^{2k}, never from a rounded r^2,
+    since -log(1-r^2) is ill-conditioned in r^2 as r -> 1.  Both sums run
+    over chunks of ``_CORNER_CHUNK`` terms whose sums ``math.fsum`` adds,
+    so the memory stays bounded as M grows: at n = 10^6, r = 1 - 10^-6, M
+    is about 2.5e7.
     """
     q = (1.0 - r) * (1.0 + r)
     if n * q >= 1.0 or r * r <= 0.5:
         M = 1
         if r > 0.0:
             M = max(1, math.ceil(math.log(0.25 * _EPS * q) / (2.0 * math.log(r))))
-        m = np.arange(M, dtype=np.float64)
-        return float(np.sum(np.power(r, 2.0 * m) / (n + m)))
-    k = np.arange(1, n, dtype=np.float64)
-    head = math.fsum(np.power(r, 2.0 * k) / k)
+        return math.fsum(float(np.sum(t)) for t in _corner_terms(r, 0, M, n))
+    head = math.fsum(math.fsum(t) for t in _corner_terms(r, 1, n, 0))
     return (-math.log(q) - head) / r ** (2 * n)
 
 
@@ -211,14 +232,30 @@ def _one_point_bands(n: int, r: float, kind: NormKind) -> tuple[np.ndarray, ...]
     return main, -r * w[:-1]
 
 
+# The one-point route solves its bands by the Perron iteration of
+# hermitian._max_band_eigenpair from this n on, and by a dense eigh of
+# _from_bands below it, where LAPACK beats the O(n) Python loops.  Timed on
+# a 2-core Xeon at r = 0.9, the two routes cross between n = 48 and 64 for
+# C_B, C_H and I alike, and 64 is the least n measured where the Perron
+# iteration wins for all three.
+PERRON_MIN_N = 64
+
+
 def _one_point_constant(n: int, lam: complex, kind: NormKind) -> Constant:
     """C_B, C_H or I (``kind`` Bergman, Hardy or Dirichlet) of the one-point
     space at centre lam = r e^{i theta}: the top eigenpair of the Gram of
     :func:`_one_point_bands` at r = |lam|, the banded route's one
     eigen-solve, with coordinate k of its extremal turned by
-    e^{-i k theta}.  theta itself is tested, so a centre on the positive axis
+    e^{-i k theta}.  From n = ``PERRON_MIN_N`` on the eigenpair comes from
+    the bands alone by :func:`mslab.hermitian._max_band_eigenpair`, a
+    Perron iteration of O(n) solves whose Collatz-Wielandt bound certifies
+    that the value is the top eigenvalue; below it, from LAPACK on the
+    dense Gram.  theta itself is tested, so a centre on the positive axis
     keeps the real eigenvector and atan2(0, -0.0) = pi turns a centre -0.0."""
-    pair = max_eigenpair(_from_bands(*_one_point_bands(n, abs(lam), kind)))
+    bands = _one_point_bands(n, abs(lam), kind)
+    pair = (
+        _max_band_eigenpair(*bands) if n >= PERRON_MIN_N else max_eigenpair(_from_bands(*bands))
+    )
     theta = math.atan2(lam.imag, lam.real)
     vec = None
     if theta != 0.0:

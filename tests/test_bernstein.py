@@ -360,6 +360,128 @@ class TestOnePointBands:
         assert kinds == [NormKind.BERGMAN, NormKind.HARDY, NormKind.DIRICHLET]
 
 
+_PERRON_N = (64, 100, 200, 400)
+_PERRON_R = (0.0, 1e-300, 1e-8, 0.3, 0.9, 0.99, 0.999)
+
+
+def _dense_pair(n, r, kind):
+    return hermitian.max_eigenpair(hermitian._from_bands(*bernstein._one_point_bands(n, r, kind)))
+
+
+class TestPerronBandedSolve:
+    """From n = PERRON_MIN_N on, the one-point route solves its bands by the
+    Perron iteration of ``hermitian._max_band_eigenpair`` instead of a dense
+    eigh."""
+
+    @staticmethod
+    def _count_solves(monkeypatch):
+        solves = []
+        for name in ("_shifted_solve3", "_shifted_solve5"):
+            solve = getattr(hermitian, name)
+
+            def counted(*args, solve=solve):
+                solves[-1] += 1
+                return solve(*args)
+
+            monkeypatch.setattr(hermitian, name, counted)
+        return solves
+
+    @_KINDS
+    @pytest.mark.parametrize("n", _PERRON_N)
+    def test_matches_dense_eigh(self, monkeypatch, n, kind):
+        """The constant within 1e-15 relative of the dense route and the
+        extremal within 1e-12, from r = 0 (a diagonal Gram, answered
+        exactly) and 1e-300 (diagonal to working precision) up to r = 0.999,
+        in at most 12 shifted solves; the residual is certified and the
+        Collatz-Wielandt bound sits within the window of the value."""
+        solves = self._count_solves(monkeypatch)
+        for r in _PERRON_R:
+            solves.append(0)
+            res = bernstein._one_point_constant(n, complex(r), kind)
+            dense = _dense_pair(n, r, kind)
+            want = math.sqrt(dense.value)
+            assert abs(res.constant - want) <= 1e-15 * want, (r, res.constant, want)
+            assert res.extremal.dtype == np.float64 and res.trunc_len == n
+            np.testing.assert_allclose(res.extremal, dense.vector, rtol=0.0, atol=1e-12)
+            assert 0.0 <= res.residual <= 1e-10 * (1.0 + dense.value)
+            assert solves[-1] <= 12, (r, solves[-1])
+        assert solves[0] == 0  # r = 0 takes no solve
+        if kind is NormKind.BERGMAN:
+            assert bernstein._one_point_constant(n, 0.0, kind).constant == math.sqrt(n - 1)
+
+    @_KINDS
+    def test_complex_centre_turns_the_extremal(self, kind):
+        """At r e^{i theta} the value is the real centre's and coordinate k
+        of the extremal is the real one turned by e^{-i k theta}."""
+        n, r = 100, 0.9
+        real = bernstein._one_point_constant(n, complex(r), kind)
+        for lam in (-r, r * np.exp(1.1j), r * np.exp(-2.5j)):
+            res = bernstein._one_point_constant(n, complex(lam), kind)
+            theta = math.atan2(complex(lam).imag, complex(lam).real)
+            assert res.constant == real.constant and res.extremal.dtype == np.complex128
+            assert np.array_equal(res.extremal, real.extremal * np.exp(-1j * theta * np.arange(n)))
+
+    @_KINDS
+    def test_continuous_across_the_pick(self, monkeypatch, kind):
+        """n = 63 (dense, no shifted solve) and n = 64 (Perron) each agree
+        with the dense route to 1e-15, and the constant keeps growing across
+        the switch by the step of its neighbours."""
+        solves = self._count_solves(monkeypatch)
+        for r in (0.3, 0.9, 0.999):
+            values = {}
+            for n in (62, 63, 64, 65):
+                solves.append(0)
+                values[n] = bernstein._one_point_constant(n, complex(r), kind).constant
+                assert (solves[-1] > 0) is (n >= 64)
+                want = math.sqrt(_dense_pair(n, r, kind).value)
+                assert abs(values[n] - want) <= 1e-15 * want, (n, r)
+            steps = [values[n + 1] - values[n] for n in (62, 63, 64)]
+            assert min(steps) > 0.0
+            assert abs(steps[1] - (steps[0] + steps[2]) / 2.0) <= 0.01 * steps[1], (r, steps)
+
+    def test_long_band_matches_sqrt_n_law(self):
+        """n = 10^4 at r = 0.99, where the dense Gram would take 800 MB:
+        C_B / sqrt(n) = 14.08470, and C_H and I are certified."""
+        n, r = 10**4, 0.99
+        bergman, hardy, interp = (
+            bernstein._one_point_constant(n, r, kind)
+            for kind in (NormKind.BERGMAN, NormKind.HARDY, NormKind.DIRICHLET)
+        )
+        assert round(bergman.constant / math.sqrt(n), 5) == 14.08470
+        for res in (bergman, hardy, interp):
+            assert 0.0 <= res.residual <= 1e-10 * (1.0 + res.constant**2)
+        assert interp.constant < math.hypot(bergman.constant, 1.0)
+
+    def test_non_finite_band_exits_three(self, capsys, monkeypatch):
+        """A non-finite band is a certification failure, exit 3 through
+        ``main`` with one line on stderr."""
+        from mslab.cli import main
+
+        bands = bernstein._one_point_bands
+
+        def overflowed(n, r, kind):
+            main_band, *rest = bands(n, r, kind)
+            main_band[n // 2] = np.inf
+            return (main_band, *rest)
+
+        monkeypatch.setattr(bernstein, "_one_point_bands", overflowed)
+        assert main(["bernstein", "--sigma", "one-point:n=100,r=0.9"]) == 3
+        (line,) = capsys.readouterr().err.splitlines()
+        assert line == (
+            "numerical certification failure: band matrix has non-finite entries (overflow)"
+        )
+
+    def test_unsettled_iteration_exits_three(self, capsys, monkeypatch):
+        """An iteration that has not settled when its solves run out is a
+        certification failure, exit 3 through ``main``."""
+        from mslab.cli import main
+
+        monkeypatch.setattr(hermitian, "_PERRON_SOLVES", 1)
+        assert main(["interp", "--sigma", "one-point:n=100,r=0.9"]) == 3
+        (line,) = capsys.readouterr().err.splitlines()
+        assert line == "numerical certification failure: Perron iteration did not settle in 1 solves"
+
+
 class TestEnvelopes:
     """Closed-form brackets and the growth-rate upper bound."""
 

@@ -686,19 +686,34 @@ class TestOutputPlumbing:
     @pytest.mark.parametrize(
         "argv",
         (
-            ["bernstein", "--sigma", "one-point:n=100000,r=0.5"],
-            ["interp", "--sigma", "one-point:n=100000,r=0.5"],
-            ["asymptotics", "--n-list", "100000"],
+            ["bernstein", "--sigma", "one-point:n=1000000000,r=0.5"],
+            ["interp", "--sigma", "one-point:n=1000000000,r=0.5"],
+            ["asymptotics", "--n-list", "1000000000"],
         ),
         ids=("bernstein", "interp", "asymptotics"),
     )
     def test_out_of_memory_exits_three(self, argv):
-        """An allocation the capped child cannot make (the 100000 x 100000
-        banded Gram) exits 3 with a one-line message and no traceback."""
+        """An allocation the capped child cannot make (the 10^9 points of the
+        configuration, or the 8 GB bands of the sweep) exits 3 with a
+        one-line message and no traceback."""
         proc = _run_capped(argv)
         assert proc.returncode == 3, proc.stderr
         assert proc.stderr.splitlines()[-1].startswith("out of memory: ")
         assert "Traceback" not in proc.stderr
+
+    def test_one_point_sweep_at_n_100000_answers_in_the_capped_child(self):
+        """The banded Perron iteration needs O(n) memory, so n = 10^5 at
+        r = 0.99, whose dense Gram would take 80 GB, answers in 3 GiB with
+        C_B / sqrt(n) = 14.10195."""
+        argv = ["asymptotics", "--r", "0.99", "--n-list", "100000", "--target", "bergman"]
+        proc = _run_capped(argv)
+        assert proc.returncode == 0, proc.stderr
+        header, line = proc.stdout.splitlines()
+        assert header == HEADER
+        # The sigma field spells out all 10^5 points, past csv's field limit.
+        quantity, value, _, _, trunc, _ = line.rsplit(",", 6)[1:]
+        assert (quantity, trunc) == ("ratio", "100000")
+        assert round(float(value), 5) == 14.10195
 
     @pytest.mark.parametrize(
         ("command", "routine"), (("bernstein", "eigh"), ("interp", "solve"))

@@ -3,6 +3,7 @@
 import dataclasses
 import json
 import math
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -560,6 +561,24 @@ class TestOnePointInterpRoute:
             for r in _SIZED_R:
                 want = float(mpmath.lerchphi(mpmath.mpf(r) ** 2, 1, n))
                 assert abs(_corner_sum(n, r) - want) <= 2.0 * math.ulp(want), (n, r)
+
+    def test_corner_sum_in_bounded_memory(self):
+        """n = 10^6 at r = 1 - 10^-6 needs about 2.5e7 terms, which the sum
+        takes in chunks: the traced peak stays under 4 MB (one array of all
+        the terms would take 200 MB), and the value is Phi(r^2, 1, n) at 30
+        digits within 2 ulp."""
+        n, r = 10**6, 1.0 - 1e-6
+        tracemalloc.start()
+        try:
+            got = _corner_sum(n, r)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2**20, peak
+        mpmath = pytest.importorskip("mpmath")
+        with mpmath.workdps(30):
+            want = float(mpmath.lerchphi(mpmath.mpf(r) ** 2, 1, n))
+        assert abs(got - want) <= 2.0 * math.ulp(want), (got, want)
 
     def test_corner_sum_matches_lerch_phi(self):
         """sigma_n = Phi(r^2, 1, n) to 1e-13 relative in both regimes, up to
