@@ -82,7 +82,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .blaschke import PoleConfiguration, malmquist_basis
+from .blaschke import PoleConfiguration, _check_point_count, malmquist_basis
 from .hermitian import Eigenpair, _from_bands, _max_band_eigenpair, max_eigenpair
 from .series import (
     NormKind,
@@ -212,13 +212,27 @@ def _one_point_bands(n: int, r: float, kind: NormKind) -> tuple[np.ndarray, ...]
     for Hardy and I^2 for Dirichlet."""
     q = (1.0 - r) * (1.0 + r)  # stays accurate as r -> 1
     if kind is NormKind.HARDY:
-        j = np.arange(n, dtype=np.float64)
+        # The bands of the module docstring as polynomials in j, 1/q^2
+        # folded into their coefficients: main (A j + B) j + C at
+        # j = 0, ..., n-1, off1 (D j + r/q) j and off2 (F j + F) j at
+        # j = 1, 2, ....  No term of main is negative, and off1's two
+        # terms, of ratio |D| j q/r = 2 (1 + r^2) j/q >= 2, cancel at most
+        # half of the first, so off1 <= 0 <= off2 hold as computed.
         rr = r * r
-        main = j * j + rr * (2.0 * j + 1.0) ** 2 + (rr * (j + 1.0)) ** 2
-        j1 = j[:-1] + 1.0
-        off1 = -r * j1 * ((2.0 * j1 - 1.0) + rr * (2.0 * j1 + 1.0))
-        off2 = rr * j1[:-1] * (j1[:-1] + 1.0)
-        return main / (q * q), off1 / (q * q), off2 / (q * q)
+        s = 1.0 / (q * q)
+        j = np.arange(n, dtype=np.float64)
+        main = ((1.0 + rr * (4.0 + rr)) * s) * j
+        main += (2.0 * rr * (2.0 + rr)) * s
+        main *= j
+        main += (rr * (1.0 + rr)) * s
+        off1 = (-2.0 * r * (1.0 + rr) * s) * j[1:]
+        off1 += r / q
+        off1 *= j[1:]
+        f = rr * s
+        off2 = f * j[1:-1]
+        off2 += f
+        off2 *= j[1:-1]
+        return main, off1, off2
     if kind is NormKind.BERGMAN:
         w = (np.arange(n, dtype=np.float64) + 1.0) / q
         main = r * r * w
@@ -476,6 +490,8 @@ def asymptotic_ratio_sweep(
     _check_target(target)
     if not 0.0 <= r < 1.0 or any(n < 1 for n in n_list):
         raise ValueError("need n >= 1 and r in [0, 1)")
+    for n in n_list:
+        _check_point_count(n)
     bergman = target is NormKind.BERGMAN
     q = (1.0 + r) / (1.0 - r)
     limit = math.sqrt(q) if bergman else q

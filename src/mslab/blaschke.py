@@ -75,6 +75,7 @@ from __future__ import annotations
 import functools
 import math
 import re
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -99,6 +100,17 @@ ORTHO_TOL = 1e-10
 
 # Largest squared Frobenius norm of the dropped tail I - E^* E accepted.
 TAIL_TOL = 1e-20
+
+# No array of more points can be indexed, whatever the memory: n complex128
+# values take 16 n bytes.
+_MAX_POINTS = sys.maxsize // np.dtype(np.complex128).itemsize
+
+
+def _check_point_count(n: int) -> None:
+    """Raise ``MemoryError`` for a point count no array can hold, before
+    anything is allocated for it."""
+    if n > _MAX_POINTS:
+        raise MemoryError(f"cannot allocate {n} points")
 
 
 @dataclass(frozen=True)
@@ -139,6 +151,7 @@ class PoleConfiguration:
     def one_point(cls, n: int, lam: complex) -> "PoleConfiguration":
         if n < 1:
             raise ValueError("need n >= 1")
+        _check_point_count(n)
         return cls((complex(lam),) * n)
 
     def rotated(self, theta: float) -> "PoleConfiguration":
@@ -443,6 +456,7 @@ def parse_sigma_spec(text: str) -> list[PoleConfiguration]:
             raise ValueError(f"random radius must lie in [0, 1): {r}")
         if count < 1:
             raise ValueError("random count must be positive")
+        _check_point_count(n)
         rng = np.random.default_rng(seed)
         configs = []
         for _ in range(count):

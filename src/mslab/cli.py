@@ -8,6 +8,11 @@ interp       constrained interpolation constants with their brackets
 asymptotics  normalized constants along n at fixed radius, against the limit
 audit        numeric vs published closed form for the last element's norm
 
+:func:`main` parses a command's arguments once, with that command's own
+parser; help, an unknown command and arguments it leaves over go through
+the top-level parser of :func:`build_parser`, whose texts and exit codes
+are then the user's.
+
 Row-emitting commands share one tabular schema, columns
 ``n,r,sigma,quantity,value,lower,upper,trunc,residual``, written as CSV
 (default) or as JSON objects one per line to stdout or ``--out``.  Empty
@@ -406,8 +411,14 @@ def _add_output_options(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--out", metavar="PATH", default=None, help="write to a file instead of stdout")
 
 
-@functools.cache  # built once per process; nothing mutates it or its list defaults
 def build_parser() -> argparse.ArgumentParser:
+    return _parsers()[0]
+
+
+@functools.cache  # built once per process; nothing mutates them or their list defaults
+def _parsers() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
+    """The top-level parser, and the name -> parser mapping of its
+    subcommands that ``add_subparsers`` keeps."""
     parser = argparse.ArgumentParser(
         prog="mslab",
         description="Exact derivative and interpolation constants on model spaces.",
@@ -468,12 +479,20 @@ def build_parser() -> argparse.ArgumentParser:
     _add_output_options(p_audit)
     p_audit.set_defaults(func=cmd_audit)
 
-    return parser
+    return parser, sub.choices
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    parser, commands = _parsers()
+    command = commands.get(argv[0]) if argv else None
+    if command is not None:
+        args, extra = command.parse_known_args(argv[1:])
+        args.command = argv[0]
+    if command is None or extra:
+        # No command, an unknown one or arguments its parser left over: the
+        # top-level parser, whose help and usage name the whole command line.
+        args = parser.parse_args(argv)
     try:
         return args.func(args)
     except (CertificationError, np.linalg.LinAlgError) as exc:  # LinAlgError is a ValueError

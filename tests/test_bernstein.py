@@ -228,6 +228,24 @@ _BAND_N = (1, 2, 3, 6, 30, 100)
 _BAND_R = (0.0, 0.3, 0.97, 0.999)
 
 
+def _per_term_hardy_bands(n, r, kind=NormKind.HARDY):
+    """The C_H^2 bands of the ``bernstein`` module docstring term by term,
+    each over q^2, as they read before their polynomials in j were
+    collected."""
+    assert kind is NormKind.HARDY
+    q = (1.0 - r) * (1.0 + r)
+    j = np.arange(n, dtype=np.float64)
+    main = j * j + r * r * (2.0 * j + 1.0) ** 2 + (r * r * (j + 1.0)) ** 2
+    j = j[:-1]
+    off1 = -r * (j + 1.0) * (2.0 * j + 1.0) - r**3 * (j + 1.0) * (2.0 * j + 3.0)
+    j = j[:-1]
+    off2 = r * r * (j + 1.0) * (j + 2.0)
+    return main / (q * q), off1 / (q * q), off2 / (q * q)
+
+
+_HARDY_BAND_R = (0.0, 1e-8, 0.5, 0.999, 1.0 - 2.0**-30)
+
+
 class TestOnePointBands:
     """The closed-form bands against the dense construction they replace."""
 
@@ -252,6 +270,33 @@ class TestOnePointBands:
                 phase = math.atan2(lam.imag, lam.real)
                 rotated = real.extremal * np.exp(-1j * phase * np.arange(n))
                 np.testing.assert_array_equal(res.extremal, rotated)
+
+    @pytest.mark.parametrize("n", (1, 2, 3, 64, 1000))
+    def test_hardy_bands_match_per_term_expression(self, n):
+        """The Hardy bands, written as polynomials in j, agree with the
+        per-term expression to 1e-15 relative, zeros included, up to
+        r = 1 - 2^-30, where 1/q^2 is about 2^58; off1 <= 0 <= off2, the
+        signs the Perron iteration checks."""
+        for r in _HARDY_BAND_R:
+            got = bernstein._one_point_bands(n, r, NormKind.HARDY)
+            want = _per_term_hardy_bands(n, r)
+            assert [band.shape for band in got] == [(n,), (max(n - 1, 0),), (max(n - 2, 0),)]
+            for band, exact in zip(got, want):
+                assert band.dtype == np.float64
+                np.testing.assert_allclose(band, exact, rtol=1e-15, atol=0.0, err_msg=str(r))
+            assert np.all(got[1] <= 0.0) and np.all(got[2] >= 0.0)
+
+    @pytest.mark.parametrize("n", (12, 63, 64, 100))
+    def test_hardy_constant_matches_per_term_bands(self, monkeypatch, n):
+        """C_H on the collected bands is within 2e-15 relative of C_H on
+        the per-term bands, on both sides of ``PERRON_MIN_N``."""
+        kind = NormKind.HARDY
+        for r in _HARDY_BAND_R:
+            got = bernstein._one_point_constant(n, complex(r), kind).constant
+            with monkeypatch.context() as patch:
+                patch.setattr(bernstein, "_one_point_bands", _per_term_hardy_bands)
+                want = bernstein._one_point_constant(n, complex(r), kind).constant
+            assert abs(got - want) <= 2e-15 * want, (r, got, want)
 
     @_KINDS
     def test_extremal_rotated_only_off_theta_zero(self, kind):

@@ -551,6 +551,63 @@ class TestAuditCommand:
         assert line.startswith("numerical certification failure: truncation 2302585070")
 
 
+def _exit_code(call, argv):
+    try:
+        return call(argv)
+    except SystemExit as exc:
+        return exc.code
+
+
+def _through_top_level_parser(argv):
+    """The dispatch ``main`` shortens: ``argv`` through the top-level parser,
+    then its command's function."""
+    args = build_parser().parse_args(argv)
+    return args.func(args)
+
+
+_DISPATCH_ARGV = {
+    "no-arguments": [],
+    "help": ["-h"],
+    **{
+        f"{name}-help": [name, "-h"]
+        for name in ("verify", "bernstein", "interp", "asymptotics", "audit")
+    },
+    "unknown-subcommand": ["bogus", "--sigma=0.5,0"],
+    "missing-sigma": ["bernstein", "--target", "hardy"],
+    "bad-target": ["bernstein", "--sigma=0.5,0", "--target", "nope"],
+    "unknown-option": ["bernstein", "--sigma=0.5,0", "--bogus"],
+    "stray-positional": ["interp", "--sigma=0.5,0", "stray"],
+    "bernstein": ["bernstein", "--sigma=one-point:n=6,r=0.96984"],
+    "interp": ["interp", "--sigma=0.3,0;-0.2,0.1"],
+    "verify": ["verify", "--seed", "1"],
+}
+
+
+class TestParseDispatch:
+    """``main`` parses a command's arguments once, with that command's own
+    parser, and leaves help, unknown commands and left-over arguments to the
+    top-level parser."""
+
+    @pytest.mark.parametrize("argv", _DISPATCH_ARGV.values(), ids=_DISPATCH_ARGV.keys())
+    def test_same_output_as_the_top_level_parser(self, capsys, argv):
+        """Exit code, stdout and stderr are those of the top-level parse."""
+        want = _exit_code(_through_top_level_parser, list(argv)), *capsys.readouterr()
+        got = _exit_code(main, list(argv)), *capsys.readouterr()
+        assert got == want
+
+    def test_valid_command_skips_the_top_level_parser(self, capsys, monkeypatch):
+        """A valid command never reaches the top-level parser."""
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("top-level parse of a valid command")
+
+        parser = build_parser()
+        monkeypatch.setattr(parser, "parse_args", refuse)
+        monkeypatch.setattr(parser, "parse_known_args", refuse)
+        code, out, _ = _run(capsys, ["bernstein", "--sigma=0.3,0", "--target", "hardy"])
+        assert code == 0 and out.startswith(HEADER)
+
+
 class TestOutputPlumbing:
     """Shared output options."""
 
@@ -700,6 +757,25 @@ class TestOutputPlumbing:
         assert proc.returncode == 3, proc.stderr
         assert proc.stderr.splitlines()[-1].startswith("out of memory: ")
         assert "Traceback" not in proc.stderr
+
+    @pytest.mark.parametrize(
+        "argv",
+        (
+            ["bernstein", "--sigma=one-point:n=100000000000000000000,r=0.5"],
+            ["interp", "--sigma=one-point:n=100000000000000000000,r=0.5"],
+            ["bernstein", "--sigma=random:n=100000000000000000000,r=0.5,count=1"],
+            ["asymptotics", "--n-list", "100000000000000000000"],
+            ["audit", "--n-list", "100000000000000000000", "--r-list", "0.5"],
+        ),
+        ids=("bernstein", "interp", "random", "asymptotics", "audit"),
+    )
+    def test_unallocatable_point_count_exits_three(self, capsys, argv):
+        """A point count past what any array can index is refused as out of
+        memory where it enters, before anything is allocated: exit 3 with
+        one line, as an allocation the allocator refuses, not exit 1 or 2."""
+        code, out, err = _run(capsys, argv)
+        assert (code, out) == (3, "")
+        assert err == "out of memory: cannot allocate 100000000000000000000 points\n"
 
     def test_one_point_sweep_at_n_100000_answers_in_the_capped_child(self):
         """The banded Perron iteration needs O(n) memory, so n = 10^5 at
