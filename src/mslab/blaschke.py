@@ -76,7 +76,7 @@ import functools
 import math
 import re
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -118,34 +118,33 @@ class PoleConfiguration:
     """Finite multiset of disc points defining a model space.
 
     Points are kept in the given order (multiplicities are simply repeated
-    entries); the radius is the largest modulus.
+    entries).  Construction describes them once: ``radius`` is the largest
+    modulus, and ``is_one_point`` says whether all points coincide,
+    sigma = {lam, ..., lam}.
     """
 
     points: tuple[complex, ...]
+    radius: float = field(init=False, repr=False, compare=False)
+    is_one_point: bool = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        pts = tuple(complex(p) for p in self.points)
+        # Whole-tuple passes: a one-point configuration of n points costs no
+        # Python-level step per point.
+        pts = tuple(map(complex, self.points))
         if len(pts) == 0:
             raise ValueError("a configuration needs at least one point")
-        for p in pts:
-            if not abs(p) < 1.0:
-                raise ValueError(f"configuration point outside the open disc: |{p}|={abs(p)}")
+        distinct = set(pts)
+        moduli = list(map(abs, distinct))
+        if not all(map((1.0).__gt__, moduli)):  # a NaN modulus fails too
+            p = next(p for p in pts if not abs(p) < 1.0)
+            raise ValueError(f"configuration point outside the open disc: |{p}|={abs(p)}")
         object.__setattr__(self, "points", pts)
+        object.__setattr__(self, "radius", max(moduli))
+        object.__setattr__(self, "is_one_point", len(distinct) == 1)
 
     @property
     def n(self) -> int:
         return len(self.points)
-
-    # Cached on first read: the points never change, and the route choice,
-    # the basis build and the output rows of a configuration all read them.
-    @functools.cached_property
-    def radius(self) -> float:
-        return max(abs(p) for p in self.points)
-
-    @functools.cached_property
-    def is_one_point(self) -> bool:
-        """All points coincide: sigma = {lam, ..., lam}."""
-        return len(set(self.points)) == 1
 
     @classmethod
     def one_point(cls, n: int, lam: complex) -> "PoleConfiguration":
@@ -457,6 +456,7 @@ def parse_sigma_spec(text: str) -> list[PoleConfiguration]:
         if count < 1:
             raise ValueError("random count must be positive")
         _check_point_count(n)
+        _check_point_count(count * n)  # before a sample is drawn
         rng = np.random.default_rng(seed)
         configs = []
         for _ in range(count):

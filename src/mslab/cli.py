@@ -15,7 +15,12 @@ are then the user's.
 
 Row-emitting commands share one tabular schema, columns
 ``n,r,sigma,quantity,value,lower,upper,trunc,residual``, written as CSV
-(default) or as JSON objects one per line to stdout or ``--out``.  Empty
+(default) or as JSON objects one per line to stdout or ``--out``.  CSV rows
+are written in one pass, one f-string a row, to the bytes of
+``csv.writer`` with ``QUOTE_MINIMAL``: only ``sigma`` is quoted, always,
+since its points are comma-separated, and no other cell can hold a comma,
+a quote or a line break (floats print to 17 digits, ``inf`` and ``nan``
+included, and the quantity labels are fixed words).  Empty
 lower/upper cells mean "no bound attached"; populated ones are enforced to
 bracket the value before the process exits (audit rows excepted: there the
 mismatch is the finding, and only ``--strict-paper`` turns it into a
@@ -47,16 +52,11 @@ its certificate, eigensolver or memory).
 from __future__ import annotations
 
 import argparse
-import csv
-import dataclasses
 import functools
-import io
 import json
-import operator
 import sys
-from dataclasses import dataclass
 from pathlib import Path
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -70,9 +70,9 @@ from .blaschke import PoleConfiguration, parse_sigma_spec
 from .errors import CertificationError
 from .interpolation import (
     ModelSpace,
+    _eq10_envelope,
     interp_lower_eq9,
     single_point_closed_form,
-    theoremB_envelopes,
 )
 from .series import NormKind
 
@@ -86,8 +86,7 @@ EXIT_NUMERICAL = 3
 BRACKET_SLACK = 1e-9
 
 
-@dataclass(frozen=True)
-class OutputRow:
+class OutputRow(NamedTuple):
     """One output row; its fields, in order, are the CSV columns and the
     JSON keys."""
 
@@ -102,30 +101,29 @@ class OutputRow:
     residual: float
 
 
-CSV_FIELDS = tuple(field.name for field in dataclasses.fields(OutputRow))
-_row_values = operator.attrgetter(*CSV_FIELDS)
+CSV_FIELDS = OutputRow._fields
+_CSV_HEADER = ",".join(CSV_FIELDS) + "\n"
 
 
 def _sorted_rows(rows: list[OutputRow]) -> list[OutputRow]:
-    return sorted(rows, key=lambda row: (row.n, row.r, row.sigma, row.quantity))
+    return sorted(rows, key=lambda row: row[:4])
+
+
+def _cell(x: float | None) -> str:
+    return "" if x is None else f"{x:.17g}"
 
 
 def _rows_to_csv(rows: list[OutputRow]) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, quoting=csv.QUOTE_MINIMAL, lineterminator="\n")
-    writer.writerow(CSV_FIELDS)
-    for row in _sorted_rows(rows):
-        # Floats to 17 digits; csv writes integers and text as they are and
-        # None as an empty cell.
-        writer.writerow([f"{x:.17g}" if isinstance(x, float) else x for x in _row_values(row)])
-    return buf.getvalue()
+    # One f-string a row; sigma is the one quoted cell (module docstring).
+    return _CSV_HEADER + "".join(
+        f'{n},{r:.17g},"{sigma}",{quantity},{value:.17g},'
+        f"{_cell(lower)},{_cell(upper)},{trunc},{residual:.17g}\n"
+        for n, r, sigma, quantity, value, lower, upper, trunc, residual in _sorted_rows(rows)
+    )
 
 
 def _rows_to_json(rows: list[OutputRow]) -> str:
-    lines = [
-        json.dumps(dict(zip(CSV_FIELDS, _row_values(row))))
-        for row in _sorted_rows(rows)
-    ]
+    lines = [json.dumps(row._asdict()) for row in _sorted_rows(rows)]
     return "\n".join(lines) + "\n"
 
 
@@ -283,7 +281,7 @@ def cmd_interp(args: argparse.Namespace) -> int:
         res = space.interp()
         exact, upper = res.constant, space.projection_bound()
         one_point = sigma.is_one_point
-        eq10 = theoremB_envelopes(n, r)["eq10"] if one_point else None
+        eq10 = _eq10_envelope(n, r) if one_point else None
         eq9 = interp_lower_eq9(n, r) if one_point and n >= 2 else None
         rows.append(
             OutputRow(n, r, key, "interp-exact", exact, eq9, upper, res.trunc_len, res.residual)

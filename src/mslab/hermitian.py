@@ -280,13 +280,15 @@ def max_eigenpair(matrix: np.ndarray) -> Eigenpair:
     window = RESIDUAL_TOL * (1.0 + abs(top))
     vec = vectors[:, -1]
     piv = vec[np.abs(vec).argmax()]
-    if np.iscomplexobj(vec):
+    is_complex = vec.dtype.kind == "c"
+    if is_complex:
         vec = vec * (piv.conjugate() / abs(piv))
     else:
         vec = -vec if piv < 0.0 else vec.copy()
-    d = matrix @ vec - top * vec
+    d = matrix @ vec
+    d -= top * vec
     # The 2-norm summed as numpy.linalg.norm sums it, without its dispatch.
-    sq = d.real.dot(d.real) + d.imag.dot(d.imag) if np.iscomplexobj(d) else d.dot(d)
+    sq = d.real.dot(d.real) + d.imag.dot(d.imag) if is_complex else d.dot(d)
     residual = math.sqrt(sq)
     if residual > window:
         raise CertificationError(

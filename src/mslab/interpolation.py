@@ -318,17 +318,22 @@ def theoremB_envelopes(n: int, r: float) -> dict[str, BoundEnvelope]:
     """
     if n < 1 or not 0.0 <= r < 1.0:
         raise ValueError("need n >= 1 and r in [0, 1)")
-    scale_factor = math.sqrt(n / (1.0 - r))
-    eq10 = BoundEnvelope(
-        scale_factor * math.sqrt((1.0 + r) / 2.0 * (1.0 - 1.0 / n)),
-        scale_factor
-        * math.sqrt(1.0 + r + 1.0 / math.sqrt(n) + (1.0 - r) / n),
-        "eq10",
-    )
     eq11 = BoundEnvelope(
         math.sqrt(((1.0 + r) / 2.0) / (1.0 - r)),
         math.sqrt((1.0 + r) / (1.0 - r)),
         "eq11",
     )
     eq12 = BoundEnvelope(math.sqrt(2.0) / 2.0, math.sqrt(2.0), "eq12")
-    return {"eq10": eq10, "eq11": eq11, "eq12": eq12}
+    return {"eq10": _eq10_envelope(n, r), "eq11": eq11, "eq12": eq12}
+
+
+def _eq10_envelope(n: int, r: float) -> BoundEnvelope:
+    """``theoremB_envelopes(n, r)["eq10"]`` alone, for n >= 1 and r in
+    [0, 1), which the caller has checked."""
+    scale_factor = math.sqrt(n / (1.0 - r))
+    return BoundEnvelope(
+        scale_factor * math.sqrt((1.0 + r) / 2.0 * (1.0 - 1.0 / n)),
+        scale_factor
+        * math.sqrt(1.0 + r + 1.0 / math.sqrt(n) + (1.0 - r) / n),
+        "eq10",
+    )

@@ -1,5 +1,7 @@
 """Tests for pole configurations, Malmquist bases and model-space projections."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -202,6 +204,86 @@ class TestPoleConfiguration:
             assert sig.is_one_point
             want = ";".join(f"{p.real:.17g},{p.imag:.17g}" for p in sig.points)
             assert sig.key() == want
+
+
+def _per_point_description(points):
+    """Radius, one-point flag and key of a configuration, or the refusal
+    message, each by a Python loop over every point in the given order."""
+    pts = tuple(complex(p) for p in points)
+    for p in pts:
+        if not abs(p) < 1.0:
+            return f"configuration point outside the open disc: |{p}|={abs(p)}"
+    first = pts[0]
+    one_point = all(p == first for p in pts)
+    signs_agree = all(
+        math.copysign(1.0, p.real) == math.copysign(1.0, first.real)
+        and math.copysign(1.0, p.imag) == math.copysign(1.0, first.imag)
+        for p in pts
+    )
+    parts = [f"{p.real:.17g},{p.imag:.17g}" for p in pts]
+    if one_point and signs_agree:
+        assert len(set(parts)) == 1
+    return max(abs(p) for p in pts), one_point, ";".join(parts)
+
+
+class TestPointDescription:
+    """radius, is_one_point, key() and the refusal messages, described in
+    whole-tuple passes, agree with a loop over every point."""
+
+    CENTRES = (
+        0.0, 0.5, -0.5, 0.3 + 0.4j, -0.2 - 0.7j, 0.5j, 1e-300, 5e-324,
+        complex(-0.0, 0.0), complex(0.0, -0.0), complex(-0.0, -0.0),
+        complex(0.5, -0.0), complex(-0.0, 0.5), complex(-0.5, -0.0),
+    )
+
+    def _check(self, points, sig=None):
+        want = _per_point_description(points)
+        if isinstance(want, str):
+            with pytest.raises(ValueError) as exc:
+                PoleConfiguration(points)
+            assert str(exc.value) == want
+            return
+        sig = PoleConfiguration(points) if sig is None else sig
+        assert (sig.radius, sig.is_one_point, sig.key()) == want
+        assert sig.points == tuple(map(complex, points))
+
+    def test_one_point_constructors(self):
+        for n in (1, 2, 8, 40, 100):
+            for lam in self.CENTRES:
+                self._check((lam,) * n, PoleConfiguration.one_point(n, lam))
+                self._check((lam,) * n)
+
+    def test_zero_parts_of_either_sign(self):
+        """Points equal under == that differ in the sign of a zero part are
+        one point, and the key prints each sign."""
+        (sig,) = parse_sigma_spec("0,0;-0,0")
+        self._check(sig.points, sig)
+        assert sig.key() == "0,0;-0,0"
+        for a in self.CENTRES:
+            for b in self.CENTRES:
+                if a == b:
+                    self._check((a, b, a))
+                    self._check((a,) * 39 + (b,))
+
+    def test_distinct_points(self):
+        for spec in ("random:n=40,r=0.9,count=3,seed=2", "0.3,0;-0.2,0.1;0.3,0"):
+            for sig in parse_sigma_spec(spec):
+                self._check(sig.points, sig)
+                self._check(sig.points[::-1])
+
+    def test_refusals_name_the_first_bad_point(self):
+        """NaN and out-of-disc points after valid ones: the message names
+        the first bad point in the given order."""
+        nan, inf = float("nan"), float("inf")
+        panels = (
+            (0.3, 0.3, nan), (0.3, 1.5, complex(0.0, nan)), (0.3, complex(nan, 0.0), 1.5),
+            (0.1, 2.0, 1.5, 3.0), (0.1, 3.0, 1.5, 2.0), (0.5,) * 7 + (1.0,),
+            (0.2, complex(0.0, 1.0)), (0.5, inf, nan), (0.5, complex(-inf, 0.0)),
+            (complex(0.6, 0.8),), (0.3, -1.0 - 1e-16, 0.3),
+        )
+        for points in panels:
+            assert isinstance(_per_point_description(points), str), points
+            self._check(points)
 
 
 class TestBlaschkeEval:

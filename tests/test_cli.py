@@ -17,8 +17,8 @@ import pytest
 
 import mslab
 from mslab import verification
-from mslab.blaschke import PoleConfiguration, malmquist_basis
-from mslab.cli import build_parser, main
+from mslab.blaschke import PoleConfiguration, malmquist_basis, parse_sigma_spec
+from mslab.cli import CSV_FIELDS, OutputRow, _rows_to_csv, _rows_to_json, build_parser, main
 
 HEADER = "n,r,sigma,quantity,value,lower,upper,trunc,residual"
 
@@ -608,6 +608,92 @@ class TestParseDispatch:
         assert code == 0 and out.startswith(HEADER)
 
 
+def _csv_writer_text(rows):
+    """The rows as csv.writer writes them with QUOTE_MINIMAL, sorted on
+    (n, r, sigma, quantity), floats to 17 digits and None as an empty cell."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, quoting=csv.QUOTE_MINIMAL, lineterminator="\n")
+    writer.writerow(CSV_FIELDS)
+    for row in sorted(rows, key=lambda row: (row.n, row.r, row.sigma, row.quantity)):
+        writer.writerow([f"{x:.17g}" if isinstance(x, float) else x for x in row])
+    return buf.getvalue()
+
+
+def _row_panel():
+    """Rows over every quantity label, None and signed-zero, infinite and
+    NaN cells, a one-point key, a signed-zero key and a 40-point explicit
+    key with negative parts."""
+    (forty,) = parse_sigma_spec("random:n=40,r=0.9,count=1,seed=7")
+    keys = (
+        PoleConfiguration.one_point(8, 0.5).key(),
+        PoleConfiguration((0j, complex(-0.0, 0.0))).key(),
+        forty.key(),
+    )
+    assert "-" in keys[2] and keys[2].count(";") == 39
+    labels = (
+        "bernstein-bergman", "bernstein-hardy", "interp-exact", "interp-upper",
+        "interp-lower-eq9", "ratio", "audit",
+    )
+    cells = (0.0, -0.0, math.inf, -math.inf, math.nan, 1.0 / 3.0, -2.5e-300, 5e-324, 1e300, None)
+    rows = []
+    for i, (key, label) in enumerate((key, label) for key in keys for label in labels):
+        value, lower, upper = (cells[(i + k) % len(cells)] for k in range(3))
+        rows.append(OutputRow(
+            (8, 1, 40)[i % 3], (0.5, 0.0, 0.9)[i % 3], key, label,
+            0.0 if value is None else value, lower, upper, 1 + i, cells[i % 9],
+        ))
+    return rows
+
+
+class TestRowWriter:
+    """The one-pass CSV rows are byte for byte csv.writer's, and JSON rows
+    keep their keys and values."""
+
+    def test_csv_matches_csv_writer(self):
+        """Over the panel, including a reversed order that the sort undoes;
+        every sigma cell is quoted."""
+        rows = _row_panel()
+        for panel in (rows, rows[::-1], rows[:1], []):
+            assert _rows_to_csv(panel) == _csv_writer_text(panel)
+        for line in _rows_to_csv(rows).splitlines()[1:]:
+            assert line.split(",")[2].startswith('"')
+
+    def test_command_output_matches_csv_writer(self, capsys):
+        """What a command prints reads back as the rows csv.writer writes."""
+        for argv in (
+            ["interp", "--sigma=one-point:n=8,r=0.5"],
+            ["bernstein", "--sigma=0.5,0;-0.25,0.1"],
+            ["interp", "--sigma=0,0;-0,0"],
+        ):
+            code, out, _ = _run(capsys, argv)
+            assert code == 0
+            rows = [
+                OutputRow(
+                    int(d["n"]), float(d["r"]), d["sigma"], d["quantity"], float(d["value"]),
+                    float(d["lower"]) if d["lower"] else None,
+                    float(d["upper"]) if d["upper"] else None,
+                    int(d["trunc"]), float(d["residual"]),
+                )
+                for d in _parse_csv(out)
+            ]
+            assert out == _csv_writer_text(rows)
+
+    def test_json_rows_unchanged(self, capsys):
+        """One object a row, keyed by the fields in order, non-finite values
+        as json writes them."""
+        rows = _row_panel()
+        want = "".join(
+            json.dumps({name: getattr(row, name) for name in CSV_FIELDS}) + "\n"
+            for row in sorted(rows, key=lambda row: (row.n, row.r, row.sigma, row.quantity))
+        )
+        assert _rows_to_json(rows) == want
+        code, out, _ = _run(capsys, ["interp", "--sigma=one-point:n=8,r=0.5", "--format", "json"])
+        assert code == 0
+        objs = [json.loads(line) for line in out.splitlines()]
+        assert [list(obj) for obj in objs] == [list(CSV_FIELDS)] * 3
+        assert [obj["quantity"] for obj in objs] == ["interp-exact", "interp-lower-eq9", "interp-upper"]
+
+
 class TestOutputPlumbing:
     """Shared output options."""
 
@@ -764,15 +850,24 @@ class TestOutputPlumbing:
             ["bernstein", "--sigma=one-point:n=100000000000000000000,r=0.5"],
             ["interp", "--sigma=one-point:n=100000000000000000000,r=0.5"],
             ["bernstein", "--sigma=random:n=100000000000000000000,r=0.5,count=1"],
+            ["bernstein", "--sigma=random:n=1,r=0.5,count=100000000000000000000"],
+            ["interp", "--sigma=random:n=10000000000,r=0.5,count=10000000000"],
             ["asymptotics", "--n-list", "100000000000000000000"],
             ["audit", "--n-list", "100000000000000000000", "--r-list", "0.5"],
         ),
-        ids=("bernstein", "interp", "random", "asymptotics", "audit"),
+        ids=("bernstein", "interp", "random", "random-count", "random-count-times-n",
+             "asymptotics", "audit"),
     )
-    def test_unallocatable_point_count_exits_three(self, capsys, argv):
-        """A point count past what any array can index is refused as out of
-        memory where it enters, before anything is allocated: exit 3 with
-        one line, as an allocation the allocator refuses, not exit 1 or 2."""
+    def test_unallocatable_point_count_exits_three(self, capsys, monkeypatch, argv):
+        """A point count past what any array can index, a random: spec's
+        count times n included, is refused as out of memory where it
+        enters, before anything is allocated or sampled: exit 3 with one
+        line, as an allocation the allocator refuses, not exit 1 or 2."""
+
+        def no_sampling(*args, **kwargs):
+            raise AssertionError("sampled before the point count was checked")
+
+        monkeypatch.setattr(np.random, "default_rng", no_sampling)
         code, out, err = _run(capsys, argv)
         assert (code, out) == (3, "")
         assert err == "out of memory: cannot allocate 100000000000000000000 points\n"
